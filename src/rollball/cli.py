@@ -59,7 +59,6 @@ class RunConfig:
     steps: int = 100
     sam_rho: float | None = None
     seed: int | None = None
-    gamma: float | None = None
     max_iters: int = 100
     grad_tol: float = 1e-8
     warm_start: str = "previous_contact"
@@ -97,8 +96,7 @@ class RunConfig:
         return cfg
 
     def projection(self) -> ProjectionConfig:
-        return ProjectionConfig(gamma=self.gamma, max_iters=self.max_iters,
-                                grad_tol=self.grad_tol,
+        return ProjectionConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
                                 warm_start=WarmStart(self.warm_start))
 
 
@@ -260,7 +258,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "theta0": args.theta0,
         "rho": args.rho, "eta": args.eta, "steps": args.steps,
         "sam_rho": args.sam_rho, "seed": args.seed,
-        "gamma": args.gamma, "max_iters": args.max_iters,
+        "max_iters": args.max_iters,
         "grad_tol": args.grad_tol, "warm_start": args.warm_start,
         "out": args.out, "format": args.format,
     }
@@ -456,10 +454,17 @@ def cmd_offset(args: argparse.Namespace) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, help="global seed (fans out per component)")
-    p.add_argument("--out", help="output path")
+_COMMON_FLAGS = {
+    "config": dict(help="JSON config file; flags override its fields"),
+    "seed": dict(type=int, help="global seed (fans out per component)"),
+    "out": dict(help="output path"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags a subcommand honours, and only those."""
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trajectory", help="run one optimizer, dump step records")
-    _add_common(p)
+    _add_common(p, "config", "seed", "out")
     p.add_argument("--landscape", help=f"one of {', '.join(catalogue_names())}")
     p.add_argument("--param", action="append", type=_parse_param,
                    metavar="KEY=VALUE", help="landscape parameter (repeatable)")
@@ -480,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="number of updates T")
     p.add_argument("--sam-rho", dest="sam_rho", type=float,
                    help="ascent radius (sam only)")
-    p.add_argument("--gamma", type=float, help="inner projection step size")
     p.add_argument("--max-iters", dest="max_iters", type=int,
                    help="inner projection iteration cap")
     p.add_argument("--grad-tol", dest="grad_tol", type=float,
@@ -491,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_trajectory)
 
     p = sub.add_parser("sweep", help="radius/step-size grid to CSV")
-    _add_common(p)
+    _add_common(p, "config", "seed", "out")
     p.add_argument("--task", choices=("landscape", "mlp"))
     p.add_argument("--landscape")
     p.add_argument("--param", action="append", type=_parse_param,
@@ -511,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run named checks, write JSON reports")
-    _add_common(p)
+    _add_common(p, "config", "out")
     p.add_argument("checks", nargs="*",
                    help=f"subset of: {', '.join(verify.available_checks())} "
                         "(default: all)")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("train", help="train the network, write learning curve")
-    _add_common(p)
+    _add_common(p, "seed", "out")
     p.add_argument("--optimizer", choices=("rbo", "gd", "sgd", "sam"))
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -535,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("offset", help="dump offset-profile samples")
-    _add_common(p)
+    _add_common(p, "out")
     p.add_argument("--landscape")
     p.add_argument("--param", action="append", type=_parse_param,
                    metavar="KEY=VALUE")

@@ -105,12 +105,17 @@ def quadratic(a: Array, theta_star: Array | None = None) -> Landscape:
     def grad(theta: Array) -> Array:
         return a @ (np.asarray(theta, dtype=float) - ts)
 
+    def f_and_grad(theta: Array) -> tuple[float, Array]:
+        u = np.asarray(theta, dtype=float) - ts
+        return float(0.5 * u @ a @ u), a @ u
+
     def f_batch(thetas: Array) -> Array:
         u = np.asarray(thetas, dtype=float) - ts
         return 0.5 * np.einsum("ni,ij,nj->n", u, a, u)
 
     return Landscape(dim=d, f=f, grad=grad, hessian=lambda theta: a,
-                     f_batch=f_batch, name=f"quadratic(d={d})")
+                     f_batch=f_batch, f_and_grad=f_and_grad,
+                     name=f"quadratic(d={d})")
 
 
 def riemann(n_terms: int = 100) -> Landscape:
@@ -141,6 +146,10 @@ def riemann(n_terms: int = 100) -> Landscape:
         t = float(np.asarray(theta, dtype=float).reshape(()))
         return np.array([np.sum(np.cos(n2 * t))])
 
+    def f_and_grad(theta: Array) -> tuple[float, Array]:
+        phase = n2 * float(np.asarray(theta, dtype=float).reshape(()))
+        return float(np.sin(phase) @ inv), np.array([np.cos(phase).sum()])
+
     def hessian(theta: Array) -> Array:
         t = float(np.asarray(theta, dtype=float).reshape(()))
         return np.array([[-np.sum(n2 * np.sin(n2 * t))]])
@@ -150,7 +159,8 @@ def riemann(n_terms: int = 100) -> Landscape:
         return _eval_many(t)
 
     return Landscape(dim=1, f=f, grad=grad, hessian=hessian, f_batch=f_batch,
-                     name=f"riemann({n_terms})", value_bound=bound)
+                     f_and_grad=f_and_grad, name=f"riemann({n_terms})",
+                     value_bound=bound)
 
 
 def sinusoid() -> Landscape:
@@ -167,6 +177,7 @@ def sinusoid() -> Landscape:
 
     return Landscape(dim=1, f=f, grad=grad, hessian=hessian,
                      f_batch=lambda t: np.sin(np.asarray(t, dtype=float).reshape(-1)),
+                     f_and_grad=lambda theta: (f(theta), grad(theta)),
                      name="sinusoid", value_bound=1.0, value_sup=1.0)
 
 
@@ -249,6 +260,7 @@ def affine_plus_bump(a: float | Array, b: float,
 
     return Landscape(
         dim=d, f=f, grad=grad, hessian=hessian, f_batch=f_batch,
+        f_and_grad=lambda theta: (f(theta), grad(theta)),
         name=f"affine_bump(a={a_vec.tolist()},amp={amp},profile={profile.name})",
         meta={"affine": affine, "bump_sup": abs(amp) * profile.sup,
               "profile": profile.name, "amplitude": amp})

@@ -9,15 +9,23 @@ gradient descent live here too so every run shares one trajectory format.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
-from .geometry import normal_from_grad, tangent
+from .geometry import normal_from_grad, tangent_from_grad
 from .landscape import Array, Landscape, value_and_grad
 
 DIVERGENCE_LIMIT = 1e12
+# Levenberg-Marquardt damping: a rejected trial multiplies lam by this factor
+# (from 0 to 1 on the first rejection), an accepted one divides it
+DAMPING_FACTOR = 4.0
+# relative change of G within which evaluation noise in f can hide a real
+# decrease; a trial inside it is accepted if it lowers the residual
+NOISE_SLACK = math.sqrt(float(np.finfo(float).eps))
 
 
 class WarmStart(str, enum.Enum):
@@ -29,20 +37,18 @@ class WarmStart(str, enum.Enum):
 class ProjectionConfig:
     """Inner foot-point solver settings.
 
-    gamma=None selects the adaptive step 0.1 / (1 + |grad f(warm start)|^2);
-    a float fixes the step size. The warm start policy picks the inner
-    iteration's starting theta: the previous contact (default) or the
-    displaced candidate's own theta block.
+    max_iters caps the trial steps of one projection (one oracle evaluation
+    each); grad_tol is the residual norm at which the solve stops, scaled by
+    the candidate's distance from the iterate where that exceeds 1. The warm
+    start policy picks the inner iteration's starting theta: the previous
+    contact (default) or the displaced candidate's own theta block.
     """
 
-    gamma: float | None = None
     max_iters: int = 100
     grad_tol: float = 1e-8
     warm_start: WarmStart = WarmStart.PREVIOUS_CONTACT
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol <= 0:
@@ -51,26 +57,36 @@ class ProjectionConfig:
 
 
 class ProjectionDivergence(RuntimeError):
-    """Inner iterate escaped the divergence guard."""
+    """The projection met a candidate beyond DIVERGENCE_LIMIT or a
+    non-finite oracle value; iteration 0 is the candidate or the warm start."""
 
-    def __init__(self, iteration: int, norm: float):
+    def __init__(self, iteration: int, norm: float, what: str):
         self.iteration = iteration
         self.norm = norm
         super().__init__(
-            f"foot-point iterate diverged at inner iteration {iteration}: "
-            f"|theta| = {norm:.3e} exceeds {DIVERGENCE_LIMIT:.0e}")
+            f"foot-point projection diverged at inner iteration {iteration}: "
+            f"{what} (|theta| = {norm:.3e}, limit {DIVERGENCE_LIMIT:.0e})")
 
 
 @dataclass(frozen=True)
 class GraphPoint:
-    """A point on the graph surface: (theta, f(theta))."""
+    """A point on the graph surface: (theta, f(theta)), plus grad f(theta)
+    when the code that made it evaluated one."""
 
     theta: Array
     y: float
+    grad: Array | None = None
 
     @property
     def ambient(self) -> Array:
         return np.concatenate([self.theta, [self.y]])
+
+
+def _graph_point(landscape: Landscape, theta: Array) -> GraphPoint:
+    """Evaluate value and gradient at theta in one fused oracle call."""
+    theta = np.asarray(theta, dtype=float)
+    v, g = value_and_grad(landscape, theta)
+    return GraphPoint(theta=theta, y=v, grad=g)
 
 
 @dataclass(frozen=True)
@@ -141,51 +157,127 @@ def lift(landscape: Landscape, theta: Array, rho: float) -> BallState:
     """Rest the sphere on the graph at theta: center = contact + rho * normal."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    theta = np.asarray(theta, dtype=float)
-    v, g = value_and_grad(landscape, theta)
-    p = GraphPoint(theta=theta, y=v)
-    return BallState(contact=p, center=p.ambient + rho * normal_from_grad(g), rho=rho)
+    return _rest(_graph_point(landscape, theta), rho)
+
+
+def _rest(contact: GraphPoint, rho: float) -> BallState:
+    return BallState(contact=contact,
+                     center=contact.ambient + rho * normal_from_grad(contact.grad),
+                     rho=rho)
+
+
+def _with_grad(landscape: Landscape, point: GraphPoint | Array) -> GraphPoint:
+    """The point with its gradient, evaluating only what it does not carry."""
+    if isinstance(point, GraphPoint):
+        return point if point.grad is not None else _graph_point(landscape, point.theta)
+    return _graph_point(landscape, point)
 
 
 def project_footpoint(landscape: Landscape, candidate: Array,
-                      warm_start_theta: Array,
+                      warm_start_theta: Array | GraphPoint,
                       cfg: ProjectionConfig = ProjectionConfig(),
                       ) -> tuple[GraphPoint, int, float]:
-    """Foot point of an ambient candidate on the graph by descent on
-    g(theta) = |theta - theta_cand|^2 + (f(theta) - y_cand)^2.
+    """Foot point of an ambient candidate (theta_c, y_c) on the graph: a
+    stationary point of G(theta) = |theta - theta_c|^2 / 2 +
+    (f(theta) - y_c)^2 / 2, by damped Newton / Gauss-Newton.
 
-    The update uses the half-gradient (theta - theta_cand) +
-    (f(theta) - y_cand) * grad f(theta); the factor 2 is absorbed into
-    gamma. Returns (foot point, iterations used, final residual norm).
-    Residuals above grad_tol after max_iters are reported, never hidden.
+    Each trial step solves M s = -r for the half-gradient r = (theta -
+    theta_c) + (f - y_c) grad f, with M = (1 + lam) I + g g^T, plus
+    (f - y_c) times the Hessian when the landscape has one. Without a
+    Hessian, M is inverted by Sherman-Morrison in O(d). A trial point is
+    accepted only if it lowers G; otherwise the damping lam grows. Each trial
+    costs one fused value-and-grad (plus one Hessian per accepted point), and
+    the trials are the iteration count. The solve stops when |r| <= grad_tol
+    * max(1, |candidate - iterate|): far from the graph the rounding of
+    (f - y_c) grad f grows with the distance.
+
+    warm_start_theta is the starting theta, or a GraphPoint whose carried
+    value and gradient are reused. Returns (foot point with its gradient,
+    trials used, final residual norm); a residual above the tolerance after
+    max_iters trials is reported, never hidden. Raises ProjectionDivergence
+    when the candidate lies beyond DIVERGENCE_LIMIT or an oracle value is not
+    finite; a monotone solve from a finite candidate cannot run away.
     """
     candidate = np.asarray(candidate, dtype=float)
     d = landscape.dim
     if candidate.shape != (d + 1,):
         raise ValueError(f"candidate must be ambient, shape ({d + 1},)")
-    theta_cand, y_cand = candidate[:d], float(candidate[d])
-    theta = np.asarray(warm_start_theta, dtype=float).copy()
-    gamma = cfg.gamma
-    if gamma is None:
-        g0 = np.asarray(landscape.grad(theta), dtype=float)
-        gamma = 0.1 / (1.0 + float(g0 @ g0))
+    size = float(np.linalg.norm(candidate))
+    if not size <= DIVERGENCE_LIMIT:
+        raise ProjectionDivergence(0, size, "candidate beyond the limit")
+    theta_c, y_c = candidate[:d], float(candidate[d])
+    point = _with_grad(landscape, warm_start_theta)
+    theta, v, g = point.theta, point.y, point.grad
+    u, e = theta - theta_c, v - y_c
+    if not math.isfinite(e):
+        raise ProjectionDivergence(0, float(np.linalg.norm(theta)), "non-finite loss value")
+    uu = float(u @ u)
+    objective = 0.5 * (uu + e * e)
+    r = u + e * g
+    resid, gg, gu = _residual_terms(0, theta, r, g, u)
+    lam, eig, iters = 0.0, None, 0
+    while resid > cfg.grad_tol * max(1.0, math.sqrt(2.0 * objective)) \
+            and iters < cfg.max_iters:
+        if landscape.hessian is None:
+            # u - M^{-1} r by Sherman-Morrison, as one combination of u and g
+            # whose squared norm follows from the scalars at hand
+            damp = lam / (1.0 + lam)
+            coef = (gu - e * (1.0 + lam)) / ((1.0 + lam) * (1.0 + lam + gg))
+            u_trial = coef * g
+            if lam:
+                u_trial = daxpy(u, u_trial, a=damp)  # in place, one pass
+            uu_trial = damp * damp * uu + 2.0 * damp * coef * gu + coef * coef * gg
+            theta_trial = theta_c + u_trial
+        else:
+            if eig is None:
+                # M - lam I in its eigenbasis, once per accepted point
+                curvature = np.outer(g, g) + e * np.asarray(landscape.hessian(theta),
+                                                            dtype=float)
+                if not np.isfinite(curvature).all():
+                    raise ProjectionDivergence(iters, float(np.linalg.norm(theta)),
+                                               "non-finite Hessian")
+                w, vecs = np.linalg.eigh(curvature)
+                eig = (w, vecs, vecs.T @ r)
+            w, vecs, vr = eig
+            while not 1.0 + lam + w[0] > 0.0:  # damp until M is positive definite
+                lam = _raise_damping(lam)
+            theta_trial = theta - vecs @ (vr / (1.0 + lam + w))
+            u_trial = theta_trial - theta_c
+            uu_trial = float(u_trial @ u_trial)
+        iters += 1
+        v_trial, g_trial = value_and_grad(landscape, theta_trial)
+        e_trial = v_trial - y_c
+        if not math.isfinite(e_trial):
+            raise ProjectionDivergence(iters, float(np.linalg.norm(theta_trial)),
+                                       "non-finite loss value")
+        trial_objective = 0.5 * (uu_trial + e_trial * e_trial)
+        if trial_objective <= objective * (1.0 + NOISE_SLACK):
+            r_trial = u_trial + e_trial * g_trial
+            resid_trial = float(np.sqrt(r_trial @ r_trial))
+            # G flat to within noise (the last steps of a solve): the residual decides
+            if trial_objective < objective or resid_trial < resid:
+                theta, v, g, u, e, r = theta_trial, v_trial, g_trial, u_trial, e_trial, r_trial
+                uu, objective, eig = uu_trial, trial_objective, None
+                resid, gg, gu = _residual_terms(iters, theta, r, g, u)
+                lam /= DAMPING_FACTOR
+                continue
+        lam = _raise_damping(lam)
+    return GraphPoint(theta=theta, y=v, grad=g), iters, resid
 
-    def residual(th: Array) -> tuple[float, Array]:
-        v, g = value_and_grad(landscape, th)
-        return v, (th - theta_cand) + (v - y_cand) * g
 
-    iters = 0
-    value, resid = residual(theta)
-    for it in range(1, cfg.max_iters + 1):
-        if float(np.linalg.norm(resid)) <= cfg.grad_tol:
-            break
-        theta = theta - gamma * resid
-        iters = it
-        if float(np.linalg.norm(theta)) > DIVERGENCE_LIMIT:
-            raise ProjectionDivergence(it, float(np.linalg.norm(theta)))
-        value, resid = residual(theta)
-    return (GraphPoint(theta=theta, y=value), iters,
-            float(np.linalg.norm(resid)))
+def _residual_terms(iters: int, theta: Array, r: Array, g: Array,
+                    u: Array) -> tuple[float, float, float]:
+    """|r|, g.g and g.u at an accepted point; a non-finite gradient there
+    ends the solve."""
+    resid, gg = float(np.sqrt(r @ r)), float(g @ g)
+    if not (math.isfinite(resid) and math.isfinite(gg)):
+        raise ProjectionDivergence(iters, float(np.linalg.norm(theta)),
+                                   "non-finite gradient")
+    return resid, gg, float(g @ u)
+
+
+def _raise_damping(lam: float) -> float:
+    return lam * DAMPING_FACTOR if lam else 1.0
 
 
 def rbo_step(landscape: Landscape, state: BallState, eta: float,
@@ -194,21 +286,19 @@ def rbo_step(landscape: Landscape, state: BallState, eta: float,
     """One rolling-ball update: displace the center against the lifted
     tangent, project to a new foot point, re-lift the center.
 
+    The tangent and the projection's warm start reuse the gradient the
+    contact carries, and the re-lift reuses the one the projection returns.
     t is the step index stamped into the returned record.
     """
-    theta_t = state.contact.theta
-    candidate = state.center - eta * tangent(landscape, theta_t)
-    warm = theta_t if cfg.warm_start == WarmStart.PREVIOUS_CONTACT \
+    contact = _with_grad(landscape, state.contact)
+    candidate = state.center - eta * tangent_from_grad(contact.grad)
+    warm = contact if cfg.warm_start == WarmStart.PREVIOUS_CONTACT \
         else candidate[:landscape.dim]
     foot, iters, resid = project_footpoint(landscape, candidate, warm, cfg)
-    g = np.asarray(landscape.grad(foot.theta), dtype=float)
-    new_state = BallState(
-        contact=foot,
-        center=foot.ambient + state.rho * normal_from_grad(g),
-        rho=state.rho)
+    new_state = _rest(foot, state.rho)
     record = StepRecord(t=t, theta=foot.theta, loss=foot.y,
                         center=new_state.center,
-                        grad_norm=float(np.linalg.norm(g)),
+                        grad_norm=float(np.linalg.norm(foot.grad)),
                         projection_iters=iters, projection_residual=resid)
     return new_state, record
 
@@ -217,18 +307,13 @@ def rbo_step(landscape: Landscape, state: BallState, eta: float,
 # full runs
 # ---------------------------------------------------------------------------
 
-def _record(t: int, landscape: Landscape, theta: Array,
-            center: Array | None = None, iters: int = 0,
-            resid: float = 0.0) -> StepRecord:
-    """Snapshot at theta; center defaults to the graph point itself (the
-    convention for optimizers that do not carry a ball)."""
-    v, g = value_and_grad(landscape, theta)
-    theta = np.asarray(theta, dtype=float)
-    if center is None:
-        center = np.concatenate([theta, [v]])
-    return StepRecord(t=t, theta=theta, loss=v, center=center,
-                      grad_norm=float(np.linalg.norm(g)),
-                      projection_iters=iters, projection_residual=resid)
+def _record(t: int, point: GraphPoint, center: Array | None = None) -> StepRecord:
+    """Snapshot of a carried graph point; center defaults to the point itself
+    (the convention for optimizers that do not carry a ball)."""
+    return StepRecord(t=t, theta=point.theta, loss=point.y,
+                      center=point.ambient if center is None else center,
+                      grad_norm=float(np.linalg.norm(point.grad)),
+                      projection_iters=0, projection_residual=0.0)
 
 
 def _check_run_args(landscape: Landscape, theta0: Array, steps: int) -> Array:
@@ -278,11 +363,11 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
     header = TrajectoryHeader(
         optimizer="rbo", landscape=landscape.name, seed=seed,
         hyperparameters={"rho": rho, "eta": eta, "steps": steps,
-                         "gamma": cfg.gamma, "max_iters": cfg.max_iters,
+                         "max_iters": cfg.max_iters,
                          "grad_tol": cfg.grad_tol,
                          "warm_start": cfg.warm_start.value})
     state = lift(landscape, theta0, rho)
-    records = [_record(0, landscape, state.contact.theta, center=state.center)]
+    records = [_record(0, state.contact, center=state.center)]
     error = None
     for t in range(1, steps + 1):
         view = _step_view(landscape, rng)
@@ -301,29 +386,30 @@ def _descent_loop(landscape: Landscape, theta0: Array, eta: float, steps: int,
                   header: TrajectoryHeader, rng: np.random.Generator | None,
                   sam_rho: float | None = None) -> Trajectory:
     """Shared loop for gd / sgd / sam. sam_rho=None means a plain gradient
-    step; sam_rho=0.0 reproduces it bitwise since theta + 0 * u == theta."""
-    theta = theta0
-    records = [_record(0, landscape, theta)]
+    step; sam_rho=0.0 reproduces it bitwise since the ascent point is theta.
+    On a deterministic landscape the gradient evaluated for a record is the
+    next step's gradient, so a plain step costs one oracle call."""
+    point = _graph_point(landscape, theta0)
+    records = [_record(0, point)]
     error = None
     for t in range(1, steps + 1):
         view = _step_view(landscape, rng)
-        g = np.asarray(view.grad(theta), dtype=float)
-        if sam_rho is None:
-            step_grad = g
-        else:
+        theta = point.theta
+        g = point.grad if view is landscape else np.asarray(view.grad(theta), dtype=float)
+        step_grad = g
+        if sam_rho is not None:
             gn = float(np.linalg.norm(g))
             # zero radius or zero gradient: the ascent point is theta itself
-            if sam_rho == 0.0 or gn == 0.0:
-                probe = theta
-            else:
-                probe = theta + sam_rho * (g / gn)
-            step_grad = np.asarray(view.grad(probe), dtype=float)
+            if sam_rho != 0.0 and gn != 0.0:
+                step_grad = np.asarray(view.grad(theta + sam_rho * (g / gn)),
+                                       dtype=float)
         theta = theta - eta * step_grad
         if float(np.linalg.norm(theta)) > DIVERGENCE_LIMIT:
             error = (f"step {t}: iterate diverged, |theta| = "
                      f"{float(np.linalg.norm(theta)):.3e}")
             break
-        records.append(_record(t, view, theta))
+        point = _graph_point(view, theta)
+        records.append(_record(t, point))
     return Trajectory(header=header, records=records, error=error)
 
 

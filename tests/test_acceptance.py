@@ -129,7 +129,7 @@ def test_criterion_06_smoothing():
 def test_criterion_07_projection_oracle_match():
     h = 1e-4
     grid = np.arange(int(-3 / h), int(3 / h) + 1) * h
-    cfg = ProjectionConfig(gamma=2e-3, max_iters=100)
+    cfg = ProjectionConfig(max_iters=100)
     details = []
     ok = True
     for landscape in (quadratic(np.array([[2.0]])), riemann(5)):

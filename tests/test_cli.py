@@ -318,3 +318,12 @@ class TestParser:
 
     def test_unknown_flag_is_config_error(self):
         assert main(["trajectory", "--warp-speed", "9"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["offset", "--rho", "1.0", "--config", "c.json"],
+        ["offset", "--rho", "1.0", "--seed", "3"],
+        ["verify", "sharp-minima", "--seed", "3"],
+        ["train", "--epochs", "1", "--config", "c.json"],
+    ], ids=["offset-config", "offset-seed", "verify-seed", "train-config"])
+    def test_flags_a_subcommand_ignores_are_rejected(self, sandbox, argv):
+        assert main(argv) == 2

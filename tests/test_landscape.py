@@ -124,6 +124,18 @@ def test_value_and_grad_prefers_fused_oracle():
     assert (v, g[0]) == (5.0, 2.0)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("riemann", {"n": 100}), ("sinusoid", {}),
+    ("quadratic", {"a": [[2.0, 0.5], [0.5, 1.0]], "theta_star": [0.3, -1.0]}),
+    ("affine_bump", {"a": [0.7, -0.2], "profile": "gaussian"})])
+def test_catalogue_fused_oracle_is_bitwise_f_and_grad(name, params):
+    ls = make_landscape(name, params)
+    for theta in np.random.default_rng(5).uniform(-10.0, 10.0, (20, ls.dim)):
+        v, g = ls.f_and_grad(theta)
+        assert v == ls.f(theta)
+        assert np.array_equal(g, ls.grad(theta))
+
+
 def test_eval_batch_without_batch_oracle():
     ls = Landscape(dim=1, f=lambda t: float(t[0]) ** 3,
                    grad=lambda t: np.array([3.0 * float(t[0]) ** 2]))

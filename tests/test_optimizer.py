@@ -1,10 +1,14 @@
 """Rolling-ball steps, footpoint projection, and baseline descent loops."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollball.landscape import affine_plus_bump, quadratic, riemann
+from rollball.landscape import (affine_plus_bump, quadratic, riemann,
+                                value_and_grad)
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, WarmStart,
                                 lift, project_footpoint, rbo_step, run_gd,
@@ -15,8 +19,6 @@ HALF_SQ = quadratic(np.array([[1.0]]))   # f = theta^2 / 2
 
 
 def test_projection_config_validation():
-    with pytest.raises(ValueError):
-        ProjectionConfig(gamma=0.0)
     with pytest.raises(ValueError):
         ProjectionConfig(max_iters=0)
     with pytest.raises(ValueError):
@@ -58,15 +60,14 @@ def test_lift_idempotent_on_contact():
 def test_footpoint_converges_to_closest_point():
     # candidate (0, 2) above f=theta^2: stationary feet at +-sqrt(1.5);
     # the warm start picks the basin
-    cfg = ProjectionConfig(gamma=0.05, grad_tol=1e-10)
+    cfg = ProjectionConfig(grad_tol=1e-10)
     foot, iters, resid = project_footpoint(
         PARABOLA, np.array([0.0, 2.0]), np.array([1.0]), cfg)
-    assert float(foot.theta[0]) == 1.2247448713770581
-    assert iters == 67
+    assert float(foot.theta[0]) == pytest.approx(math.sqrt(1.5), abs=1e-12)
     assert resid <= 1e-10
     neg, _, _ = project_footpoint(
         PARABOLA, np.array([0.0, 2.0]), np.array([-1.0]), cfg)
-    assert float(neg.theta[0]) == -1.2247448713770581
+    assert float(neg.theta[0]) == pytest.approx(-math.sqrt(1.5), abs=1e-12)
 
 
 def test_footpoint_on_graph_candidate_is_fixed():
@@ -77,17 +78,17 @@ def test_footpoint_on_graph_candidate_is_fixed():
 
 
 def test_footpoint_reports_unconverged_residual():
-    cfg = ProjectionConfig(gamma=1e-6, max_iters=5)
+    cfg = ProjectionConfig(max_iters=1)
     _, iters, resid = project_footpoint(
         PARABOLA, np.array([0.0, 2.0]), np.array([1.0]), cfg)
-    assert iters == 5 and resid > 1e-3  # honest: cap hit, residual large
+    assert iters == 1 and resid > 1e-3  # honest: cap hit, residual large
 
 
 def test_footpoint_divergence_raises_with_details():
-    cfg = ProjectionConfig(gamma=1e9, max_iters=50)
+    cfg = ProjectionConfig(max_iters=50)
     with pytest.raises(ProjectionDivergence) as exc:
-        project_footpoint(PARABOLA, np.array([0.0, 2.0]), np.array([1.0]), cfg)
-    assert exc.value.iteration >= 1
+        project_footpoint(PARABOLA, np.array([0.0, 2e13]), np.array([1.0]), cfg)
+    assert exc.value.iteration == 0  # the candidate itself is beyond the limit
     assert exc.value.norm > 1e12
 
 
@@ -160,10 +161,8 @@ def test_rbo_on_affine_landscape_tracks_gd():
     # gradient step, so the two trajectories coincide
     ls = affine_plus_bump(0.7, 0.3, "sin", amplitude=0.0)
     theta0 = np.array([2.0])
-    # inner residual contracts by |1 - gamma * (1 + a^2)| per iteration;
-    # gamma=0.6 reaches the tight tolerance well inside the cap
     rbo = run_rbo(ls, theta0, rho=1.0, eta=0.05, steps=20,
-                  cfg=ProjectionConfig(gamma=0.6, grad_tol=1e-14, max_iters=400))
+                  cfg=ProjectionConfig(grad_tol=1e-14, max_iters=400))
     gd = run_gd(ls, theta0, eta=0.05, steps=20)
     assert rbo.error is None and gd.error is None
     np.testing.assert_allclose(rbo.thetas(), gd.thetas(), atol=1e-9)
@@ -237,7 +236,63 @@ def test_stochastic_runs_are_seed_reproducible():
 
 
 def test_rbo_divergence_keeps_partial_trajectory():
-    traj = run_rbo(PARABOLA, np.array([1.0]), rho=0.5, eta=1.0, steps=10,
-                   cfg=ProjectionConfig(gamma=1e9, max_iters=50))
+    traj = run_rbo(PARABOLA, np.array([1.0]), rho=0.5, eta=1e13, steps=10,
+                   cfg=ProjectionConfig(max_iters=50))
     assert traj.error is not None and "step 1" in traj.error
     assert len(traj.records) == 1  # the lifted initial record survives
+
+
+def capped_share(traj, cfg=ProjectionConfig()) -> float:
+    steps = traj.records[1:]
+    return sum(r.projection_iters == cfg.max_iters
+               and r.projection_residual > cfg.grad_tol for r in steps) / len(steps)
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0])
+@pytest.mark.parametrize("landscape", [PARABOLA, riemann(5)], ids=["theta^2", "riemann(5)"])
+def test_projection_converges_on_smooth_landscapes(landscape, rho):
+    traj = run_rbo(landscape, np.array([2.0]), rho=rho, eta=0.1 * rho, steps=500)
+    assert traj.error is None
+    assert capped_share(traj) == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0])
+def test_projection_rarely_capped_on_rough_landscape(rho):
+    traj = run_rbo(riemann(100), np.array([2.0]), rho=rho, eta=0.1 * rho, steps=500)
+    assert traj.error is None
+    assert capped_share(traj) <= 0.02
+    assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
+
+
+def counting(landscape):
+    """The landscape with a fused oracle that counts its calls and separate
+    f / grad oracles that must not be called."""
+    calls = []
+
+    def fused(theta):
+        calls.append(1)
+        return value_and_grad(landscape, theta)
+
+    def forbidden(theta):
+        raise AssertionError("separate f / grad call")
+
+    return dataclasses.replace(landscape, f=forbidden, grad=forbidden,
+                               f_and_grad=fused), calls
+
+
+@pytest.mark.parametrize("landscape", [PARABOLA, dataclasses.replace(PARABOLA, hessian=None)],
+                         ids=["newton", "gauss-newton"])
+def test_rbo_makes_one_fused_call_per_trial(landscape):
+    ls, calls = counting(landscape)
+    traj = run_rbo(ls, np.array([1.0]), rho=0.2, eta=0.1, steps=30)
+    assert traj.error is None
+    assert capped_share(traj) == 0.0
+    assert len(calls) == sum(r.projection_iters for r in traj.records) + 1
+
+
+def test_descent_reuses_the_record_gradient():
+    for run in (lambda ls: run_gd(ls, np.array([2.0]), eta=0.05, steps=25),
+                lambda ls: run_sgd(ls, np.array([2.0]), eta=0.05, steps=25, seed=1)):
+        ls, calls = counting(riemann(10))
+        assert run(ls).error is None
+        assert len(calls) == 26  # one per step plus record 0

@@ -179,15 +179,35 @@ class TestOpenUnreachables:
 # gradient-descent limit
 # ---------------------------------------------------------------------------
 
+def exact_half_square_rbo(theta0: float, rho: float, eta: float,
+                          steps: int) -> np.ndarray:
+    """Rolling-ball thetas on f = theta^2 / 2 with exact foot points: the foot
+    of a candidate (x, y) is the real root of theta^3 / 2 + (1 - y) theta - x
+    = 0 closest to it."""
+    thetas = [theta0]
+    for _ in range(steps):
+        th = thetas[-1]
+        center = np.array([th, th * th / 2]) + rho * np.array([-th, 1.0]) / math.hypot(1.0, th)
+        x, y = center - eta * np.array([th, th * th])
+        roots = np.roots([0.5, 0.0, 1.0 - y, -x])
+        real = roots[np.abs(roots.imag) < 1e-12].real
+        thetas.append(float(real[np.argmin((real - x) ** 2 + (real * real / 2 - y) ** 2)]))
+    return np.array(thetas)
+
+
 class TestGdLimit:
     def test_frozen_gaps(self):
         report = check_gd_limit(quadratic(np.array([[1.0]])), 1.0)
         assert report.passed
         obs = by_parameter(report)
-        assert obs["gap(rho=0.1)"].value == pytest.approx(0.0312489, rel=1e-5)
-        assert obs["gap(rho=0.01)"].value == pytest.approx(0.00835838, rel=1e-5)
-        assert obs["gap(rho=0.001)"].value == pytest.approx(0.00655104, rel=1e-5)
-        assert obs["gap(rho=0.0001)"].value == pytest.approx(0.00637956, rel=1e-5)
+        gd = 0.9 ** np.arange(51)
+        expected = {0.1: 0.0312850, 0.01: 0.0083795, 0.001: 0.0065709, 0.0001: 0.0063993}
+        for rho, approx in expected.items():
+            gap = float(np.max(np.abs(exact_half_square_rbo(1.0, rho, 0.1, 50) - gd)))
+            assert gap == pytest.approx(approx, rel=1e-5)
+            # each foot point is solved to 1e-8; the descent map contracts by
+            # 0.9 per step, so the errors add up to at most 1e-8 / (1 - 0.9)
+            assert obs[f"gap(rho={rho:g})"].value == pytest.approx(gap, abs=1e-7)
         assert obs["gap(rho=0.0001)"].bound == 1e-2
 
     def test_informational_mode_binds_nothing(self):
