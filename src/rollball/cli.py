@@ -108,7 +108,6 @@ class SweepConfig:
     task: str = "landscape"
     landscape: str = "quadratic"
     landscape_params: dict[str, Any] = field(default_factory=dict)
-    optimizer: str = "rbo"
     theta0: list[float] | None = None
     rho_min: float = 0.1
     rho_max: float = 10.0
@@ -137,8 +136,6 @@ class SweepConfig:
             raise ConfigError("need 0 < eta_scale_min < eta_scale_max")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if self.optimizer != "rbo":
-            raise ConfigError("sweeps grid over the ball radius; optimizer must be rbo")
         return self
 
 

@@ -85,6 +85,18 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _curve_tree(points: Array) -> cKDTree:
+    """KD-tree over points sampled along a curve.
+
+    A query point here typically sits at a near-constant distance from a
+    near-osculating arc of samples, so the nearest-neighbor search cannot
+    prune much; with the default 16 points per leaf it walks hundreds of
+    leaves per query, with 256 it walks a few and returns the same
+    distances.
+    """
+    return cKDTree(points, leafsize=256)
+
+
 def graph_points(landscape: Landscape, grid: GridSpec) -> Array:
     """Sampled graph {(theta, f(theta))} over the grid, shape (n, d+1)."""
     pts = grid.points()
@@ -96,7 +108,7 @@ def distances_to_graph(landscape: Landscape, points: Array, grid: GridSpec) -> A
     """Exact min distance from each ambient point to the sampled graph."""
     gp = graph_points(landscape, grid)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d, _ = cKDTree(gp).query(pts)
+    d, _ = _curve_tree(gp).query(pts)
     return d
 
 
@@ -115,14 +127,20 @@ def hausdorff_distance(a: Array, b: Array) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("hausdorff_distance needs non-empty point sets")
-    d_ab = cKDTree(b).query(a)[0].max()
-    d_ba = cKDTree(a).query(b)[0].max()
+    d_ab = _curve_tree(b).query(a)[0].max()
+    d_ba = _curve_tree(a).query(b)[0].max()
     return float(max(d_ab, d_ba))
 
 
 # ---------------------------------------------------------------------------
 # offset manifolds (1D)
 # ---------------------------------------------------------------------------
+
+# Pass 1 of a pruned offset search covers 1/_NARROW of the candidate window.
+_NARROW = 8
+# Elements of one sliding-window temporary of offset_profile (32 MB).
+_WINDOW_CHUNK = 4_000_000
+
 
 @dataclass(frozen=True)
 class OffsetSamples:
@@ -135,10 +153,12 @@ class OffsetSamples:
 
 
 def _offset_window(landscape: Landscape, rho: float) -> float:
-    """Half-width of the s-window that provably contains the maximizer.
+    """Half-width of the candidate s-window whose lattice maximum defines phi_rho.
 
     For a landscape with sup |f| <= B, any s with sqrt(rho^2 - s^2) below
     rho - 2B loses to the s = 0 candidate, so the window can be cut exactly.
+    offset_value and offset_profile then prune this window further from the
+    values they evaluate (see _can_reach), returning the same maximum.
     """
     smax = rho * (1.0 - 1e-12)
     b = landscape.value_bound
@@ -146,6 +166,23 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
         s_eff = math.sqrt(rho * rho - (rho - 2.0 * b) ** 2)
         return min(smax, s_eff)
     return smax
+
+
+def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
+    """Mask of the window offsets whose candidates f + circ can reach `lower`.
+
+    `lower` is a candidate value already attained at every theta of the scan,
+    so it never exceeds any theta's maximum. A candidate is the float sum
+    fl(f + circ) of a computed f and the scan's own circ value; rounding is
+    monotone, so a computed f <= B' gives fl(f + circ) <= fl(B' + circ), and
+    where that is below `lower` the candidate loses: dropping it leaves every
+    maximum the same float. value_bound B bounds the exact f, and a computed
+    f can overshoot it by accumulated rounding, below n * eps * B for a sum
+    of n terms of size <= B; B' = B * (1 + 1e-12) covers thousands of terms.
+    Comparing against the circ values the scan itself adds needs no margin
+    for the rounding of the kernel sqrt(rho^2 - s^2).
+    """
+    return landscape.value_bound * (1.0 + 1e-12) + circ >= lower
 
 
 def _check_offset_args(landscape: Landscape, rho: float, h: float) -> None:
@@ -163,10 +200,16 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     """Upper offset phi_rho(theta) = max over the s-grid of f(theta+s) + sqrt(rho^2 - s^2).
 
     The s-grid is the ambient lattice of multiples of h intersected with
-    the window, plus theta itself, with |s| clamped to rho * (1 - 1e-12).
-    Anchoring the grid in ambient coordinates keeps the sampled peaks of f
-    at theta-independent phases, which is what makes sampled offsets of
-    nearby thetas comparable.
+    the candidate window, plus theta itself, with |s| clamped to
+    rho * (1 - 1e-12). Anchoring the grid in ambient coordinates keeps the
+    sampled peaks of f at theta-independent phases, which is what makes
+    sampled offsets of nearby thetas comparable.
+
+    With a value_bound the search runs in two passes: theta and the
+    lattice within 1/8 of the window give an attained value L, and f is
+    then evaluated only where B + sqrt(rho^2 - s^2) can still reach L.
+    The excluded candidates provably lose, so the result is the same float
+    as the maximum over the whole window.
     """
     _check_offset_args(landscape, rho, h)
     theta = float(theta)
@@ -176,8 +219,23 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     j1 = math.floor((theta + w) / h + 1e-9)
     tp = np.concatenate([np.arange(j0, j1 + 1) * h, [theta]])
     s = np.clip(tp - theta, -smax, smax)
-    vals = eval_batch(landscape, tp) + np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-    return float(np.max(vals))
+    circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
+    if landscape.value_bound is None:
+        return float(np.max(eval_batch(landscape, tp) + circ))
+
+    # pass 1: the lattice band within w / _NARROW of theta, and theta itself
+    n = tp.size - 1
+    a1 = int(np.searchsorted(s[:n], -w / _NARROW, side="left"))
+    b1 = int(np.searchsorted(s[:n], w / _NARROW, side="right"))
+    band = np.r_[a1:b1, n]
+    best = float(np.max(eval_batch(landscape, tp[band]) + circ[band]))
+    # pass 2: the rest of the window where a candidate can still reach best
+    live = np.flatnonzero(_can_reach(landscape, circ[:n], best))
+    if live.size:
+        rest = np.r_[min(live[0], a1):a1, b1:max(live[-1] + 1, b1)]
+        if rest.size:
+            best = max(best, float(np.max(eval_batch(landscape, tp[rest]) + circ[rest])))
+    return best
 
 
 def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
@@ -188,6 +246,13 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     the scan runs as a strided sliding-window maximum; otherwise each theta
     falls back to offset_value semantics. Both paths compute the same set
     maximum.
+
+    With a value_bound the shared scan prunes the candidate window in two
+    passes: a band of 1/8 of the window gives L, the smallest of the band
+    maxima, which is attained at every theta; the band then widens only to
+    the |s| where B + sqrt(rho^2 - s^2) can still reach L, evaluating just
+    the new lattice points. Every excluded candidate loses to L, so each
+    value is the same float as the maximum over the whole window.
     """
     if h is None:
         h = min(rho / 100.0, theta_step)
@@ -204,19 +269,34 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
         i0 = int(round(lo / theta_step))
         thetas = (np.arange(i0, i0 + n_t + 1) * theta_step)
         smax = rho * (1.0 - 1e-12)
-        w = _offset_window(landscape, rho)
-        nw = int(math.floor(w / h + 1e-9))
-        lat = np.arange(i0 * k - nw, (i0 + n_t) * k + nw + 1) * h
-        fv = eval_batch(landscape, lat)
+        nw = int(math.floor(_offset_window(landscape, rho) / h + 1e-9))
         s = np.clip(np.arange(-nw, nw + 1) * h, -smax, smax)
         circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-        win = 2 * nw + 1
-        sw = np.lib.stride_tricks.sliding_window_view(fv, win)[::k]
-        out = np.empty(n_t + 1)
-        chunk = max(1, int(2.5e7 // win))
-        for a in range(0, n_t + 1, chunk):
-            b = min(a + chunk, n_t + 1)
-            out[a:b] = np.max(sw[a:b] + circ, axis=1)
+        first, last = i0 * k, (i0 + n_t) * k
+
+        def scan(fv: Array, n: int) -> Array:
+            # out[i] = max over |j| <= n of fv[i*k + n + j] + circ(j*h), in
+            # chunks that keep each temporary below _WINDOW_CHUNK elements
+            c = circ[nw - n:nw + n + 1]
+            sw = np.lib.stride_tricks.sliding_window_view(fv, c.size)[::k]
+            out = np.empty(n_t + 1)
+            chunk = max(1, _WINDOW_CHUNK // c.size)
+            for a in range(0, n_t + 1, chunk):
+                out[a:a + chunk] = np.max(sw[a:a + chunk] + c, axis=1)
+            return out
+
+        n = nw if landscape.value_bound is None else nw // _NARROW
+        fv = eval_batch(landscape, np.arange(first - n, last + n + 1) * h)
+        out = scan(fv, n)
+        if n < nw:
+            # circ[nw:] runs over |s| = 0, h, 2h, ... and never increases
+            live = _can_reach(landscape, circ[nw:], float(out.min()))
+            n2 = int(np.count_nonzero(live)) - 1
+            if n2 > n:
+                fv = np.concatenate([
+                    eval_batch(landscape, np.arange(first - n2, first - n) * h), fv,
+                    eval_batch(landscape, np.arange(last + n + 1, last + n2 + 1) * h)])
+                out = scan(fv, n2)
         return OffsetSamples(thetas=thetas, values=out, rho=rho, grid_step=h)
 
     thetas = lo + np.arange(n_t + 1) * theta_step
@@ -312,7 +392,7 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     keep = sy >= eval_batch(landscape, sx)  # closed epigraph only
     samples = np.column_stack([sx[keep], sy[keep]])
 
-    d = cKDTree(np.column_stack([tg, fg])).query(samples)[0]
+    d = _curve_tree(np.column_stack([tg, fg])).query(samples)[0]
     clearance = rho - float(d.max())
     if clearance > slack:
         verdict: Verdict = "unreachable"

@@ -15,8 +15,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .geometry import (count_local_minima, hausdorff_distance, is_unreachable,
-                       offset_profile)
+from .geometry import (_offset_window, count_local_minima, hausdorff_distance,
+                       is_unreachable, offset_profile)
 from .landscape import Landscape, affine_plus_bump, eval_batch, make_landscape, \
     quadratic, riemann, sinusoid
 from .optimizer import ProjectionConfig, run_gd, run_rbo
@@ -89,11 +89,8 @@ def check_weak_ironing(landscape: Landscape, radii: tuple[float, ...] = (10.0, 1
     for rho in radii:
         h = rho * h_over_rho
         profiles.append(offset_profile(landscape, rho, lo, hi, theta_step, h=h))
-        # measurement slack from the lattice the offset search itself spans
-        width = rho
-        bound = landscape.value_bound
-        if bound is not None and rho > 2.0 * bound:
-            width = math.sqrt(rho * rho - (rho - 2.0 * bound) ** 2)
+        # measurement slack from the lattice of the offset's candidate window
+        width = _offset_window(landscape, rho)
         j0 = math.ceil((lo - width) / h - 1e-9)
         j1 = math.floor((hi + width) / h + 1e-9)
         lattice = np.arange(j0, j1 + 1) * h

@@ -69,8 +69,8 @@ class TestConfigs:
             SweepConfig(rho_min=2.0, rho_max=1.0).validated()
         with pytest.raises(ConfigError, match="parallelism"):
             SweepConfig(parallelism=0).validated()
-        with pytest.raises(ConfigError, match="must be rbo"):
-            SweepConfig(optimizer="gd").validated()
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_mapping(SweepConfig, {"optimizer": "rbo"})
 
 
 # ---------------------------------------------------------------------------

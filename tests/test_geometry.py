@@ -1,15 +1,18 @@
 """Graph geometry: normals, offsets, distances, unreachability oracle."""
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollball.geometry import (GridSpec, count_local_minima, distance_to_graph,
-                               hausdorff_distance, is_unreachable, normal,
-                               normal_from_grad, offset_profile, offset_value,
-                               sharpness, tangent, tangent_from_grad)
+from rollball.geometry import (GridSpec, _offset_window, count_local_minima,
+                               distance_to_graph, hausdorff_distance,
+                               is_unreachable, normal, normal_from_grad,
+                               offset_profile, offset_value, sharpness,
+                               tangent, tangent_from_grad)
 from rollball.landscape import affine_plus_bump, quadratic, riemann, sinusoid
 
 grad_vectors = st.lists(
@@ -119,6 +122,87 @@ def test_offset_window_pruning_huge_radius():
     assert abs(prof.values.mean() - 1e4) < 2.0  # sits near rho + O(sup f)
 
 
+def _counting(ls):
+    """ls with a batch evaluator that records every point it evaluates."""
+    seen = []
+
+    def f_batch(thetas):
+        seen.append(np.asarray(thetas, dtype=float).reshape(-1).copy())
+        return ls.f_batch(thetas)
+
+    return replace(ls, f_batch=f_batch), seen
+
+
+def _full_window_profile(ls, rho, h, thetas, k=None):
+    """Brute-force maximum over the whole rho*(1-1e-12) lattice window.
+
+    k=None follows offset_value (each theta's own lattice plus theta);
+    an integer k follows the shared lattice of offset_profile, where
+    theta number i sits on lattice index (i0 + i) * k.
+    """
+    smax = rho * (1.0 - 1e-12)
+    if k is None:
+        out = []
+        for t in thetas:
+            j0 = math.ceil((t - smax) / h - 1e-9)
+            j1 = math.floor((t + smax) / h + 1e-9)
+            tp = np.concatenate([np.arange(j0, j1 + 1) * h, [t]])
+            s = np.clip(tp - t, -smax, smax)
+            out.append(np.max(ls.f_batch(tp[:, None]) +
+                              np.sqrt(np.maximum(rho * rho - s * s, 0.0))))
+        return np.array(out)
+    n = int(math.floor(smax / h + 1e-9))
+    s = np.clip(np.arange(-n, n + 1) * h, -smax, smax)
+    circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
+    first = int(round(thetas[0] / (k * h))) * k
+    fv = ls.f_batch((np.arange(first - n, first + (thetas.size - 1) * k + n + 1) * h)[:, None])
+    return np.array([np.max(fv[i * k:i * k + 2 * n + 1] + circ)
+                     for i in range(thetas.size)])
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid,
+                                  lambda: affine_plus_bump(0.5, 0.0, "sin", 1.0)],
+                         ids=["riemann5", "sinusoid", "affine_bump"])
+def test_offset_pruned_window_is_exact(make, rho):
+    # the pruned search returns the very float of the full-window maximum,
+    # on the shared lattice, on the per-theta fallback and in offset_value
+    base = make()
+    ls, seen = _counting(base)
+    h = min(rho / 200, 0.05)
+    step = 10 * h
+    prof = offset_profile(ls, rho, 0.0, 40 * step, theta_step=step, h=h)
+    assert np.array_equal(prof.values, _full_window_profile(base, rho, h, prof.thetas, k=10))
+    # no lattice point is evaluated twice; without a value_bound the whole
+    # window is evaluated, with one a large radius leaves most of it out
+    pts = np.concatenate(seen)
+    assert np.unique(pts).size == pts.size
+    window = 40 * 10 + 2 * int(math.floor(_offset_window(ls, rho) / h + 1e-9)) + 1
+    if ls.value_bound is None:
+        assert pts.size == window
+    elif rho == 1e3:
+        assert pts.size < window / 2
+
+    rough = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
+                           theta_step=10.5 * h, h=h)
+    assert np.array_equal(rough.values, _full_window_profile(base, rho, h, rough.thetas))
+    t = float(prof.thetas[7])
+    assert offset_value(ls, rho, t, h) == _full_window_profile(base, rho, h, [t])[0]
+
+
+def test_offset_profile_memory_is_bounded():
+    # 629 thetas x a 161k-wide candidate window: the scan's temporaries
+    # stay in fixed-size chunks instead of one 200 MB block
+    ls = riemann(100)
+    tracemalloc.start()
+    try:
+        offset_profile(ls, 1e3, 0.0, 2 * np.pi, theta_step=0.01, h=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
 def test_count_local_minima_conventions():
     assert count_local_minima(np.array([3.0, 1.0, 2.0, 0.5, 4.0])) == 2
     assert count_local_minima(np.array([1.0, 2.0, 3.0])) == 0  # monotone
@@ -140,6 +224,30 @@ def test_unreachable_sharp_parabola():
     rep2 = is_unreachable(ls, 0.0, rho=0.2, grid_step=1e-4)
     assert rep2.verdict == "reachable" and not rep2.is_unreachable
     assert rep2.clearance == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho, verdict", [(0.4, "unreachable"), (0.2, "reachable")])
+def test_unreachable_clearance_matches_brute_force(rho, verdict):
+    # rebuild the graph lattice and the admissible sphere samples, then take
+    # every sample's exact minimum over all lattice points: the KD-tree's
+    # clearance must be the same float
+    ls = quadratic(np.array([[4.0]]))
+    h = 1e-3
+    rep = is_unreachable(ls, 0.0, rho=rho, grid_step=h)
+    assert rep.verdict == verdict
+    half = 2.0 * rho + 10.0 * h
+    tg = np.arange(math.ceil(-half / h - 1e-9), math.floor(half / h + 1e-9) + 1) * h
+    fg = ls.f_batch(tg[:, None])
+    ang = np.arange(rep.n_sphere) * (2.0 * math.pi / rep.n_sphere)
+    sx, sy = rho * np.cos(ang), rho * np.sin(ang)
+    keep = sy >= ls.f_batch(sx[:, None])
+    d2 = sx[keep][:, None] - tg[None, :]
+    d2 *= d2
+    dy = sy[keep][:, None] - fg[None, :]
+    dy *= dy
+    d2 += dy
+    nearest = np.sqrt(d2.min(axis=1))
+    assert rep.clearance == rho - float(nearest.max())
 
 
 def test_unreachable_affine_always_reachable():
