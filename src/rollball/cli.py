@@ -392,6 +392,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
     if args.rho is not None and optimizer != "rbo":
         raise ConfigError("rho applies to the rbo optimizer only")
+    if args.max_iters is not None and optimizer != "rbo":
+        raise ConfigError("max_iters applies to the rbo optimizer only")
     if args.sam_rho is not None and optimizer != "sam":
         raise ConfigError("sam_rho applies to the sam optimizer only")
     eta = args.eta if args.eta is not None else (6.0 if optimizer == "rbo" else 0.01)
@@ -526,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--rho", type=float, help="ball radius (rbo only)")
     p.add_argument("--sam-rho", dest="sam_rho", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--max-iters", dest="max_iters", type=int,
+                   help="inner projection iteration cap (rbo only)")
     p.add_argument("--data-dir", dest="data_dir",
                    help=f"IDX directory (default ${neural.DATA_DIR_ENV} or ./data)")
     p.add_argument("--split", type=int,

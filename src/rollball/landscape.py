@@ -21,7 +21,10 @@ class Landscape:
     f takes a parameter vector of shape (dim,) and returns a float. grad
     returns the gradient with the same shape. f_batch, when present,
     evaluates a stack of points of shape (n, dim) in one call; f_and_grad,
-    when present, returns (f, grad) from a single shared pass. Both are
+    when present, returns (f, grad) from a single shared pass. forward, when
+    present, returns (f, backward) where backward() gives the gradient at
+    the same point from state the value pass saved, so a caller that may not
+    need the gradient pays for it only when it asks. All three are
     efficiency devices only: they must agree with f and grad pointwise.
 
     value_bound, when set, is a finite B with sup |f| <= B over all of R^d.
@@ -38,6 +41,7 @@ class Landscape:
     hessian: Callable[[Array], Array] | None = None
     f_batch: Callable[[Array], Array] | None = None
     f_and_grad: Callable[[Array], tuple[float, Array]] | None = None
+    forward: Callable[[Array], tuple[float, Callable[[], Array]]] | None = None
     name: str = "landscape"
     value_bound: float | None = None
     value_sup: float | None = None
@@ -56,6 +60,18 @@ def value_and_grad(landscape: Landscape, theta: Array) -> tuple[float, Array]:
         v, g = landscape.f_and_grad(theta)
         return float(v), np.asarray(g, dtype=float)
     return float(landscape.f(theta)), np.asarray(landscape.grad(theta), dtype=float)
+
+
+def value_then_grad(landscape: Landscape, theta: Array,
+                    ) -> tuple[float, Callable[[], Array]]:
+    """f at theta and a callable giving grad at theta. Through the forward
+    oracle the gradient's own pass runs only when the callable is called;
+    without one, this is one fused value_and_grad call."""
+    if landscape.forward is not None:
+        v, backward = landscape.forward(theta)
+        return float(v), lambda: np.asarray(backward(), dtype=float)
+    v, g = value_and_grad(landscape, theta)
+    return v, lambda: g
 
 
 def eval_batch(landscape: Landscape, thetas: Array) -> Array:

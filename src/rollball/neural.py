@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -142,9 +142,10 @@ def _softmax_ce(logits: Array, labels: Array) -> tuple[float, Array]:
     return loss, dlogits / n
 
 
-def loss_and_grad(spec: MlpSpec, params: Array, images: Array,
-                  labels: Array) -> tuple[float, Array]:
-    """Mean softmax cross-entropy over the batch and its exact gradient."""
+def loss_and_backward(spec: MlpSpec, params: Array, images: Array, labels: Array,
+                      ) -> tuple[float, Callable[[], Array]]:
+    """Mean softmax cross-entropy over the batch, and a backward() that
+    returns its exact gradient from the activations this forward pass saved."""
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels)
     if images.ndim != 2 or images.shape[0] == 0:
@@ -153,20 +154,34 @@ def loss_and_grad(spec: MlpSpec, params: Array, images: Array,
     logits, acts = _forward(spec, layers, images)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite activations in forward pass")
-    loss, delta = _softmax_ce(logits, labels)
+    loss, dlogits = _softmax_ce(logits, labels)
 
-    grads: list[tuple[Array, Array]] = []
-    inputs = [images] + acts  # input to layer k is inputs[k]
-    for k in range(len(layers) - 1, -1, -1):
-        w, _ = layers[k]
-        grads.append((inputs[k].T @ delta, delta.sum(axis=0)))
-        if k > 0:
-            delta = delta @ w.T
-            a = acts[k - 1]
-            delta = delta * (a > 0.0) if spec.activation is Activation.RELU \
-                else delta * (1.0 - a * a)
-    grads.reverse()
-    return loss, flatten(spec, grads)
+    def backward() -> Array:
+        # each layer's gradient is written straight into its slot of the
+        # flat vector, through the same views unflatten gives the parameters
+        grad = np.empty(param_count(spec))
+        grad_layers = unflatten(spec, grad)
+        inputs = [images] + acts  # input to layer k is inputs[k]
+        delta = dlogits
+        for k in range(len(layers) - 1, -1, -1):
+            gw, gb = grad_layers[k]
+            np.matmul(inputs[k].T, delta, out=gw)
+            delta.sum(axis=0, out=gb)
+            if k > 0:
+                delta = delta @ layers[k][0].T
+                a = acts[k - 1]
+                delta = delta * (a > 0.0) if spec.activation is Activation.RELU \
+                    else delta * (1.0 - a * a)
+        return grad
+
+    return loss, backward
+
+
+def loss_and_grad(spec: MlpSpec, params: Array, images: Array,
+                  labels: Array) -> tuple[float, Array]:
+    """Mean softmax cross-entropy over the batch and its exact gradient."""
+    loss, backward = loss_and_backward(spec, params, images, labels)
+    return loss, backward()
 
 
 def evaluate(spec: MlpSpec, params: Array, dataset: "Dataset",
@@ -364,17 +379,20 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
     def _view(images: Array, labels: Array, name: str,
               sample_context=None, with_context=None) -> Landscape:
         # views over a bound batch carry no samplers: they are deterministic
-        def f(theta: Array) -> float:
-            return loss_and_grad(spec, theta, images, labels)[0]
+        def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
+            return loss_and_backward(spec, theta, images, labels)
 
-        def grad(theta: Array) -> Array:
-            return loss_and_grad(spec, theta, images, labels)[1]
+        def f(theta: Array) -> float:
+            return forward(theta)[0]
 
         def f_and_grad(theta: Array) -> tuple[float, Array]:
             return loss_and_grad(spec, theta, images, labels)
 
+        def grad(theta: Array) -> Array:
+            return f_and_grad(theta)[1]
+
         return Landscape(dim=d, f=f, grad=grad, f_and_grad=f_and_grad,
-                         name=name, sample_context=sample_context,
+                         forward=forward, name=name, sample_context=sample_context,
                          with_context=with_context,
                          meta={"default_seed": seed, "batch_size": batch_size})
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .geometry import normal_from_grad, tangent_from_grad
-from .landscape import Array, Landscape, value_and_grad
+from .landscape import Array, Landscape, value_and_grad, value_then_grad
 
 DIVERGENCE_LIMIT = 1e12
 # Levenberg-Marquardt damping: a rejected trial multiplies lam by this factor
@@ -186,8 +186,9 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     (f - y_c) times the Hessian when the landscape has one. Without a
     Hessian, M is inverted by Sherman-Morrison in O(d). A trial point is
     accepted only if it lowers G; otherwise the damping lam grows. Each trial
-    costs one fused value-and-grad (plus one Hessian per accepted point), and
-    the trials are the iteration count. The solve stops when |r| <= grad_tol
+    is one value_then_grad call whose gradient is read only when the trial
+    passes the G test (plus one Hessian per accepted point), and the trials
+    are the iteration count. The solve stops when |r| <= grad_tol
     * max(1, |candidate - iterate|): far from the graph the rounding of
     (f - y_c) grad f grows with the distance.
 
@@ -214,7 +215,8 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     uu = float(u @ u)
     objective = 0.5 * (uu + e * e)
     r = u + e * g
-    resid, gg, gu = _residual_terms(0, theta, r, g, u)
+    resid = float(np.sqrt(r @ r))
+    gg, gu = _residual_terms(0, theta, resid, g, u)
     lam, eig, iters = 0.0, None, 0
     while resid > cfg.grad_tol * max(1.0, math.sqrt(2.0 * objective)) \
             and iters < cfg.max_iters:
@@ -245,35 +247,36 @@ def project_footpoint(landscape: Landscape, candidate: Array,
             u_trial = theta_trial - theta_c
             uu_trial = float(u_trial @ u_trial)
         iters += 1
-        v_trial, g_trial = value_and_grad(landscape, theta_trial)
+        v_trial, grad_at_trial = value_then_grad(landscape, theta_trial)
         e_trial = v_trial - y_c
         if not math.isfinite(e_trial):
             raise ProjectionDivergence(iters, float(np.linalg.norm(theta_trial)),
                                        "non-finite loss value")
         trial_objective = 0.5 * (uu_trial + e_trial * e_trial)
         if trial_objective <= objective * (1.0 + NOISE_SLACK):
+            g_trial = grad_at_trial()
             r_trial = u_trial + e_trial * g_trial
             resid_trial = float(np.sqrt(r_trial @ r_trial))
             # G flat to within noise (the last steps of a solve): the residual decides
             if trial_objective < objective or resid_trial < resid:
                 theta, v, g, u, e, r = theta_trial, v_trial, g_trial, u_trial, e_trial, r_trial
-                uu, objective, eig = uu_trial, trial_objective, None
-                resid, gg, gu = _residual_terms(iters, theta, r, g, u)
+                uu, objective, eig, resid = uu_trial, trial_objective, None, resid_trial
+                gg, gu = _residual_terms(iters, theta, resid, g, u)
                 lam /= DAMPING_FACTOR
                 continue
         lam = _raise_damping(lam)
     return GraphPoint(theta=theta, y=v, grad=g), iters, resid
 
 
-def _residual_terms(iters: int, theta: Array, r: Array, g: Array,
-                    u: Array) -> tuple[float, float, float]:
-    """|r|, g.g and g.u at an accepted point; a non-finite gradient there
-    ends the solve."""
-    resid, gg = float(np.sqrt(r @ r)), float(g @ g)
+def _residual_terms(iters: int, theta: Array, resid: float, g: Array,
+                    u: Array) -> tuple[float, float]:
+    """g.g and g.u at an accepted point with residual norm resid; a
+    non-finite gradient there ends the solve."""
+    gg = float(g @ g)
     if not (math.isfinite(resid) and math.isfinite(gg)):
         raise ProjectionDivergence(iters, float(np.linalg.norm(theta)),
                                    "non-finite gradient")
-    return resid, gg, float(g @ u)
+    return gg, float(g @ u)
 
 
 def _raise_damping(lam: float) -> float:

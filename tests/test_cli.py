@@ -280,6 +280,14 @@ class TestTrain:
         assert main(["train", "--split", "1", "--epochs", "0",
                      "--subset-range", "0:5"]) == 2
 
+    def test_max_iters_is_rbo_only(self, sandbox, capsys):
+        seed_mnist_dir(sandbox / "data")
+        for optimizer in ("sgd", "gd", "sam"):
+            assert main(["train", "--optimizer", optimizer, "--max-iters", "5"]) == 2
+            assert "max_iters applies to the rbo optimizer only" in capsys.readouterr().err
+        assert main(["train", "--optimizer", "rbo", "--max-iters", "5", "--split", "1",
+                     "--epochs", "0", "--out", str(sandbox / "curve.csv")]) == 0
+
 
 # ---------------------------------------------------------------------------
 # offset subcommand

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rollball.landscape import (Landscape, affine_plus_bump, catalogue_names,
                                 eval_batch, finite_difference_grad,
                                 make_landscape, quadratic, riemann, sinusoid,
-                                value_and_grad)
+                                value_and_grad, value_then_grad)
 
 finite_theta = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
@@ -122,6 +122,31 @@ def test_value_and_grad_prefers_fused_oracle():
     plain = Landscape(dim=1, f=lambda t: 5.0, grad=lambda t: np.array([2.0]))
     v, g = value_and_grad(plain, np.array([1.0]))
     assert (v, g[0]) == (5.0, 2.0)
+
+
+def test_value_then_grad_defers_only_through_forward():
+    calls = []
+
+    def fused(theta):
+        calls.append("fused")
+        return 7.0, np.array([3.0])
+
+    def forward(theta):
+        calls.append("forward")
+        return 7.0, lambda: calls.append("backward") or np.array([3.0])
+
+    ls = Landscape(dim=1, f=lambda t: 0.0, grad=lambda t: np.array([0.0]),
+                   f_and_grad=fused)
+    v, grad_at = value_then_grad(ls, np.array([1.0]))
+    assert v == 7.0 and calls == ["fused"]
+    assert grad_at()[0] == 3.0 and calls == ["fused"]
+
+    calls.clear()
+    ls = Landscape(dim=1, f=lambda t: 0.0, grad=lambda t: np.array([0.0]),
+                   f_and_grad=fused, forward=forward)
+    v, grad_at = value_then_grad(ls, np.array([1.0]))
+    assert v == 7.0 and calls == ["forward"]
+    assert grad_at()[0] == 3.0 and calls == ["forward", "backward"]
 
 
 @pytest.mark.parametrize("name,params", [

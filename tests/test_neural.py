@@ -1,4 +1,5 @@
 """Tests for the from-scratch MLP, IDX data loading, and the training loop."""
+import dataclasses
 import gzip
 import math
 import struct
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollball import neural
 from rollball.landscape import finite_difference_grad
 from rollball.neural import (Activation, Dataset, EpochStats,
                              IdxCountMismatchError, IdxMagicError,
@@ -15,6 +17,7 @@ from rollball.neural import (Activation, Dataset, EpochStats,
                              evaluate, find_mnist, flatten, init_params,
                              load_idx, load_mnist, loss_and_grad, param_count,
                              train_mlp, unflatten)
+from rollball.optimizer import StepRecord, run_rbo
 
 TINY = MlpSpec(inputs=6, hidden=(5,), outputs=3)
 
@@ -121,6 +124,37 @@ class TestLossAndGrad:
             loss_and_grad(TINY, params, np.zeros((0, 6)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="non-empty"):
             loss_and_grad(TINY, params, np.zeros(6), np.zeros(1, dtype=int))
+
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_flat_gradient_matches_per_layer_products(self, activation, hidden):
+        # the gradient written in place into one flat vector equals the
+        # per-layer products joined by flatten
+        spec = MlpSpec(inputs=6, hidden=hidden, outputs=3, activation=activation)
+        rng = np.random.default_rng(4)
+        params = init_params(spec, seed=4) + 0.1 * rng.standard_normal(param_count(spec))
+        data = tiny_dataset()
+        layers = unflatten(spec, params)
+        relu = activation == "relu"
+        inputs = [data.images]
+        for w, b in layers[:-1]:
+            z = inputs[-1] @ w + b
+            inputs.append(np.maximum(z, 0.0) if relu else np.tanh(z))
+        logits = inputs[-1] @ layers[-1][0] + layers[-1][1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        delta = exp / exp.sum(axis=1, keepdims=True)
+        delta[np.arange(data.n), data.labels] -= 1.0
+        delta = delta / data.n
+        grads = []
+        for k in range(len(layers) - 1, -1, -1):
+            grads.insert(0, (inputs[k].T @ delta, delta.sum(0)))
+            if k > 0:
+                a = inputs[k]
+                delta = delta @ layers[k][0].T
+                delta = delta * (a > 0.0) if relu else delta * (1.0 - a * a)
+        _, grad = loss_and_grad(spec, params, data.images, data.labels)
+        assert np.array_equal(grad, flatten(spec, grads))
 
     def test_tanh_backprop_matches_fd(self):
         spec = MlpSpec(inputs=6, hidden=(5,), outputs=3, activation="tanh")
@@ -329,6 +363,61 @@ class TestAsLandscape:
                                        labels=np.zeros(3, dtype=int)))
         with pytest.raises(ValueError, match="batch_size"):
             as_landscape(TINY, tiny_dataset(), batch_size=41)
+
+
+def fused_only(landscape):
+    """The landscape, and every minibatch view it binds, without the
+    forward oracle: each oracle call then runs forward and backward."""
+    bind = landscape.with_context
+    return dataclasses.replace(
+        landscape, forward=None,
+        with_context=None if bind is None else lambda ctx: fused_only(bind(ctx)))
+
+
+class TestDeferredBackward:
+    """run_rbo reads a trial's gradient only when the trial lowers G."""
+
+    STEPS = 10
+
+    def run(self, landscape):
+        return run_rbo(landscape, init_params(TINY, seed=0), rho=1.0, eta=6.0,
+                       steps=self.STEPS)
+
+    def test_matches_the_fused_path(self):
+        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
+        deferred, fused = self.run(landscape), self.run(fused_only(landscape))
+        assert deferred.error == fused.error
+        assert len(deferred.records) == len(fused.records) == self.STEPS + 1
+        for a, b in zip(deferred.records, fused.records):
+            for fld in dataclasses.fields(StepRecord):
+                assert np.array_equal(getattr(a, fld.name), getattr(b, fld.name))
+
+    def test_rejected_trials_skip_the_backward_pass(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+        inner = neural.loss_and_backward
+
+        def counted(*args, **kwargs):
+            calls["forward"] += 1
+            loss, backward = inner(*args, **kwargs)
+
+            def counted_backward():
+                calls["backward"] += 1
+                return backward()
+            return loss, counted_backward
+
+        monkeypatch.setattr(neural, "loss_and_backward", counted)
+        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
+        seen = {}
+        for label, ls in (("deferred", landscape), ("fused", fused_only(landscape))):
+            calls.update(forward=0, backward=0)
+            traj = self.run(ls)
+            assert traj.error is None
+            lifts = 1 + self.STEPS  # record 0, then one per minibatch view
+            trials = sum(r.projection_iters for r in traj.records)
+            assert calls["forward"] == trials + lifts
+            seen[label] = dict(calls)
+        assert seen["fused"]["backward"] == seen["fused"]["forward"]
+        assert seen["deferred"]["backward"] < seen["deferred"]["forward"]
 
 
 # ---------------------------------------------------------------------------
