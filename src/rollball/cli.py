@@ -47,8 +47,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One optimizer run. rho applies to rbo only, sam_rho to sam only;
-    eta defaults depend on the optimizer when left unset."""
+    """One optimizer run. rho and the projection settings (max_iters,
+    grad_tol, warm_start) apply to rbo only, sam_rho to sam only; defaults
+    depend on the optimizer and fill fields left unset."""
 
     landscape: str = "riemann"
     landscape_params: dict[str, Any] = field(default_factory=dict)
@@ -59,9 +60,9 @@ class RunConfig:
     steps: int = 100
     sam_rho: float | None = None
     seed: int | None = None
-    max_iters: int = 100
-    grad_tol: float = 1e-8
-    warm_start: str = "previous_contact"
+    max_iters: int | None = None
+    grad_tol: float | None = None
+    warm_start: str | None = None
     out: str = "trajectory.csv"
     format: str = "csv"
 
@@ -72,14 +73,18 @@ class RunConfig:
             raise ConfigError("rho applies to the rbo optimizer only")
         if self.sam_rho is not None and self.optimizer != "sam":
             raise ConfigError("sam_rho applies to the sam optimizer only")
+        for name in ("max_iters", "grad_tol", "warm_start"):
+            if getattr(self, name) is not None and self.optimizer != "rbo":
+                raise ConfigError(f"{name} applies to the rbo optimizer only")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        try:
-            WarmStart(self.warm_start)
-        except ValueError:
-            raise ConfigError(f"unknown warm_start {self.warm_start!r}") from None
+        if self.warm_start is not None:
+            try:
+                WarmStart(self.warm_start)
+            except ValueError:
+                raise ConfigError(f"unknown warm_start {self.warm_start!r}") from None
         return self
 
     def filled(self) -> "RunConfig":
@@ -88,6 +93,11 @@ class RunConfig:
         if cfg.optimizer == "rbo":
             cfg.rho = 1.0 if cfg.rho is None else cfg.rho
             cfg.eta = 6.0 if cfg.eta is None else cfg.eta
+            default = ProjectionConfig()
+            cfg.max_iters = default.max_iters if cfg.max_iters is None else cfg.max_iters
+            cfg.grad_tol = default.grad_tol if cfg.grad_tol is None else cfg.grad_tol
+            cfg.warm_start = default.warm_start.value if cfg.warm_start is None \
+                else cfg.warm_start
         elif cfg.optimizer == "sam":
             cfg.sam_rho = 0.05 if cfg.sam_rho is None else cfg.sam_rho
             cfg.eta = 0.01 if cfg.eta is None else cfg.eta
@@ -485,11 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sam-rho", dest="sam_rho", type=float,
                    help="ascent radius (sam only)")
     p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="inner projection iteration cap")
+                   help="inner projection iteration cap (rbo only)")
     p.add_argument("--grad-tol", dest="grad_tol", type=float,
-                   help="inner projection stop tolerance")
+                   help="inner projection stop tolerance (rbo only)")
     p.add_argument("--warm-start", dest="warm_start",
-                   choices=("previous_contact", "candidate_theta"))
+                   choices=("previous_contact", "candidate_theta"),
+                   help="inner projection starting point (rbo only)")
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(handler=cmd_trajectory)
 

@@ -360,8 +360,9 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
     each drawn context is one uniformly sampled (without replacement) batch
     of row indices, and binding it yields the deterministic view on those
     rows. The base landscape's own f and grad read the full dataset, so
-    record 0 of any run reports the true objective. `seed` becomes the
-    default minibatch seed for runs that do not pass their own.
+    record 0 of a run that keeps its records reports the true objective.
+    `seed` becomes the default minibatch seed for runs that do not pass
+    their own.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -436,7 +437,8 @@ def train_mlp(spec: MlpSpec, train: Dataset, val: Dataset, optimizer: str = "rbo
     batches; the per-epoch minibatch seed fans out from `seed` by a fixed
     offset so runs are reproducible end to end. epochs=0 evaluates the
     freshly initialized network and returns that single row. A diverged
-    epoch raises with the step that failed.
+    epoch raises with the step that failed. Runs keep only their final
+    record, so memory does not grow with the epoch's step count.
     """
     if optimizer not in ("rbo", "gd", "sgd", "sam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -460,14 +462,15 @@ def train_mlp(spec: MlpSpec, train: Dataset, val: Dataset, optimizer: str = "rbo
         ep_seed = seed + 1000 * epoch
         if optimizer == "rbo":
             traj = run_rbo(landscape, params, rho, eta, steps_per_epoch, cfg,
-                           seed=ep_seed)
+                           seed=ep_seed, keep_records=False)
         elif optimizer == "sgd":
-            traj = run_sgd(landscape, params, eta, steps_per_epoch, seed=ep_seed)
+            traj = run_sgd(landscape, params, eta, steps_per_epoch, seed=ep_seed,
+                           keep_records=False)
         elif optimizer == "sam":
             traj = run_sam(landscape, params, eta, sam_rho, steps_per_epoch,
-                           seed=ep_seed)
+                           seed=ep_seed, keep_records=False)
         else:
-            traj = run_gd(landscape, params, eta, steps_per_epoch)
+            traj = run_gd(landscape, params, eta, steps_per_epoch, keep_records=False)
         if traj.error is not None:
             raise RuntimeError(f"epoch {epoch} aborted: {traj.error}")
         params = traj.records[-1].theta

@@ -132,10 +132,11 @@ class TrajectoryHeader:
 
 @dataclass
 class Trajectory:
-    """Header plus T+1 step records (records[0] is the initial state).
+    """Header plus T+1 step records (records[0] is the initial state), or
+    only the final one when the run was made with keep_records=False.
 
-    A run that aborted mid-way carries the partial records and a non-None
-    error string naming the failing step.
+    A run that aborted mid-way carries the partial records (or the last
+    good one) and a non-None error string naming the failing step.
     """
 
     header: TrajectoryHeader
@@ -319,6 +320,14 @@ def _record(t: int, point: GraphPoint, center: Array | None = None) -> StepRecor
                       projection_iters=0, projection_residual=0.0)
 
 
+def _keep(records: list[StepRecord], record: StepRecord, keep_records: bool) -> None:
+    """Append the record, or let it replace the last one."""
+    if keep_records:
+        records.append(record)
+    else:
+        records[-1] = record
+
+
 def _check_run_args(landscape: Landscape, theta0: Array, steps: int) -> Array:
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (landscape.dim,):
@@ -353,8 +362,9 @@ def _step_view(landscape: Landscape, rng: np.random.Generator | None) -> Landsca
 
 def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
             steps: int, cfg: ProjectionConfig = ProjectionConfig(),
-            seed: int | None = None) -> Trajectory:
-    """Roll the ball for `steps` updates; returns steps+1 records.
+            seed: int | None = None, keep_records: bool = True) -> Trajectory:
+    """Roll the ball for `steps` updates; returns steps+1 records, or with
+    keep_records=False only the last (a record costs no oracle call here).
 
     On stochastic landscapes each outer step draws one minibatch (seeded)
     and uses it for the lift, the displacement, and all inner projection
@@ -381,67 +391,86 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
         except ProjectionDivergence as exc:
             error = f"step {t}: {exc}"
             break
-        records.append(record)
+        _keep(records, record, keep_records)
     return Trajectory(header=header, records=records, error=error)
 
 
 def _descent_loop(landscape: Landscape, theta0: Array, eta: float, steps: int,
                   header: TrajectoryHeader, rng: np.random.Generator | None,
-                  sam_rho: float | None = None) -> Trajectory:
+                  sam_rho: float | None = None, keep_records: bool = True,
+                  ) -> Trajectory:
     """Shared loop for gd / sgd / sam. sam_rho=None means a plain gradient
     step; sam_rho=0.0 reproduces it bitwise since the ascent point is theta.
     On a deterministic landscape the gradient evaluated for a record is the
-    next step's gradient, so a plain step costs one oracle call."""
-    point = _graph_point(landscape, theta0)
-    records = [_record(0, point)]
+    next step's gradient, so a plain step costs one oracle call. On a
+    stochastic one the next step reads a new minibatch, so a record's
+    evaluation serves only the record: without keep_records the loop skips
+    them and evaluates the final record alone, on the minibatch of its step."""
+    lazy = rng is not None and not keep_records
+    theta, view, done = theta0, landscape, 0  # view: the oracle of record `done`
+    point = None if lazy else _graph_point(landscape, theta0)
+    records = [] if lazy else [_record(0, point)]
     error = None
     for t in range(1, steps + 1):
-        view = _step_view(landscape, rng)
-        theta = point.theta
-        g = point.grad if view is landscape else np.asarray(view.grad(theta), dtype=float)
+        step_view = _step_view(landscape, rng)
+        g = point.grad if step_view is landscape \
+            else np.asarray(step_view.grad(theta), dtype=float)
         step_grad = g
         if sam_rho is not None:
             gn = float(np.linalg.norm(g))
             # zero radius or zero gradient: the ascent point is theta itself
             if sam_rho != 0.0 and gn != 0.0:
-                step_grad = np.asarray(view.grad(theta + sam_rho * (g / gn)),
+                step_grad = np.asarray(step_view.grad(theta + sam_rho * (g / gn)),
                                        dtype=float)
-        theta = theta - eta * step_grad
-        if float(np.linalg.norm(theta)) > DIVERGENCE_LIMIT:
+        stepped = theta - eta * step_grad
+        if float(np.linalg.norm(stepped)) > DIVERGENCE_LIMIT:
             error = (f"step {t}: iterate diverged, |theta| = "
-                     f"{float(np.linalg.norm(theta)):.3e}")
+                     f"{float(np.linalg.norm(stepped)):.3e}")
             break
-        point = _graph_point(view, theta)
-        records.append(_record(t, point))
+        theta, view, done = stepped, step_view, t
+        if not lazy:
+            point = _graph_point(view, theta)
+            _keep(records, _record(t, point), keep_records)
+    if lazy:
+        records = [_record(done, _graph_point(view, theta))]
     return Trajectory(header=header, records=records, error=error)
 
 
-def run_gd(landscape: Landscape, theta0: Array, eta: float, steps: int) -> Trajectory:
-    """Plain full-gradient descent."""
+def run_gd(landscape: Landscape, theta0: Array, eta: float, steps: int,
+           keep_records: bool = True) -> Trajectory:
+    """Plain full-gradient descent. keep_records=False keeps only the last
+    record, as in run_sgd."""
     theta0 = _check_run_args(landscape, theta0, steps)
     header = TrajectoryHeader(optimizer="gd", landscape=landscape.name, seed=None,
                               hyperparameters={"eta": eta, "steps": steps})
-    return _descent_loop(landscape, theta0, eta, steps, header, rng=None)
+    return _descent_loop(landscape, theta0, eta, steps, header, rng=None,
+                         keep_records=keep_records)
 
 
 def run_sgd(landscape: Landscape, theta0: Array, eta: float, steps: int,
-            seed: int | None = None) -> Trajectory:
+            seed: int | None = None, keep_records: bool = True) -> Trajectory:
     """Stochastic gradient descent: one fresh minibatch per step.
 
     On a deterministic landscape (full-batch context) the records are
-    bitwise identical to run_gd.
+    bitwise identical to run_gd. keep_records=False keeps only the last
+    record, bitwise the one a full run ends with; on a stochastic landscape
+    each step then costs one gradient call, and the run one more fused call
+    for that record.
     """
     theta0 = _check_run_args(landscape, theta0, steps)
     rng, seed = _run_rng(landscape, seed)
     header = TrajectoryHeader(optimizer="sgd", landscape=landscape.name, seed=seed,
                               hyperparameters={"eta": eta, "steps": steps})
-    return _descent_loop(landscape, theta0, eta, steps, header, rng=rng)
+    return _descent_loop(landscape, theta0, eta, steps, header, rng=rng,
+                         keep_records=keep_records)
 
 
 def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
-            steps: int, seed: int | None = None) -> Trajectory:
+            steps: int, seed: int | None = None, keep_records: bool = True,
+            ) -> Trajectory:
     """Sharpness-aware descent: gradient taken at the normalized ascent point
-    theta + sam_rho * grad/|grad|. sam_rho = 0 reduces to run_gd bitwise."""
+    theta + sam_rho * grad/|grad|. sam_rho = 0 reduces to run_gd bitwise.
+    keep_records=False keeps only the last record, as in run_sgd."""
     theta0 = _check_run_args(landscape, theta0, steps)
     if sam_rho < 0:
         raise ValueError("sam_rho must be >= 0")
@@ -450,4 +479,4 @@ def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
                               hyperparameters={"eta": eta, "sam_rho": sam_rho,
                                                "steps": steps})
     return _descent_loop(landscape, theta0, eta, steps, header, rng=rng,
-                         sam_rho=sam_rho)
+                         sam_rho=sam_rho, keep_records=keep_records)

@@ -6,6 +6,7 @@ import pytest
 
 from rollball.cli import (ConfigError, RunConfig, SweepConfig,
                           config_from_mapping, config_to_json, main)
+from rollball.optimizer import ProjectionConfig
 from test_neural import seed_mnist_dir
 
 TRAJ_HEADER = ("t,theta_0,loss,center_0,center_1,grad_norm,"
@@ -61,6 +62,12 @@ class TestConfigs:
         assert (sam.sam_rho, sam.eta) == (0.05, 0.01)
         assert RunConfig(optimizer="gd").filled().eta == 0.01
         assert RunConfig(rho=0.25, eta=3.0).filled().rho == 0.25
+
+    def test_projection_defaults_fill_rbo_only(self):
+        assert RunConfig().filled().projection() == ProjectionConfig()
+        for optimizer in ("gd", "sgd", "sam"):
+            cfg = RunConfig(optimizer=optimizer).validated().filled()
+            assert (cfg.max_iters, cfg.grad_tol, cfg.warm_start) == (None, None, None)
 
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError, match="task"):
@@ -152,6 +159,17 @@ class TestTrajectory:
         listy = sandbox / "list.json"
         listy.write_text("[1, 2]")
         assert main(["trajectory", "--config", str(listy)]) == 2
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--max-iters", "max_iters", "5"), ("--grad-tol", "grad_tol", "1e-3"),
+        ("--warm-start", "warm_start", "candidate_theta")])
+    def test_projection_flags_are_rbo_only(self, sandbox, capsys, flag, field, value):
+        for optimizer in ("gd", "sgd", "sam"):
+            assert main(["trajectory", "--optimizer", optimizer, flag, value,
+                         "--steps", "2"]) == 2
+            assert f"{field} applies to the rbo optimizer only" in capsys.readouterr().err
+        assert not (sandbox / "trajectory.csv").exists()
+        assert main(["trajectory", "--optimizer", "rbo", flag, value, "--steps", "2"]) == 0
 
     def test_landscape_param_flag(self, sandbox):
         out = sandbox / "r5.json"

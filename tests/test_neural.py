@@ -3,6 +3,7 @@ import dataclasses
 import gzip
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -460,6 +461,24 @@ class TestTrainMlp:
             train_mlp(TINY, train, train, optimizer="adam")
         with pytest.raises(ValueError, match="epochs"):
             train_mlp(TINY, train, train, epochs=-1)
+
+    def test_epoch_memory_is_flat_in_the_step_count(self):
+        """An epoch keeps no per-step records: going from 8 to 32 sgd steps
+        over the same rows of the full-size network must not raise the
+        traced peak by as much as two parameter vectors."""
+        spec = MlpSpec()
+        rng = np.random.default_rng(0)
+        rows = Dataset(images=rng.random((256, 784)), labels=rng.integers(0, 10, 256))
+        peaks = []
+        for batch_size in (32, 8):  # 8, then 32 steps
+            tracemalloc.start()
+            try:
+                train_mlp(spec, rows, rows.subset(slice(0, 16)), optimizer="sgd",
+                          epochs=1, batch_size=batch_size, eta=0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * param_count(spec) * 8
 
     def test_diverged_epoch_raises(self):
         train = tiny_dataset(8)

@@ -296,3 +296,115 @@ def test_descent_reuses_the_record_gradient():
         ls, calls = counting(riemann(10))
         assert run(ls).error is None
         assert len(calls) == 26  # one per step plus record 0
+
+
+
+# ---------------------------------------------------------------------------
+# keep_records=False: only the final record, field for field
+# ---------------------------------------------------------------------------
+
+def lean_run(optimizer, landscape, theta0, eta=0.05, **kw):
+    if optimizer == "rbo":
+        return run_rbo(landscape, theta0, rho=0.5, eta=0.5, steps=12, seed=5, **kw)
+    if optimizer == "gd":
+        return run_gd(landscape, theta0, eta=eta, steps=12, **kw)
+    if optimizer == "sgd":
+        return run_sgd(landscape, theta0, eta=eta, steps=12, seed=5, **kw)
+    return run_sam(landscape, theta0, eta=eta, sam_rho=0.05, steps=12, seed=5, **kw)
+
+
+def tiny_mlp_landscape():
+    from rollball.neural import Dataset, MlpSpec, as_landscape, init_params
+    rng = np.random.default_rng(0)
+    ds = Dataset(images=rng.random((40, 6)), labels=np.asarray(rng.integers(0, 3, 40)))
+    spec = MlpSpec(inputs=6, hidden=(5,), outputs=3)
+    return as_landscape(spec, ds, batch_size=8, seed=11), init_params(spec, seed=2)
+
+
+def stretched_parabola():
+    """Stochastic f = c theta^2 with c drawn from [1, 2] per minibatch: a
+    descent step of eta = 10 multiplies |theta| by 19 or more, so gd, sgd
+    and sam diverge after several good steps."""
+    def bind(c):
+        return quadratic(np.array([[2.0 * c]]))
+    return dataclasses.replace(PARABOLA, sample_context=lambda rng: rng.uniform(1.0, 2.0),
+                               with_context=bind), np.array([1.0])
+
+
+def capped_parabola():
+    """f = -theta^2 / 2, not finite beyond |theta| = 3: the ball rolls
+    outward and its projection fails a few steps later."""
+    cap = quadratic(np.array([[-1.0]]))
+
+    def fused(theta):
+        v, g = value_and_grad(cap, theta)
+        return (v, g) if abs(theta[0]) < 3.0 else (math.nan, g)
+    return dataclasses.replace(cap, f_and_grad=fused), np.array([0.5])
+
+
+def assert_final_record_only(lean, full):
+    assert lean.header == full.header
+    assert lean.error == full.error
+    assert len(lean.records) == 1
+    for fld in dataclasses.fields(StepRecord):
+        assert np.array_equal(getattr(lean.records[0], fld.name),
+                              getattr(full.records[-1], fld.name))
+
+
+@pytest.mark.parametrize("optimizer", ["rbo", "gd", "sgd", "sam"])
+@pytest.mark.parametrize("make", [tiny_mlp_landscape, lambda: (riemann(10), np.array([2.0]))],
+                         ids=["stochastic-mlp", "riemann(10)"])
+def test_keep_records_false_keeps_the_final_record(make, optimizer):
+    landscape, theta0 = make()
+    full = lean_run(optimizer, landscape, theta0)
+    assert full.error is None and len(full.records) == 13
+    assert_final_record_only(lean_run(optimizer, landscape, theta0, keep_records=False), full)
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "sgd", "sam"])
+def test_keep_records_false_on_an_aborted_descent(optimizer):
+    landscape, theta0 = stretched_parabola()
+    full = lean_run(optimizer, landscape, theta0, eta=10.0)
+    assert full.error is not None and "diverged" in full.error
+    assert 3 <= len(full.records) <= 12
+    assert_final_record_only(lean_run(optimizer, landscape, theta0, eta=10.0,
+                                      keep_records=False), full)
+
+
+def test_keep_records_false_on_an_aborted_rbo_run():
+    landscape, theta0 = capped_parabola()
+    full = lean_run("rbo", landscape, theta0)
+    assert full.error is not None and "non-finite" in full.error
+    assert 3 <= len(full.records) <= 12
+    assert_final_record_only(lean_run("rbo", landscape, theta0, keep_records=False), full)
+
+
+def counting_views(landscape):
+    """A stochastic landscape whose minibatch views count their gradient
+    and fused calls, and whose own (full-data) oracles must not be called."""
+    calls = {"grad": 0, "fused": 0}
+
+    def forbidden(theta):
+        raise AssertionError("full-data oracle call")
+
+    def bind(ctx):
+        view = landscape.with_context(ctx)
+
+        def grad(theta):
+            calls["grad"] += 1
+            return view.grad(theta)
+
+        def fused(theta):
+            calls["fused"] += 1
+            return view.f_and_grad(theta)
+        return dataclasses.replace(view, grad=grad, f_and_grad=fused, forward=None)
+    return dataclasses.replace(landscape, f=forbidden, grad=forbidden, f_and_grad=forbidden,
+                               forward=None, with_context=bind), calls
+
+
+def test_lean_sgd_epoch_evaluates_only_the_final_record():
+    landscape, theta0 = tiny_mlp_landscape()
+    ls, calls = counting_views(landscape)
+    traj = run_sgd(ls, theta0, eta=0.05, steps=5, seed=5, keep_records=False)
+    assert traj.error is None and traj.records[0].t == 5
+    assert calls == {"grad": 5, "fused": 1}  # one gradient per step, one record
