@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -131,7 +130,6 @@ class SweepConfig:
     subset: int = 4096
     data_dir: str | None = None
     seed: int = 0
-    parallelism: int = 1
     max_iters: int = 100
     out: str = "sweep.csv"
 
@@ -144,8 +142,6 @@ class SweepConfig:
             raise ConfigError("need 0 < rho_min < rho_max")
         if self.eta_scale_min <= 0 or self.eta_scale_min >= self.eta_scale_max:
             raise ConfigError("need 0 < eta_scale_min < eta_scale_max")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         return self
 
 
@@ -334,7 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "eta_count": args.eta_count,
         "steps": args.steps, "epochs": args.epochs,
         "subset": args.subset, "data_dir": args.data_dir,
-        "seed": args.seed, "parallelism": args.parallelism,
+        "seed": args.seed,
         "out": args.out,
     }
     cfg = _merge_config(SweepConfig, _load_config_file(args.config), flag_data)
@@ -359,12 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except Exception as exc:  # cell failures stay in the grid as NaN
             return rho, eta, math.nan, str(exc)
 
-    if cfg.parallelism == 1:
-        results = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(run_cell, cells))
-
+    results = [run_cell(c) for c in cells]
     serialize.write_sweep_csv(results, cfg.out)
     failures = sum(1 for r in results if r[3])
     print(f"sweep: {len(results)} cells ({failures} failed) -> {cfg.out}")
@@ -521,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--subset", type=int, help="training subset size for mlp task")
     p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--parallelism", type=int)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run named checks, write JSON reports")

@@ -121,15 +121,36 @@ def distance_to_graph(landscape: Landscape, point: Array, grid: GridSpec) -> flo
     return float(distances_to_graph(landscape, np.asarray(point, dtype=float), grid)[0])
 
 
+# The coarse tree of _max_nearest_distance holds every _COARSE-th cloud point.
+_COARSE = 32
+
+
+def _max_nearest_distance(points: Array, cloud: Array) -> float:
+    """Largest distance from any of the points to its nearest cloud point.
+
+    The same float as the exact tree's query of every point, maximized, but
+    the exact tree answers only the points that can attain the maximum. A
+    coarse tree over every _COARSE-th cloud point gives each point an upper
+    bound: its points are a subset of the cloud, and the tree computes the
+    same float for the same pair, so no coarse distance is below the exact
+    one. The exact distance of the point with the largest bound is attained,
+    and points whose bound falls below it cannot beat it; the 1e-12 margin
+    is insurance only. At worst the coarse tree is 1/_COARSE extra work.
+    """
+    tree = _curve_tree(cloud)
+    upper = _curve_tree(cloud[::_COARSE]).query(points)[0]
+    best = tree.query(points[int(np.argmax(upper))])[0]
+    live = upper * (1.0 + 1e-12) >= best
+    return float(tree.query(points[live])[0].max())
+
+
 def hausdorff_distance(a: Array, b: Array) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("hausdorff_distance needs non-empty point sets")
-    d_ab = _curve_tree(b).query(a)[0].max()
-    d_ba = _curve_tree(a).query(b)[0].max()
-    return float(max(d_ab, d_ba))
+    return max(_max_nearest_distance(a, b), _max_nearest_distance(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +413,7 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     keep = sy >= eval_batch(landscape, sx)  # closed epigraph only
     samples = np.column_stack([sx[keep], sy[keep]])
 
-    d = _curve_tree(np.column_stack([tg, fg])).query(samples)[0]
-    clearance = rho - float(d.max())
+    clearance = rho - _max_nearest_distance(samples, np.column_stack([tg, fg]))
     if clearance > slack:
         verdict: Verdict = "unreachable"
     elif clearance <= slack / 2.0:

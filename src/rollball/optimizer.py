@@ -321,8 +321,8 @@ def _record(t: int, point: GraphPoint, center: Array | None = None) -> StepRecor
 
 
 def _keep(records: list[StepRecord], record: StepRecord, keep_records: bool) -> None:
-    """Append the record, or let it replace the last one."""
-    if keep_records:
+    """Append the record, or let it replace the last one if there is one."""
+    if keep_records or not records:
         records.append(record)
     else:
         records[-1] = record
@@ -368,10 +368,14 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
 
     On stochastic landscapes each outer step draws one minibatch (seeded)
     and uses it for the lift, the displacement, and all inner projection
-    iterations of that step. A diverging step aborts the run and returns
-    the partial trajectory with the error recorded.
+    iterations of that step. The full-data lift at theta0 then serves only
+    record 0, so without keep_records it is made only if no step completes.
+    A diverging step aborts the run and returns the partial trajectory with
+    the error recorded.
     """
     theta0 = _check_run_args(landscape, theta0, steps)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     rng, seed = _run_rng(landscape, seed)
     header = TrajectoryHeader(
         optimizer="rbo", landscape=landscape.name, seed=seed,
@@ -379,19 +383,23 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
                          "max_iters": cfg.max_iters,
                          "grad_tol": cfg.grad_tol,
                          "warm_start": cfg.warm_start.value})
-    state = lift(landscape, theta0, rho)
-    records = [_record(0, state.contact, center=state.center)]
+    lazy = rng is not None and not keep_records
+    state = None if lazy else lift(landscape, theta0, rho)
+    records = [] if lazy else [_record(0, state.contact, center=state.center)]
     error = None
     for t in range(1, steps + 1):
         view = _step_view(landscape, rng)
         if view is not landscape:
-            state = lift(view, state.contact.theta, rho)
+            state = lift(view, theta0 if state is None else state.contact.theta, rho)
         try:
             state, record = rbo_step(view, state, eta, cfg, t=t)
         except ProjectionDivergence as exc:
             error = f"step {t}: {exc}"
             break
         _keep(records, record, keep_records)
+    if not records:
+        state = lift(landscape, theta0, rho)
+        records = [_record(0, state.contact, center=state.center)]
     return Trajectory(header=header, records=records, error=error)
 
 

@@ -156,8 +156,7 @@ def write_sweep_csv(cells: Iterable[tuple[float, float, float, str]],
                     path: str | Path) -> None:
     """Grid results as (rho, eta, metric, error) rows, sorted by (rho, eta).
 
-    Failed cells carry metric nan plus a non-empty error note; the sort
-    makes output independent of completion order under parallel execution.
+    Failed cells carry metric nan plus a non-empty error note.
     """
     ordered = sorted(cells, key=lambda c: (c[0], c[1]))
     with _open_csv(path) as fh:

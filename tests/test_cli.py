@@ -34,7 +34,7 @@ class TestConfigs:
 
     def test_sweep_config_round_trip(self):
         cfg = SweepConfig(task="landscape", rho_min=0.5, rho_max=2.0,
-                          rho_count=2, parallelism=3, seed=9)
+                          rho_count=2, seed=9)
         assert config_from_mapping(SweepConfig, json.loads(config_to_json(cfg))) == cfg
 
     def test_unknown_keys_rejected(self):
@@ -74,8 +74,6 @@ class TestConfigs:
             SweepConfig(task="cnn").validated()
         with pytest.raises(ConfigError, match="rho_min"):
             SweepConfig(rho_min=2.0, rho_max=1.0).validated()
-        with pytest.raises(ConfigError, match="parallelism"):
-            SweepConfig(parallelism=0).validated()
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_mapping(SweepConfig, {"optimizer": "rbo"})
 
@@ -198,12 +196,17 @@ class TestSweep:
         assert len(lines) == 7  # header + 2 radii * 3 step sizes
         assert all(line.endswith(",") for line in lines[1:])  # no failures
 
-    def test_parallelism_is_byte_identical(self, sandbox):
-        serial, parallel = sandbox / "serial.csv", sandbox / "parallel.csv"
-        assert main(SWEEP_ARGS + ["--out", str(serial)]) == 0
-        assert main(SWEEP_ARGS + ["--parallelism", "3",
-                                  "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_parallelism_flag_is_gone(self, sandbox):
+        out = sandbox / "sweep.csv"
+        assert main(SWEEP_ARGS + ["--parallelism", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_parallelism_config_key_is_gone(self, sandbox, capsys):
+        config, out = sandbox / "sweep.json", sandbox / "sweep.csv"
+        config.write_text(json.dumps({"parallelism": 2}))
+        assert main(SWEEP_ARGS + ["--config", str(config), "--out", str(out)]) == 2
+        assert "unknown config keys: ['parallelism']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_cells_recorded_as_nan(self, sandbox, capsys):
         out = sandbox / "sweep.csv"

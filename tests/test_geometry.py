@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from rollball import geometry
 from rollball.geometry import (GridSpec, _offset_window, count_local_minima,
                                distance_to_graph, hausdorff_distance,
                                is_unreachable, normal, normal_from_grad,
                                offset_profile, offset_value, sharpness,
                                tangent, tangent_from_grad)
-from rollball.landscape import affine_plus_bump, quadratic, riemann, sinusoid
+from rollball.landscape import (affine_plus_bump, eval_batch, quadratic, riemann,
+                                sinusoid)
 
 grad_vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -248,6 +251,99 @@ def test_unreachable_clearance_matches_brute_force(rho, verdict):
     d2 += dy
     nearest = np.sqrt(d2.min(axis=1))
     assert rep.clearance == rho - float(nearest.max())
+
+
+def _sphere_and_graph(ls, theta, rho, h, n_sphere):
+    """is_unreachable's admissible sphere samples and graph lattice, rebuilt."""
+    half = 2.0 * rho + 10.0 * h
+    tg = np.arange(math.ceil((theta - half) / h - 1e-9),
+                   math.floor((theta + half) / h + 1e-9) + 1) * h
+    graph = np.column_stack([tg, eval_batch(ls, tg)])
+    ang = np.arange(n_sphere) * (2.0 * math.pi / n_sphere)
+    sx = theta + rho * np.cos(ang)
+    sy = ls.f(np.array([theta])) + rho * np.sin(ang)
+    keep = sy >= eval_batch(ls, sx)
+    return np.column_stack([sx[keep], sy[keep]]), graph
+
+
+def _unreachability_cases():
+    rng = np.random.default_rng(20)
+    for sigma in (0.5, 1.0, 2.0, 4.0, 8.0):
+        for rho in (0.1, 0.3, 0.6, 1.2):
+            yield f"parabola(sigma={sigma:g})", quadratic(np.array([[sigma]])), 0.0, rho
+    for n in (5, 100):
+        for theta in rng.uniform(0.0, 2.0 * math.pi, size=3):
+            for rho in (0.05, 0.5, 1.0):
+                yield f"riemann({n})", riemann(n), float(theta), rho
+    for theta in (-math.pi / 2, 0.4):
+        yield "sinusoid", sinusoid(), theta, 0.8
+    for theta in (0.0, 1.3):
+        yield "affine_bump", affine_plus_bump(0.5, 1.0, "gaussian"), theta, 0.6
+
+
+def test_unreachable_clearance_is_the_unpruned_maximum():
+    # the pruned query must return the same float as a plain KD-tree over
+    # the whole lattice answering every admissible sample
+    for name, ls, theta, rho in _unreachability_cases():
+        rep = is_unreachable(ls, theta, rho=rho, grid_step=1e-3)
+        samples, graph = _sphere_and_graph(ls, theta, rho, 1e-3, rep.n_sphere)
+        full = rho - float(cKDTree(graph).query(samples)[0].max())
+        assert rep.clearance == full, (name, theta, rho)
+
+
+def _random_clouds():
+    rng = np.random.default_rng(11)
+    for na, nb, dim in ((1, 1, 2), (1, 31, 2), (31, 1, 3), (31, 31, 2),
+                        (32, 33, 2), (500, 2000, 2), (3000, 700, 3)):
+        yield rng.normal(size=(na, dim)), rng.normal(size=(nb, dim))
+    for na, nb in ((400, 1500), (31, 900), (2000, 2000)):
+        # coarse rounding: many equal distances and duplicate points
+        a = np.round(rng.uniform(-1.0, 1.0, size=(na, 2)), 1)
+        b = np.round(rng.uniform(-1.0, 1.0, size=(nb, 2)), 1)
+        yield a, b
+        yield a, np.concatenate([b, a[: na // 2]])
+    t = np.linspace(-2.0, 2.0, 5001)
+    yield np.column_stack([t, t * t]), np.column_stack([t[::7], t[::7] ** 2 + 0.01])
+    # points hovering just above a dense segment: the coarse bounds rank them
+    # differently from their exact distances, which decide the maximum
+    x = np.linspace(0.0, 1.0, 3201)
+    hover = np.column_stack([rng.uniform(0.0, 1.0, 4000),
+                             1.0 + 1e-4 * rng.uniform(size=4000)])
+    yield hover, np.column_stack([x, np.zeros_like(x)])
+
+
+def test_hausdorff_distance_is_the_unpruned_maximum():
+    for a, b in _random_clouds():
+        full = max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+        assert hausdorff_distance(a, b) == float(full), (a.shape, b.shape)
+        assert hausdorff_distance(b, a) == float(full)
+
+
+class _CountingTree:
+    def __init__(self, tree):
+        self.tree, self.size, self.queried = tree, tree.n, 0
+
+    def query(self, x):
+        self.queried += 1 if np.ndim(x) == 1 else len(x)
+        return self.tree.query(x)
+
+
+def test_unreachable_sends_few_samples_to_the_exact_tree(monkeypatch):
+    # at the vertex of sigma*theta^2/2 with rho = 1.2/sigma every admissible
+    # sample's coarse bound sits below the largest exact distance, but one
+    trees = []
+    real = geometry._curve_tree
+
+    def counting_tree(points):
+        trees.append(_CountingTree(real(points)))
+        return trees[-1]
+    monkeypatch.setattr(geometry, "_curve_tree", counting_tree)
+    rep = is_unreachable(quadratic(np.array([[2.0]])), 0.0, rho=1.2, grid_step=1e-4)
+    assert rep.verdict == "unreachable"
+    fine, coarse = sorted(trees, key=lambda tr: tr.size, reverse=True)
+    assert coarse.size == math.ceil(fine.size / geometry._COARSE)
+    assert coarse.queried > 1000
+    assert fine.queried <= 0.01 * coarse.queried
 
 
 def test_unreachable_affine_always_reachable():

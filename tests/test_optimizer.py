@@ -379,13 +379,41 @@ def test_keep_records_false_on_an_aborted_rbo_run():
     assert_final_record_only(lean_run("rbo", landscape, theta0, keep_records=False), full)
 
 
+def forbidden(theta):
+    raise AssertionError("full-data oracle call")
+
+
+def full_data_raises(landscape):
+    """The stochastic landscape with its full-data oracles raising; its
+    minibatch views are untouched."""
+    return dataclasses.replace(landscape, f=forbidden, grad=forbidden,
+                               f_and_grad=forbidden, forward=forbidden)
+
+
+def test_lean_rbo_run_lifts_theta0_on_the_full_data_only_for_record_0():
+    landscape, theta0 = tiny_mlp_landscape()
+    full = lean_run("rbo", landscape, theta0)
+    lean = lean_run("rbo", full_data_raises(landscape), theta0, keep_records=False)
+    assert_final_record_only(lean, full)
+    # a run with no completed step still returns the full-data record 0
+    empty = run_rbo(landscape, theta0, rho=0.5, eta=0.5, steps=0, seed=5)
+    assert_final_record_only(run_rbo(landscape, theta0, rho=0.5, eta=0.5, steps=0,
+                                     seed=5, keep_records=False), empty)
+    assert_final_record_only(empty, dataclasses.replace(full, header=empty.header,
+                                                        records=full.records[:1]))
+    cap, _ = capped_parabola()
+    stochastic = dataclasses.replace(cap, sample_context=lambda rng: rng.uniform(),
+                                     with_context=lambda ctx: cap)
+    aborted = run_rbo(stochastic, np.array([2.9]), rho=0.5, eta=0.5, steps=5, seed=5)
+    assert aborted.error.startswith("step 1:") and len(aborted.records) == 1
+    assert_final_record_only(run_rbo(stochastic, np.array([2.9]), rho=0.5, eta=0.5,
+                                     steps=5, seed=5, keep_records=False), aborted)
+
+
 def counting_views(landscape):
     """A stochastic landscape whose minibatch views count their gradient
     and fused calls, and whose own (full-data) oracles must not be called."""
     calls = {"grad": 0, "fused": 0}
-
-    def forbidden(theta):
-        raise AssertionError("full-data oracle call")
 
     def bind(ctx):
         view = landscape.with_context(ctx)
