@@ -1,9 +1,9 @@
 """Rolling-ball optimization and landscape geometry toolkit."""
 from .geometry import (GridSpec, OffsetSamples, UnreachabilityReport,
                        count_local_minima, distance_to_graph,
-                       hausdorff_distance, is_unreachable, normal,
+                       hausdorff_distance, is_unreachable,
                        normal_from_grad, offset_profile, offset_value,
-                       sharpness, tangent, tangent_from_grad)
+                       sharpness, tangent_from_grad)
 from .landscape import (Landscape, affine_plus_bump, catalogue_names,
                         eval_batch, make_landscape, quadratic, riemann,
                         sinusoid, value_and_grad)
@@ -32,9 +32,9 @@ __all__ = [
     "count_local_minima", "distance_to_graph", "eval_batch", "evaluate",
     "find_mnist", "hausdorff_distance", "init_params", "is_unreachable",
     "lift", "load_idx", "load_mnist", "loss_and_grad", "make_landscape",
-    "normal", "normal_from_grad", "offset_profile", "offset_value",
+    "normal_from_grad", "offset_profile", "offset_value",
     "param_count", "project_footpoint", "quadratic", "rbo_step", "riemann",
     "run_check", "run_gd", "run_rbo", "run_sam", "run_sgd", "sharpness",
-    "sinusoid", "tangent", "tangent_from_grad", "train_mlp",
+    "sinusoid", "tangent_from_grad", "train_mlp",
     "value_and_grad",
 ]

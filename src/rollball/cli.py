@@ -126,7 +126,6 @@ class SweepConfig:
     eta_count: int = 5
     steps: int = 50
     epochs: int = 3
-    batch_size: int = 128
     subset: int = 4096
     data_dir: str | None = None
     seed: int = 0
@@ -312,8 +311,7 @@ def _sweep_cell_mlp(cfg: SweepConfig, train, val, rho: float, eta: float,
                     seed: int) -> float:
     spec = neural.MlpSpec()
     _, stats = neural.train_mlp(spec, train, val, optimizer="rbo",
-                                epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                eta=eta, rho=rho, seed=seed,
+                                epochs=cfg.epochs, eta=eta, rho=rho, seed=seed,
                                 cfg=ProjectionConfig(max_iters=cfg.max_iters))
     return stats[-1].val_accuracy
 
@@ -365,10 +363,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     overrides = _load_config_file(args.config)
     names = args.checks or list(verify.available_checks())
-    for name in names:
-        if name not in verify.available_checks():
-            raise ConfigError(f"unknown check {name!r}; available: "
-                              f"{', '.join(verify.available_checks())}")
+    try:
+        for name in names:
+            verify.check_overrides(name, {})
+        overrides = {name: verify.check_overrides(name, section)
+                     for name, section in overrides.items()}
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -388,16 +389,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    optimizer = args.optimizer or "rbo"
-    if optimizer not in ("rbo", "gd", "sgd", "sam"):
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
-    if args.rho is not None and optimizer != "rbo":
-        raise ConfigError("rho applies to the rbo optimizer only")
-    if args.max_iters is not None and optimizer != "rbo":
-        raise ConfigError("max_iters applies to the rbo optimizer only")
-    if args.sam_rho is not None and optimizer != "sam":
-        raise ConfigError("sam_rho applies to the sam optimizer only")
-    eta = args.eta if args.eta is not None else (6.0 if optimizer == "rbo" else 0.01)
+    # the optimizer settings are validated and defaulted as for a trajectory
+    run = RunConfig(optimizer=args.optimizer or "rbo", rho=args.rho, eta=args.eta,
+                    sam_rho=args.sam_rho, max_iters=args.max_iters).validated().filled()
     epochs = args.epochs if args.epochs is not None else 10
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -412,20 +406,20 @@ def cmd_train(args: argparse.Namespace) -> int:
                               "training split")
         train = train.subset(slice(a, b))
 
+    if run.optimizer == "rbo":
+        settings = {"rho": run.rho, "cfg": run.projection()}
+    else:
+        settings = {"sam_rho": run.sam_rho} if run.optimizer == "sam" else {}
     spec = neural.MlpSpec()
     params, stats = neural.train_mlp(
-        spec, train, val, optimizer=optimizer, epochs=epochs,
+        spec, train, val, optimizer=run.optimizer, epochs=epochs,
         batch_size=args.batch_size if args.batch_size is not None else 128,
-        eta=eta, rho=args.rho if args.rho is not None else 1.0,
-        sam_rho=args.sam_rho if args.sam_rho is not None else 0.05,
-        seed=args.seed if args.seed is not None else 0,
-        cfg=ProjectionConfig(max_iters=args.max_iters)
-        if args.max_iters is not None else ProjectionConfig())
+        eta=run.eta, seed=args.seed if args.seed is not None else 0, **settings)
 
     out = args.out or "learning_curve.csv"
     serialize.write_learning_curve_csv(stats, out)
     last = stats[-1]
-    print(f"{optimizer}: epoch {last.epoch} train loss {last.train_loss:.4f} "
+    print(f"{run.optimizer}: epoch {last.epoch} train loss {last.train_loss:.4f} "
           f"acc {last.train_accuracy:.4f} | val loss {last.val_loss:.4f} "
           f"acc {last.val_accuracy:.4f} -> {out}")
     return EXIT_OK

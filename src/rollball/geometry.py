@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .landscape import Array, Landscape, eval_batch
+from .landscape import Array, Landscape, eval_batch, value_and_grad
 
 
 def normal_from_grad(g: Array) -> Array:
@@ -33,16 +33,6 @@ def tangent_from_grad(g: Array) -> Array:
     """
     g = np.asarray(g, dtype=float)
     return np.concatenate([g, [float(g @ g)]])
-
-
-def normal(landscape: Landscape, theta: Array) -> Array:
-    """Upward unit normal of the graph at theta."""
-    return normal_from_grad(landscape.grad(np.asarray(theta, dtype=float)))
-
-
-def tangent(landscape: Landscape, theta: Array) -> Array:
-    """Steepest-ascent tangent lift at theta."""
-    return tangent_from_grad(landscape.grad(np.asarray(theta, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +379,7 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
         raise ValueError("rho must be positive")
     h = grid_step
     theta = float(np.asarray(theta, dtype=float).reshape(()))
-    y0 = landscape.f(np.array([theta]))
+    y0 = landscape.forward(np.array([theta]))[0]
 
     # graph box wide enough to contain the true nearest point of any sphere sample
     half = 2.0 * rho + 10.0 * h
@@ -446,8 +436,8 @@ def sharpness(landscape: Landscape, theta: Array,
     eps = 1e-5 * (1.0 + float(np.max(np.abs(theta))))
 
     def hvp(v: Array) -> Array:
-        return (np.asarray(landscape.grad(theta + eps * v)) -
-                np.asarray(landscape.grad(theta - eps * v))) / (2.0 * eps)
+        return (value_and_grad(landscape, theta + eps * v)[1] -
+                value_and_grad(landscape, theta - eps * v)[1]) / (2.0 * eps)
 
     v = np.ones(d) / math.sqrt(d)
     lam = 0.0

@@ -1,12 +1,13 @@
 """Loss landscapes as immutable graph surfaces.
 
-A landscape is the graph of f: R^d -> R together with its analytic gradient
-and, when available, a Hessian oracle and a vectorized batch evaluator.
-Landscapes never mutate; stochastic variants produce new views per minibatch.
+A landscape is the graph of f: R^d -> R behind one value-then-gradient
+oracle, plus, when available, a Hessian oracle and a vectorized batch
+evaluator. Landscapes never mutate; stochastic variants produce new views
+per minibatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -16,16 +17,15 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Landscape:
-    """Graph surface of a scalar function with analytic first-order oracle.
+    """Graph surface of a scalar function with an exact first-order oracle.
 
-    f takes a parameter vector of shape (dim,) and returns a float. grad
-    returns the gradient with the same shape. f_batch, when present,
-    evaluates a stack of points of shape (n, dim) in one call; f_and_grad,
-    when present, returns (f, grad) from a single shared pass. forward, when
-    present, returns (f, backward) where backward() gives the gradient at
-    the same point from state the value pass saved, so a caller that may not
-    need the gradient pays for it only when it asks. All three are
-    efficiency devices only: they must agree with f and grad pointwise.
+    forward takes a parameter vector of shape (dim,) and returns (f,
+    backward): the float value at that point and a callable whose call
+    gives the gradient there, shape (dim,), from state the value pass
+    saved. A caller that may not need the gradient pays for it only when it
+    asks. f_batch, when present, evaluates a stack of points of shape (n,
+    dim) in one call; it is an efficiency device only and must agree with
+    forward pointwise.
 
     value_bound, when set, is a finite B with sup |f| <= B over all of R^d.
     value_sup, when set, is the exact global supremum of f.
@@ -36,12 +36,9 @@ class Landscape:
     """
 
     dim: int
-    f: Callable[[Array], float]
-    grad: Callable[[Array], Array]
+    forward: Callable[[Array], tuple[float, Callable[[], Array]]]
     hessian: Callable[[Array], Array] | None = None
     f_batch: Callable[[Array], Array] | None = None
-    f_and_grad: Callable[[Array], tuple[float, Array]] | None = None
-    forward: Callable[[Array], tuple[float, Callable[[], Array]]] | None = None
     name: str = "landscape"
     value_bound: float | None = None
     value_sup: float | None = None
@@ -55,23 +52,9 @@ class Landscape:
 
 
 def value_and_grad(landscape: Landscape, theta: Array) -> tuple[float, Array]:
-    """f and grad at theta, through the fused oracle when the landscape has one."""
-    if landscape.f_and_grad is not None:
-        v, g = landscape.f_and_grad(theta)
-        return float(v), np.asarray(g, dtype=float)
-    return float(landscape.f(theta)), np.asarray(landscape.grad(theta), dtype=float)
-
-
-def value_then_grad(landscape: Landscape, theta: Array,
-                    ) -> tuple[float, Callable[[], Array]]:
-    """f at theta and a callable giving grad at theta. Through the forward
-    oracle the gradient's own pass runs only when the callable is called;
-    without one, this is one fused value_and_grad call."""
-    if landscape.forward is not None:
-        v, backward = landscape.forward(theta)
-        return float(v), lambda: np.asarray(backward(), dtype=float)
-    v, g = value_and_grad(landscape, theta)
-    return v, lambda: g
+    """f and grad f at theta: one forward call and its backward."""
+    v, backward = landscape.forward(theta)
+    return v, backward()
 
 
 def eval_batch(landscape: Landscape, thetas: Array) -> Array:
@@ -81,21 +64,7 @@ def eval_batch(landscape: Landscape, thetas: Array) -> Array:
         thetas = thetas[:, None]
     if landscape.f_batch is not None:
         return np.asarray(landscape.f_batch(thetas), dtype=float)
-    return np.array([landscape.f(t) for t in thetas], dtype=float)
-
-
-def finite_difference_grad(f: Callable[[Array], float], theta: Array) -> Array:
-    """Central-difference gradient with per-coordinate step 1e-5 * (1 + |theta_i|)."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    for i in range(theta.size):
-        h = 1e-5 * (1.0 + abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        out[i] = (f(up) - f(dn)) / (2.0 * h)
-    return out
+    return np.array([landscape.forward(t)[0] for t in thetas], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +83,16 @@ def quadratic(a: Array, theta_star: Array | None = None) -> Landscape:
     if ts.shape != (d,):
         raise ValueError(f"theta_star must have shape ({d},)")
 
-    def f(theta: Array) -> float:
+    def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
         u = np.asarray(theta, dtype=float) - ts
-        return float(0.5 * u @ a @ u)
-
-    def grad(theta: Array) -> Array:
-        return a @ (np.asarray(theta, dtype=float) - ts)
-
-    def f_and_grad(theta: Array) -> tuple[float, Array]:
-        u = np.asarray(theta, dtype=float) - ts
-        return float(0.5 * u @ a @ u), a @ u
+        return float(0.5 * u @ a @ u), lambda: a @ u
 
     def f_batch(thetas: Array) -> Array:
         u = np.asarray(thetas, dtype=float) - ts
         return 0.5 * np.einsum("ni,ij,nj->n", u, a, u)
 
-    return Landscape(dim=d, f=f, grad=grad, hessian=lambda theta: a,
-                     f_batch=f_batch, f_and_grad=f_and_grad,
-                     name=f"quadratic(d={d})")
+    return Landscape(dim=d, forward=forward, hessian=lambda theta: a,
+                     f_batch=f_batch, name=f"quadratic(d={d})")
 
 
 def riemann(n_terms: int = 100) -> Landscape:
@@ -154,17 +115,9 @@ def riemann(n_terms: int = 100) -> Landscape:
             out[a:a + step] = np.sin(np.multiply.outer(blk, n2)) @ inv
         return out
 
-    def f(theta: Array) -> float:
-        t = float(np.asarray(theta, dtype=float).reshape(()))
-        return float(np.sin(n2 * t) @ inv)
-
-    def grad(theta: Array) -> Array:
-        t = float(np.asarray(theta, dtype=float).reshape(()))
-        return np.array([np.sum(np.cos(n2 * t))])
-
-    def f_and_grad(theta: Array) -> tuple[float, Array]:
+    def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
         phase = n2 * float(np.asarray(theta, dtype=float).reshape(()))
-        return float(np.sin(phase) @ inv), np.array([np.cos(phase).sum()])
+        return float(np.sin(phase) @ inv), lambda: np.array([np.cos(phase).sum()])
 
     def hessian(theta: Array) -> Array:
         t = float(np.asarray(theta, dtype=float).reshape(()))
@@ -174,26 +127,22 @@ def riemann(n_terms: int = 100) -> Landscape:
         t = np.asarray(thetas, dtype=float).reshape(-1)
         return _eval_many(t)
 
-    return Landscape(dim=1, f=f, grad=grad, hessian=hessian, f_batch=f_batch,
-                     f_and_grad=f_and_grad, name=f"riemann({n_terms})",
-                     value_bound=bound)
+    return Landscape(dim=1, forward=forward, hessian=hessian, f_batch=f_batch,
+                     name=f"riemann({n_terms})", value_bound=bound)
 
 
 def sinusoid() -> Landscape:
     """f(theta) = sin(theta) on R."""
 
-    def f(theta: Array) -> float:
-        return float(np.sin(np.asarray(theta, dtype=float).reshape(())))
-
-    def grad(theta: Array) -> Array:
-        return np.array([np.cos(float(np.asarray(theta).reshape(())))])
+    def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
+        t = float(np.asarray(theta, dtype=float).reshape(()))
+        return float(np.sin(t)), lambda: np.array([np.cos(t)])
 
     def hessian(theta: Array) -> Array:
         return np.array([[-np.sin(float(np.asarray(theta).reshape(())))]])
 
-    return Landscape(dim=1, f=f, grad=grad, hessian=hessian,
+    return Landscape(dim=1, forward=forward, hessian=hessian,
                      f_batch=lambda t: np.sin(np.asarray(t, dtype=float).reshape(-1)),
-                     f_and_grad=lambda theta: (f(theta), grad(theta)),
                      name="sinusoid", value_bound=1.0, value_sup=1.0)
 
 
@@ -202,7 +151,7 @@ class BumpProfile:
     """Bounded 1D profile used as the perturbation in affine_plus_bump."""
 
     name: str
-    f: Callable[[Array], Array]
+    value: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     second: Callable[[Array], Array]
     sup: float  # sup |profile|, must be finite
@@ -242,27 +191,25 @@ def affine_plus_bump(a: float | Array, b: float,
     d = a_vec.size
     amp = float(amplitude)
 
-    def affine_f(theta: Array) -> float:
-        return float(a_vec @ np.asarray(theta, dtype=float) + b)
-
-    def affine_grad(theta: Array) -> Array:
-        return a_vec.copy()
+    def affine_forward(theta: Array) -> tuple[float, Callable[[], Array]]:
+        return float(a_vec @ np.asarray(theta, dtype=float) + b), a_vec.copy
 
     affine = Landscape(
-        dim=d, f=affine_f, grad=affine_grad,
+        dim=d, forward=affine_forward,
         hessian=lambda theta: np.zeros((d, d)),
         f_batch=lambda ts: np.asarray(ts, dtype=float) @ a_vec + b,
         name=f"affine(a={a_vec.tolist()})")
 
-    def f(theta: Array) -> float:
+    def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
         theta = np.asarray(theta, dtype=float)
-        return float(a_vec @ theta + b + amp * profile.f(theta[0]))
+        t0 = theta[0]
 
-    def grad(theta: Array) -> Array:
-        theta = np.asarray(theta, dtype=float)
-        g = a_vec.copy()
-        g[0] += amp * float(profile.deriv(theta[0]))
-        return g
+        def backward() -> Array:
+            g = a_vec.copy()
+            g[0] += amp * float(profile.deriv(t0))
+            return g
+
+        return float(a_vec @ theta + b + amp * profile.value(t0)), backward
 
     def hessian(theta: Array) -> Array:
         theta = np.asarray(theta, dtype=float)
@@ -272,11 +219,10 @@ def affine_plus_bump(a: float | Array, b: float,
 
     def f_batch(thetas: Array) -> Array:
         thetas = np.asarray(thetas, dtype=float)
-        return thetas @ a_vec + b + amp * profile.f(thetas[:, 0])
+        return thetas @ a_vec + b + amp * profile.value(thetas[:, 0])
 
     return Landscape(
-        dim=d, f=f, grad=grad, hessian=hessian, f_batch=f_batch,
-        f_and_grad=lambda theta: (f(theta), grad(theta)),
+        dim=d, forward=forward, hessian=hessian, f_batch=f_batch,
         name=f"affine_bump(a={a_vec.tolist()},amp={amp},profile={profile.name})",
         meta={"affine": affine, "bump_sup": abs(amp) * profile.sup,
               "profile": profile.name, "amplitude": amp})

@@ -359,7 +359,7 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
     full-batch landscape. Smaller batch sizes give a stochastic landscape:
     each drawn context is one uniformly sampled (without replacement) batch
     of row indices, and binding it yields the deterministic view on those
-    rows. The base landscape's own f and grad read the full dataset, so
+    rows. The base landscape's own forward reads the full dataset, so
     record 0 of a run that keeps its records reports the true objective.
     `seed` becomes the default minibatch seed for runs that do not pass
     their own.
@@ -383,18 +383,8 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
         def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
             return loss_and_backward(spec, theta, images, labels)
 
-        def f(theta: Array) -> float:
-            return forward(theta)[0]
-
-        def f_and_grad(theta: Array) -> tuple[float, Array]:
-            return loss_and_grad(spec, theta, images, labels)
-
-        def grad(theta: Array) -> Array:
-            return f_and_grad(theta)[1]
-
-        return Landscape(dim=d, f=f, grad=grad, f_and_grad=f_and_grad,
-                         forward=forward, name=name, sample_context=sample_context,
-                         with_context=with_context,
+        return Landscape(dim=d, forward=forward, name=name,
+                         sample_context=sample_context, with_context=with_context,
                          meta={"default_seed": seed, "batch_size": batch_size})
 
     if batch_size == dataset.n:

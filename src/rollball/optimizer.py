@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .geometry import normal_from_grad, tangent_from_grad
-from .landscape import Array, Landscape, value_and_grad, value_then_grad
+from .landscape import Array, Landscape, value_and_grad
 
 DIVERGENCE_LIMIT = 1e12
 # Levenberg-Marquardt damping: a rejected trial multiplies lam by this factor
@@ -83,7 +83,7 @@ class GraphPoint:
 
 
 def _graph_point(landscape: Landscape, theta: Array) -> GraphPoint:
-    """Evaluate value and gradient at theta in one fused oracle call."""
+    """Evaluate value and gradient at theta in one forward and backward."""
     theta = np.asarray(theta, dtype=float)
     v, g = value_and_grad(landscape, theta)
     return GraphPoint(theta=theta, y=v, grad=g)
@@ -187,9 +187,9 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     (f - y_c) times the Hessian when the landscape has one. Without a
     Hessian, M is inverted by Sherman-Morrison in O(d). A trial point is
     accepted only if it lowers G; otherwise the damping lam grows. Each trial
-    is one value_then_grad call whose gradient is read only when the trial
-    passes the G test (plus one Hessian per accepted point), and the trials
-    are the iteration count. The solve stops when |r| <= grad_tol
+    is one forward call whose backward runs only when the trial passes the
+    G test (plus one Hessian per accepted point), and the trials are the
+    iteration count. The solve stops when |r| <= grad_tol
     * max(1, |candidate - iterate|): far from the graph the rounding of
     (f - y_c) grad f grows with the distance.
 
@@ -248,14 +248,14 @@ def project_footpoint(landscape: Landscape, candidate: Array,
             u_trial = theta_trial - theta_c
             uu_trial = float(u_trial @ u_trial)
         iters += 1
-        v_trial, grad_at_trial = value_then_grad(landscape, theta_trial)
+        v_trial, backward = landscape.forward(theta_trial)
         e_trial = v_trial - y_c
         if not math.isfinite(e_trial):
             raise ProjectionDivergence(iters, float(np.linalg.norm(theta_trial)),
                                        "non-finite loss value")
         trial_objective = 0.5 * (uu_trial + e_trial * e_trial)
         if trial_objective <= objective * (1.0 + NOISE_SLACK):
-            g_trial = grad_at_trial()
+            g_trial = backward()
             r_trial = u_trial + e_trial * g_trial
             resid_trial = float(np.sqrt(r_trial @ r_trial))
             # G flat to within noise (the last steps of a solve): the residual decides
@@ -421,15 +421,13 @@ def _descent_loop(landscape: Landscape, theta0: Array, eta: float, steps: int,
     error = None
     for t in range(1, steps + 1):
         step_view = _step_view(landscape, rng)
-        g = point.grad if step_view is landscape \
-            else np.asarray(step_view.grad(theta), dtype=float)
+        g = point.grad if step_view is landscape else value_and_grad(step_view, theta)[1]
         step_grad = g
         if sam_rho is not None:
             gn = float(np.linalg.norm(g))
             # zero radius or zero gradient: the ascent point is theta itself
             if sam_rho != 0.0 and gn != 0.0:
-                step_grad = np.asarray(step_view.grad(theta + sam_rho * (g / gn)),
-                                       dtype=float)
+                step_grad = value_and_grad(step_view, theta + sam_rho * (g / gn))[1]
         stepped = theta - eta * step_grad
         if float(np.linalg.norm(stepped)) > DIVERGENCE_LIMIT:
             error = (f"step {t}: iterate diverged, |theta| = "
@@ -462,8 +460,8 @@ def run_sgd(landscape: Landscape, theta0: Array, eta: float, steps: int,
     On a deterministic landscape (full-batch context) the records are
     bitwise identical to run_gd. keep_records=False keeps only the last
     record, bitwise the one a full run ends with; on a stochastic landscape
-    each step then costs one gradient call, and the run one more fused call
-    for that record.
+    each step then costs one forward and backward, and the run one more of
+    each for that record.
     """
     theta0 = _check_run_args(landscape, theta0, steps)
     rng, seed = _run_rng(landscape, seed)

@@ -9,6 +9,7 @@ caller's config.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -342,87 +343,68 @@ def check_smoothing(n_terms: int = 100,
 # named registry for the command line
 # ---------------------------------------------------------------------------
 
-def _weak_ironing_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    landscape = sinusoid() if "landscape" not in cfg else \
-        make_landscape(cfg["landscape"]["name"], cfg["landscape"].get("params", {}))
-    return check_weak_ironing(
-        landscape,
-        radii=tuple(cfg.get("radii", (10.0, 100.0, 1000.0))),
-        lo=cfg.get("lo", -1.0), hi=cfg.get("hi", 1.0),
-        theta_step=cfg.get("theta_step", 0.01),
-        h_over_rho=cfg.get("h_over_rho", 5e-4),
-        eps=cfg.get("eps", 0.01))
+def _named(spec: Mapping[str, Any] | None,
+           default: Callable[[], Landscape]) -> Landscape:
+    """The catalogue landscape a config names as {"name": ..., "params": ...},
+    or the check's own default."""
+    return default() if spec is None else \
+        make_landscape(spec["name"], spec.get("params", {}))
 
 
-def _linear_ironing_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    return check_linear_ironing(
-        a=cfg.get("a", 1.0), b=cfg.get("b", 0.0),
-        profile=cfg.get("profile", "sin"),
-        amplitude=cfg.get("amplitude", 1.0),
-        radii=tuple(cfg.get("radii", (1.0, 10.0, 100.0))),
-        lo=cfg.get("lo", -2.0), hi=cfg.get("hi", 2.0),
-        theta_step=cfg.get("theta_step", 0.01),
-        h_over_rho=cfg.get("h_over_rho", 5e-4),
-        eps=cfg.get("eps", 0.1))
+def _weak_ironing(landscape: Mapping[str, Any] | None = None, **kw) -> CheckReport:
+    return check_weak_ironing(_named(landscape, sinusoid), **kw)
 
 
-def _sharp_minima_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    return check_sharp_minima(
-        sigmas=tuple(cfg.get("sigmas", (1.0, 2.0, 4.0))),
-        rhos=tuple(cfg["rhos"]) if "rhos" in cfg else None,
-        margin=cfg.get("margin", 0.1),
-        grid_step=cfg.get("grid_step", 1e-4))
+def _open_unreachables(landscape: Mapping[str, Any] | None = None, sigma: float = 4.0,
+                       theta0: float = 0.0, rho: float = 0.5, **kw) -> CheckReport:
+    return check_open_unreachables(_named(landscape, lambda: _parabola(sigma)),
+                                   theta0, rho, **kw)
 
 
-def _open_unreachables_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    landscape = _parabola(cfg.get("sigma", 4.0)) if "landscape" not in cfg else \
-        make_landscape(cfg["landscape"]["name"], cfg["landscape"].get("params", {}))
-    return check_open_unreachables(
-        landscape,
-        theta0=cfg.get("theta0", 0.0), rho=cfg.get("rho", 0.5),
-        delta=cfg.get("delta", 1e-3), k_max=cfg.get("k_max", 10),
-        grid_step=cfg.get("grid_step", 1e-4))
+def _gd_limit(landscape: Mapping[str, Any] | None = None, sigma: float = 1.0,
+              theta0: float = 1.0, **kw) -> CheckReport:
+    return check_gd_limit(_named(landscape, lambda: _parabola(sigma)), theta0, **kw)
 
 
-def _gd_limit_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    landscape = _parabola(cfg.get("sigma", 1.0)) if "landscape" not in cfg else \
-        make_landscape(cfg["landscape"]["name"], cfg["landscape"].get("params", {}))
-    return check_gd_limit(
-        landscape,
-        theta0=cfg.get("theta0", 1.0), eta=cfg.get("eta", 0.1),
-        steps=cfg.get("steps", 50),
-        rhos=tuple(cfg.get("rhos", (1e-1, 1e-2, 1e-3, 1e-4))),
-        eps=cfg.get("eps", 1e-2),
-        informational=cfg.get("informational", False))
-
-
-def _smoothing_runner(cfg: Mapping[str, Any]) -> CheckReport:
-    return check_smoothing(
-        n_terms=cfg.get("n_terms", 100),
-        rhos=tuple(cfg.get("rhos", (0.01, 0.1, 1.0, 10.0))),
-        lo=cfg.get("lo", 0.0), hi=cfg.get("hi", 2.0 * math.pi),
-        theta_step=cfg.get("theta_step", 1e-3),
-        h=cfg.get("h"))
-
-
-_REGISTRY: dict[str, Callable[[Mapping[str, Any]], CheckReport]] = {
-    "weak-ironing": _weak_ironing_runner,
-    "linear-ironing": _linear_ironing_runner,
-    "sharp-minima": _sharp_minima_runner,
-    "open-unreachables": _open_unreachables_runner,
-    "gd-limit": _gd_limit_runner,
-    "smoothing": _smoothing_runner,
+# name -> (runner, the check that receives the runner's remaining keywords)
+_REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., CheckReport]]] = {
+    "weak-ironing": (_weak_ironing, check_weak_ironing),
+    "linear-ironing": (check_linear_ironing, check_linear_ironing),
+    "sharp-minima": (check_sharp_minima, check_sharp_minima),
+    "open-unreachables": (_open_unreachables, check_open_unreachables),
+    "gd-limit": (_gd_limit, check_gd_limit),
+    "smoothing": (check_smoothing, check_smoothing),
 }
+# defaults a JSON value can replace; a check's other keywords are not config
+_JSON_DEFAULTS = (bool, int, float, str, tuple, type(None))
 
 
 def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def run_check(name: str, overrides: Mapping[str, Any] | None = None) -> CheckReport:
-    """Run a named check with its documented defaults, overridden by any
-    matching keys in `overrides`. Unknown names raise KeyError."""
+def check_overrides(name: str, overrides: Mapping[str, Any]) -> dict[str, Any]:
+    """The keyword arguments `overrides` sets for a named check, with JSON
+    lists turned into tuples. The keys are the keyword parameters with a
+    JSON-valued default of the check and of its runner, which picks the
+    check's landscape. An unknown name or key raises KeyError naming it."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; available: "
                        f"{', '.join(available_checks())}")
-    return _REGISTRY[name](overrides or {})
+    if not isinstance(overrides, Mapping):
+        raise KeyError(f"overrides of check {name!r} must be a mapping of keys")
+    known = {p.name for fn in _REGISTRY[name]
+             for p in inspect.signature(fn).parameters.values()
+             if p.default is not p.empty and isinstance(p.default, _JSON_DEFAULTS)}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise KeyError(f"unknown keys for check {name!r}: {unknown}; "
+                       f"known: {sorted(known)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
+
+
+def run_check(name: str, overrides: Mapping[str, Any] | None = None) -> CheckReport:
+    """Run a named check with the defaults of its signature, overridden by
+    `overrides` (see check_overrides). Unknown names and keys raise KeyError."""
+    kwargs = check_overrides(name, overrides or {})
+    return _REGISTRY[name][0](**kwargs)

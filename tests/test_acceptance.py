@@ -138,7 +138,7 @@ def test_criterion_07_projection_oracle_match():
         matches, ambiguous = 0, 0
         for _ in range(100):
             tt = rng.uniform(-2.0, 2.0)
-            ty = landscape.f(np.array([tt])) + rng.uniform(0.1, 2.0)
+            ty = landscape.forward(np.array([tt]))[0] + rng.uniform(0.1, 2.0)
             d2 = (grid - tt) ** 2 + (fg - ty) ** 2
             star = grid[np.argmin(d2)]
             foot, _, _ = project_footpoint(landscape, (tt, ty),

@@ -208,6 +208,13 @@ class TestSweep:
         assert "unknown config keys: ['parallelism']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_batch_size_config_key_is_gone(self, sandbox, capsys):
+        config, out = sandbox / "sweep.json", sandbox / "sweep.csv"
+        config.write_text(json.dumps({"batch_size": 128}))
+        assert main(SWEEP_ARGS + ["--config", str(config), "--out", str(out)]) == 2
+        assert "unknown config keys: ['batch_size']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_cells_recorded_as_nan(self, sandbox, capsys):
         out = sandbox / "sweep.csv"
         code = main(["sweep", "--landscape", "quadratic", "--theta0", "1.0",
@@ -270,6 +277,19 @@ class TestVerify:
 
     def test_unknown_check_name(self, sandbox):
         assert main(["verify", "flat-earth"]) == 2
+
+    @pytest.mark.parametrize("config,named", [
+        ({"smoothing": {"rhos": [1.0]}, "smothing": {}}, "'smothing'"),
+        ({"smoothing": {"rhos": [1.0], "thetastep": 0.1}}, "['thetastep']"),
+        ({"gd-limit": {"cfg": {"max_iters": 5}}}, "['cfg']"),
+        ({"sharp-minima": [2.0]}, "'sharp-minima'")])
+    def test_config_typos_exit_2_naming_the_key(self, sandbox, capsys, config, named):
+        path, out_dir = sandbox / "overrides.json", sandbox / "reports"
+        path.write_text(json.dumps(config))
+        assert main(["verify", "smoothing", "--config", str(path),
+                     "--out", str(out_dir)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

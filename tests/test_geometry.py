@@ -12,11 +12,11 @@ from scipy.spatial import cKDTree
 from rollball import geometry
 from rollball.geometry import (GridSpec, _offset_window, count_local_minima,
                                distance_to_graph, hausdorff_distance,
-                               is_unreachable, normal, normal_from_grad,
+                               is_unreachable, normal_from_grad,
                                offset_profile, offset_value, sharpness,
-                               tangent, tangent_from_grad)
+                               tangent_from_grad)
 from rollball.landscape import (affine_plus_bump, eval_batch, quadratic, riemann,
-                                sinusoid)
+                                sinusoid, value_and_grad)
 
 grad_vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -37,13 +37,14 @@ def test_normal_is_unit_and_orthogonal_to_tangent(g):
 def test_normal_tangent_values():
     # f = theta^2 at theta=1: grad=2, nu=(-2,1)/sqrt5, tau=(2,4)
     ls = quadratic(np.array([[2.0]]))
-    th = np.array([1.0])
-    np.testing.assert_allclose(normal(ls, th),
+    g = value_and_grad(ls, np.array([1.0]))[1]
+    np.testing.assert_allclose(normal_from_grad(g),
                                np.array([-2.0, 1.0]) / np.sqrt(5.0), atol=1e-15)
-    np.testing.assert_allclose(tangent(ls, th), [2.0, 4.0], atol=1e-15)
+    np.testing.assert_allclose(tangent_from_grad(g), [2.0, 4.0], atol=1e-15)
     # flat point: normal straight up, tangent zero
-    np.testing.assert_array_equal(normal(ls, np.zeros(1)), [0.0, 1.0])
-    np.testing.assert_array_equal(tangent(ls, np.zeros(1)), [0.0, 0.0])
+    g = value_and_grad(ls, np.zeros(1))[1]
+    np.testing.assert_array_equal(normal_from_grad(g), [0.0, 1.0])
+    np.testing.assert_array_equal(tangent_from_grad(g), [0.0, 0.0])
 
 
 def test_distance_to_graph_parabola():
@@ -80,7 +81,7 @@ def test_offset_value_elementary_bounds():
     rho = 2.0
     for t in (-1.0, 0.0, 0.7, 2.0):
         v = offset_value(ls, rho, t, h=rho / 200)
-        assert v >= ls.f(np.array([t])) + rho - 1e-12  # s=0 candidate
+        assert v >= ls.forward(np.array([t]))[0] + rho - 1e-12  # s=0 candidate
         assert v <= 1.0 + rho + 1e-12  # sup f + rho
 
 
@@ -261,7 +262,7 @@ def _sphere_and_graph(ls, theta, rho, h, n_sphere):
     graph = np.column_stack([tg, eval_batch(ls, tg)])
     ang = np.arange(n_sphere) * (2.0 * math.pi / n_sphere)
     sx = theta + rho * np.cos(ang)
-    sy = ls.f(np.array([theta])) + rho * np.sin(ang)
+    sy = ls.forward(np.array([theta]))[0] + rho * np.sin(ang)
     keep = sy >= eval_batch(ls, sx)
     return np.column_stack([sx[keep], sy[keep]]), graph
 
@@ -317,6 +318,24 @@ def test_hausdorff_distance_is_the_unpruned_maximum():
         full = max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
         assert hausdorff_distance(a, b) == float(full), (a.shape, b.shape)
         assert hausdorff_distance(b, a) == float(full)
+
+
+def test_near_tie_keeps_the_maximiser_live():
+    # p_max's nearest cloud point c is in the coarse tree, so its bound is
+    # its exact distance, 1; p2's bound is ~100, and its exact distance is
+    # 5e-10 below 1. A coarse bound even 1e-9 below the exact distance would
+    # drop p_max. c and q also belong to the points, and the points to the
+    # cloud's coarse side, so the reverse direction contributes 0.
+    c, q = np.array([0.0, 0.0]), np.array([100.0, 0.0])
+    p_max = c + math.sqrt(0.5)
+    p2 = q + [0.0, 1.0 - 5e-10]
+    cloud = np.array([c, c, c, q, q, q])
+    points = np.array([p_max, p2, c, q])
+    exact = float(cKDTree(cloud).query(points)[0].max())
+    assert exact == float(np.linalg.norm(p_max - c))
+    assert exact - float(np.linalg.norm(p2 - q)) < 1e-9
+    assert geometry._max_nearest_distance(points, cloud) == exact
+    assert hausdorff_distance(points, cloud) == exact
 
 
 class _CountingTree:

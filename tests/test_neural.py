@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollball import neural
-from rollball.landscape import finite_difference_grad
+from rollball.landscape import value_and_grad
 from rollball.neural import (Activation, Dataset, EpochStats,
                              IdxCountMismatchError, IdxMagicError,
                              IdxTruncatedError, MlpSpec, as_landscape,
@@ -19,6 +19,8 @@ from rollball.neural import (Activation, Dataset, EpochStats,
                              load_idx, load_mnist, loss_and_grad, param_count,
                              train_mlp, unflatten)
 from rollball.optimizer import StepRecord, run_rbo
+
+from reference import finite_difference_grad
 
 TINY = MlpSpec(inputs=6, hidden=(5,), outputs=3)
 
@@ -108,8 +110,8 @@ class TestLossAndGrad:
         params = init_params(TINY, seed=1)
         data = tiny_dataset()
         landscape = as_landscape(TINY, data)
-        g = landscape.grad(params)
-        fd = finite_difference_grad(landscape.f, params)
+        g = value_and_grad(landscape, params)[1]
+        fd = finite_difference_grad(landscape, params)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
     def test_non_finite_forward_raises(self):
@@ -161,8 +163,8 @@ class TestLossAndGrad:
         spec = MlpSpec(inputs=6, hidden=(5,), outputs=3, activation="tanh")
         params = init_params(spec, seed=2)
         landscape = as_landscape(spec, tiny_dataset())
-        fd = finite_difference_grad(landscape.f, params)
-        g = landscape.grad(params)
+        fd = finite_difference_grad(landscape, params)
+        g = value_and_grad(landscape, params)[1]
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
     def test_evaluate_ties_pick_lowest_class(self):
@@ -332,9 +334,9 @@ class TestAsLandscape:
         assert not landscape.is_stochastic
         params = init_params(TINY, seed=0)
         loss, grad = loss_and_grad(TINY, params, data.images, data.labels)
-        assert landscape.f(params) == loss
-        assert np.array_equal(landscape.grad(params), grad)
-        assert landscape.f_and_grad(params)[0] == loss
+        value, backward = landscape.forward(params)
+        assert value == loss
+        assert np.array_equal(backward(), grad)
 
     def test_stochastic_views(self):
         data = tiny_dataset()
@@ -345,14 +347,14 @@ class TestAsLandscape:
         params = init_params(TINY, seed=0)
         # the base landscape reads the full dataset
         full_loss = loss_and_grad(TINY, params, data.images, data.labels)[0]
-        assert landscape.f(params) == full_loss
+        assert landscape.forward(params)[0] == full_loss
         # a bound context reads exactly its rows
         idx = landscape.sample_context(np.random.default_rng(5))
         assert idx.shape == (8,) and len(set(idx.tolist())) == 8
         view = landscape.with_context(idx)
         batch_loss = loss_and_grad(TINY, params,
                                    data.images[idx], data.labels[idx])[0]
-        assert view.f(params) == batch_loss
+        assert view.forward(params)[0] == batch_loss
         assert not view.is_stochastic
 
     def test_validation(self):
@@ -366,13 +368,17 @@ class TestAsLandscape:
             as_landscape(TINY, tiny_dataset(), batch_size=41)
 
 
-def fused_only(landscape):
-    """The landscape, and every minibatch view it binds, without the
-    forward oracle: each oracle call then runs forward and backward."""
+def eager_backward(landscape):
+    """The landscape, and every minibatch view it binds, with a forward that
+    runs the backward pass at once: each oracle call then pays for both."""
     bind = landscape.with_context
+
+    def forward(theta):
+        v, g = value_and_grad(landscape, theta)
+        return v, lambda: g
     return dataclasses.replace(
-        landscape, forward=None,
-        with_context=None if bind is None else lambda ctx: fused_only(bind(ctx)))
+        landscape, forward=forward,
+        with_context=None if bind is None else lambda ctx: eager_backward(bind(ctx)))
 
 
 class TestDeferredBackward:
@@ -386,7 +392,7 @@ class TestDeferredBackward:
 
     def test_matches_the_fused_path(self):
         landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
-        deferred, fused = self.run(landscape), self.run(fused_only(landscape))
+        deferred, fused = self.run(landscape), self.run(eager_backward(landscape))
         assert deferred.error == fused.error
         assert len(deferred.records) == len(fused.records) == self.STEPS + 1
         for a, b in zip(deferred.records, fused.records):
@@ -409,7 +415,7 @@ class TestDeferredBackward:
         monkeypatch.setattr(neural, "loss_and_backward", counted)
         landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
         seen = {}
-        for label, ls in (("deferred", landscape), ("fused", fused_only(landscape))):
+        for label, ls in (("deferred", landscape), ("fused", eager_backward(landscape))):
             calls.update(forward=0, backward=0)
             traj = self.run(ls)
             assert traj.error is None

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollball.landscape import (affine_plus_bump, quadratic, riemann,
-                                value_and_grad)
+from rollball.landscape import affine_plus_bump, quadratic, riemann
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, WarmStart,
                                 lift, project_footpoint, rbo_step, run_gd,
@@ -264,20 +263,25 @@ def test_projection_rarely_capped_on_rough_landscape(rho):
     assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
 
 
+def counting_forward(landscape, calls):
+    """landscape.forward, counting its calls and the backward calls of the
+    callables it returns into calls["forward"] and calls["backward"]."""
+    def forward(theta):
+        calls["forward"] += 1
+        v, backward = landscape.forward(theta)
+
+        def counted_backward():
+            calls["backward"] += 1
+            return backward()
+        return v, counted_backward
+    return forward
+
+
 def counting(landscape):
-    """The landscape with a fused oracle that counts its calls and separate
-    f / grad oracles that must not be called."""
-    calls = []
-
-    def fused(theta):
-        calls.append(1)
-        return value_and_grad(landscape, theta)
-
-    def forbidden(theta):
-        raise AssertionError("separate f / grad call")
-
-    return dataclasses.replace(landscape, f=forbidden, grad=forbidden,
-                               f_and_grad=fused), calls
+    """The landscape with a forward oracle that counts its calls and its
+    backward calls."""
+    calls = {"forward": 0, "backward": 0}
+    return dataclasses.replace(landscape, forward=counting_forward(landscape, calls)), calls
 
 
 @pytest.mark.parametrize("landscape", [PARABOLA, dataclasses.replace(PARABOLA, hessian=None)],
@@ -287,7 +291,8 @@ def test_rbo_makes_one_fused_call_per_trial(landscape):
     traj = run_rbo(ls, np.array([1.0]), rho=0.2, eta=0.1, steps=30)
     assert traj.error is None
     assert capped_share(traj) == 0.0
-    assert len(calls) == sum(r.projection_iters for r in traj.records) + 1
+    assert calls["forward"] == sum(r.projection_iters for r in traj.records) + 1
+    assert calls["backward"] <= calls["forward"]
 
 
 def test_descent_reuses_the_record_gradient():
@@ -295,7 +300,8 @@ def test_descent_reuses_the_record_gradient():
                 lambda ls: run_sgd(ls, np.array([2.0]), eta=0.05, steps=25, seed=1)):
         ls, calls = counting(riemann(10))
         assert run(ls).error is None
-        assert len(calls) == 26  # one per step plus record 0
+        # one of each per step plus record 0
+        assert calls == {"forward": 26, "backward": 26}
 
 
 
@@ -336,10 +342,10 @@ def capped_parabola():
     outward and its projection fails a few steps later."""
     cap = quadratic(np.array([[-1.0]]))
 
-    def fused(theta):
-        v, g = value_and_grad(cap, theta)
-        return (v, g) if abs(theta[0]) < 3.0 else (math.nan, g)
-    return dataclasses.replace(cap, f_and_grad=fused), np.array([0.5])
+    def forward(theta):
+        v, backward = cap.forward(theta)
+        return (v if abs(theta[0]) < 3.0 else math.nan), backward
+    return dataclasses.replace(cap, forward=forward), np.array([0.5])
 
 
 def assert_final_record_only(lean, full):
@@ -386,8 +392,7 @@ def forbidden(theta):
 def full_data_raises(landscape):
     """The stochastic landscape with its full-data oracles raising; its
     minibatch views are untouched."""
-    return dataclasses.replace(landscape, f=forbidden, grad=forbidden,
-                               f_and_grad=forbidden, forward=forbidden)
+    return dataclasses.replace(landscape, forward=forbidden)
 
 
 def test_lean_rbo_run_lifts_theta0_on_the_full_data_only_for_record_0():
@@ -411,23 +416,14 @@ def test_lean_rbo_run_lifts_theta0_on_the_full_data_only_for_record_0():
 
 
 def counting_views(landscape):
-    """A stochastic landscape whose minibatch views count their gradient
-    and fused calls, and whose own (full-data) oracles must not be called."""
-    calls = {"grad": 0, "fused": 0}
+    """A stochastic landscape whose minibatch views count their forward and
+    backward calls, and whose own (full-data) oracle must not be called."""
+    calls = {"forward": 0, "backward": 0}
 
     def bind(ctx):
         view = landscape.with_context(ctx)
-
-        def grad(theta):
-            calls["grad"] += 1
-            return view.grad(theta)
-
-        def fused(theta):
-            calls["fused"] += 1
-            return view.f_and_grad(theta)
-        return dataclasses.replace(view, grad=grad, f_and_grad=fused, forward=None)
-    return dataclasses.replace(landscape, f=forbidden, grad=forbidden, f_and_grad=forbidden,
-                               forward=None, with_context=bind), calls
+        return dataclasses.replace(view, forward=counting_forward(view, calls))
+    return dataclasses.replace(landscape, forward=forbidden, with_context=bind), calls
 
 
 def test_lean_sgd_epoch_evaluates_only_the_final_record():
@@ -435,4 +431,5 @@ def test_lean_sgd_epoch_evaluates_only_the_final_record():
     ls, calls = counting_views(landscape)
     traj = run_sgd(ls, theta0, eta=0.05, steps=5, seed=5, keep_records=False)
     assert traj.error is None and traj.records[0].t == 5
-    assert calls == {"grad": 5, "fused": 1}  # one gradient per step, one record
+    # one of each per step, and one more for the record
+    assert calls == {"forward": 6, "backward": 6}

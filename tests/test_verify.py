@@ -14,7 +14,8 @@ from rollball.serialize import check_report_to_dict, write_check_report_json
 from rollball.verify import (CheckReport, Observation, available_checks,
                              check_gd_limit, check_linear_ironing,
                              check_open_unreachables, check_sharp_minima,
-                             check_smoothing, check_weak_ironing, run_check)
+                             check_overrides, check_smoothing, check_weak_ironing,
+                             run_check)
 
 
 def by_parameter(report: CheckReport) -> dict:
@@ -277,6 +278,18 @@ class TestRegistry:
     def test_gd_limit_runner_defaults(self):
         report = run_check("gd-limit", {"rhos": [1e-1, 1e-2]})
         assert report.passed
+
+    def test_overrides_are_the_signature_keywords(self):
+        assert check_overrides("gd-limit", {"sigma": 2.0, "rhos": [1e-1, 1e-2]}) == \
+            {"sigma": 2.0, "rhos": (1e-1, 1e-2)}
+        with pytest.raises(KeyError, match="'thetastep'"):
+            run_check("smoothing", {"thetastep": 0.1})
+        # a keyword no JSON value can stand for is not an override
+        with pytest.raises(KeyError, match="'cfg'"):
+            check_overrides("gd-limit", {"cfg": {}})
+        # each check takes only its own runner's landscape keys
+        with pytest.raises(KeyError, match="'sigma'"):
+            check_overrides("weak-ironing", {"sigma": 1.0})
 
 
 class TestReportSerialization:
