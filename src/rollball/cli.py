@@ -363,11 +363,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     overrides = _load_config_file(args.config)
     names = args.checks or list(verify.available_checks())
-    try:
-        for name in names:
-            verify.check_overrides(name, {})
-        overrides = {name: verify.check_overrides(name, section)
-                     for name, section in overrides.items()}
+    try:  # every named check and config section, before any check runs
+        overrides = {name: verify.check_overrides(name, overrides.get(name, {}))
+                     for name in dict.fromkeys([*names, *overrides])}
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
     out_dir = Path(args.out or ".")
@@ -375,7 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     all_passed = True
     for name in names:
-        report = verify.run_check(name, overrides.get(name, {}))
+        report = verify.run_check(name, overrides[name])
         serialize.write_check_report_json(report, out_dir / f"{name}.json")
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({len(report.observations)} observations)")
