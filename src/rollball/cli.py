@@ -366,7 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:  # every named check and config section, before any check runs
         overrides = {name: verify.check_overrides(name, overrides.get(name, {}))
                      for name in dict.fromkeys([*names, *overrides])}
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(exc.args[0]) from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

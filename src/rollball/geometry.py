@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -196,6 +196,32 @@ def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
     return landscape.value_bound * (1.0 + 1e-12) + circ >= lower
 
 
+def _circ(s: Array | float, rho: float) -> Array | float:
+    """Height sqrt(rho^2 - s^2) of the ball's upper arc over the offsets s.
+
+    s is an array, or one float for the edge searches of the pruned scans.
+    Both run the same IEEE operations, so they give the same float at the
+    same s; the float path costs well under a microsecond.
+    """
+    if isinstance(s, float):
+        return math.sqrt(max(rho * rho - s * s, 0.0))
+    return np.sqrt(np.maximum(rho * rho - s * s, 0.0))
+
+
+def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """First i in [lo, hi) with pred(i), or hi if none; pred must be false
+    then true along [lo, hi). Edges of the pruned offset windows are found
+    this way, one lattice point at a time with the scan's own float
+    operations, instead of over arrays spanning the whole window."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _check_offset_args(landscape: Landscape, rho: float, h: float) -> None:
     if landscape.dim != 1:
         raise ValueError("offset evaluation is 1D only")
@@ -228,24 +254,35 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     w = _offset_window(landscape, rho)
     j0 = math.ceil((theta - w) / h - 1e-9)
     j1 = math.floor((theta + w) / h + 1e-9)
-    tp = np.concatenate([np.arange(j0, j1 + 1) * h, [theta]])
-    s = np.clip(tp - theta, -smax, smax)
-    circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-    if landscape.value_bound is None:
+
+    def lattice(idx: Array) -> Array:  # the lattice points j0 + idx
+        return (j0 + idx) * h
+
+    def candidates(tp: Array) -> float:
+        circ = _circ(np.clip(tp - theta, -smax, smax), rho)
         return float(np.max(eval_batch(landscape, tp) + circ))
 
+    def s_at(i: int) -> float:  # the offset candidates() computes for j0 + i
+        return min(max((j0 + i) * h - theta, -smax), smax)
+
+    n = j1 - j0 + 1
+    if landscape.value_bound is None:
+        return candidates(np.append(lattice(np.arange(n)), theta))
+
     # pass 1: the lattice band within w / _NARROW of theta, and theta itself
-    n = tp.size - 1
-    a1 = int(np.searchsorted(s[:n], -w / _NARROW, side="left"))
-    b1 = int(np.searchsorted(s[:n], w / _NARROW, side="right"))
-    band = np.r_[a1:b1, n]
-    best = float(np.max(eval_batch(landscape, tp[band]) + circ[band]))
-    # pass 2: the rest of the window where a candidate can still reach best
-    live = np.flatnonzero(_can_reach(landscape, circ[:n], best))
-    if live.size:
-        rest = np.r_[min(live[0], a1):a1, b1:max(live[-1] + 1, b1)]
-        if rest.size:
-            best = max(best, float(np.max(eval_batch(landscape, tp[rest]) + circ[rest])))
+    a1 = _first(lambda i: s_at(i) >= -w / _NARROW, 0, n)
+    b1 = _first(lambda i: s_at(i) > w / _NARROW, a1, n)
+    best = candidates(np.append(lattice(np.arange(a1, b1)), theta))
+
+    # pass 2: the rest of the window where a candidate can still reach best;
+    # circ rises along [0, a1) and falls along [b1, n), so that is two runs
+    def reach(i: int) -> bool:
+        return _can_reach(landscape, _circ(s_at(i), rho), best)
+
+    left = _first(reach, 0, a1)
+    right = _first(lambda i: not reach(i), b1, n)
+    if left < a1 or right > b1:
+        best = max(best, candidates(lattice(np.r_[left:a1, b1:right])))
     return best
 
 
@@ -281,14 +318,15 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
         thetas = (np.arange(i0, i0 + n_t + 1) * theta_step)
         smax = rho * (1.0 - 1e-12)
         nw = int(math.floor(_offset_window(landscape, rho) / h + 1e-9))
-        s = np.clip(np.arange(-nw, nw + 1) * h, -smax, smax)
-        circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
         first, last = i0 * k, (i0 + n_t) * k
 
+        def circ(j: Array | int) -> Array | float:  # the arc over offsets j * h
+            return _circ(np.clip(j * h, -smax, smax), rho)
+
         def scan(fv: Array, n: int) -> Array:
-            # out[i] = max over |j| <= n of fv[i*k + n + j] + circ(j*h), in
+            # out[i] = max over |j| <= n of fv[i*k + n + j] + circ(j), in
             # chunks that keep each temporary below _WINDOW_CHUNK elements
-            c = circ[nw - n:nw + n + 1]
+            c = circ(np.arange(-n, n + 1))
             sw = np.lib.stride_tricks.sliding_window_view(fv, c.size)[::k]
             out = np.empty(n_t + 1)
             chunk = max(1, _WINDOW_CHUNK // c.size)
@@ -300,9 +338,11 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
         fv = eval_batch(landscape, np.arange(first - n, last + n + 1) * h)
         out = scan(fv, n)
         if n < nw:
-            # circ[nw:] runs over |s| = 0, h, 2h, ... and never increases
-            live = _can_reach(landscape, circ[nw:], float(out.min()))
-            n2 = int(np.count_nonzero(live)) - 1
+            # circ(j) never increases along j = 0, 1, ..., nw, so the offsets
+            # that can still reach the attained minimum are one run from 0
+            lower = float(out.min())
+            n2 = _first(lambda j: not _can_reach(landscape, circ(j), lower),
+                        n + 1, nw + 1) - 1
             if n2 > n:
                 fv = np.concatenate([
                     eval_batch(landscape, np.arange(first - n2, first - n) * h), fv,

@@ -383,28 +383,51 @@ def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _stands_for(value: Any, default: Any) -> bool:
+    """Whether a JSON value has the type of a keyword's default. A float
+    default takes an int too, a tuple default a list whose items each stand
+    for its first item, and a None default, whose type says nothing, any
+    value."""
+    if default is None:
+        return True
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and \
+            (not default or all(_stands_for(v, default[0]) for v in value))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def check_overrides(name: str, overrides: Mapping[str, Any]) -> dict[str, Any]:
     """The keyword arguments `overrides` sets for a named check, with JSON
     lists turned into tuples. The keys are the keyword parameters with a
     JSON-valued default of the check and of its runner, which picks the
-    check's landscape. An unknown name or key raises KeyError naming it."""
+    check's landscape. An unknown name or key raises KeyError naming it, a
+    value without the type of its key's default (see _stands_for) TypeError."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; available: "
                        f"{', '.join(available_checks())}")
     if not isinstance(overrides, Mapping):
         raise KeyError(f"overrides of check {name!r} must be a mapping of keys")
-    known = {p.name for fn in _REGISTRY[name]
-             for p in inspect.signature(fn).parameters.values()
-             if p.default is not p.empty and isinstance(p.default, _JSON_DEFAULTS)}
-    unknown = sorted(set(overrides) - known)
+    defaults = {p.name: p.default for fn in _REGISTRY[name]
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty and isinstance(p.default, _JSON_DEFAULTS)}
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise KeyError(f"unknown keys for check {name!r}: {unknown}; "
-                       f"known: {sorted(known)}")
+                       f"known: {sorted(defaults)}")
+    for key, value in overrides.items():
+        if not _stands_for(value, defaults[key]):
+            raise TypeError(f"key {key!r} of check {name!r} takes a value like "
+                            f"{defaults[key]!r}, got {value!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
 
 
 def run_check(name: str, overrides: Mapping[str, Any] | None = None) -> CheckReport:
     """Run a named check with the defaults of its signature, overridden by
-    `overrides` (see check_overrides). Unknown names and keys raise KeyError."""
+    `overrides` (see check_overrides). Unknown names and keys raise KeyError,
+    values of the wrong type TypeError."""
     kwargs = check_overrides(name, overrides or {})
     return _REGISTRY[name][0](**kwargs)

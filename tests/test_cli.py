@@ -291,6 +291,21 @@ class TestVerify:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("config,named", [
+        ({"smoothing": {"n_terms": "x"}}, "'n_terms'"),
+        ({"smoothing": {"rhos": [0.1, "1"]}}, "'rhos'"),
+        ({"smoothing": {"rhos": 1.0}}, "'rhos'"),
+        ({"gd-limit": {"steps": 2.5}}, "'steps'"),
+        ({"gd-limit": {"informational": 1}}, "'informational'"),
+        ({"linear-ironing": {"profile": 3}}, "'profile'")])
+    def test_config_type_errors_exit_2_naming_the_key(self, sandbox, capsys,
+                                                      config, named):
+        path, out_dir = sandbox / "overrides.json", sandbox / "reports"
+        path.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 # ---------------------------------------------------------------------------
 # train subcommand

@@ -118,9 +118,17 @@ def test_offset_argument_validation():
 
 def test_offset_window_pruning_huge_radius():
     # bounded landscape with rho >> sup|f|: the pruned window must still
-    # reproduce the full maximum, and the profile flattens to a single dip
+    # reproduce the full maximum, and the profile flattens to a single dip.
+    # The candidate window holds 5.1M lattice points; only the third that
+    # is evaluated gets arrays (whole-window ones peaked at 135 MB)
     ls = riemann(100)
-    prof = offset_profile(ls, 1e4, 0.0, 2 * np.pi, theta_step=0.1, h=1e-4)
+    tracemalloc.start()
+    try:
+        prof = offset_profile(ls, 1e4, 0.0, 2 * np.pi, theta_step=0.1, h=1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
     assert count_local_minima(prof.values) <= 1
     assert prof.values.max() - prof.values.min() < 1e-3
     assert abs(prof.values.mean() - 1e4) < 2.0  # sits near rho + O(sup f)
@@ -192,6 +200,35 @@ def test_offset_pruned_window_is_exact(make, rho):
     assert np.array_equal(rough.values, _full_window_profile(base, rho, h, rough.thetas))
     t = float(prof.thetas[7])
     assert offset_value(ls, rho, t, h) == _full_window_profile(base, rho, h, [t])[0]
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid], ids=["riemann5", "sinusoid"])
+def test_offset_value_evaluates_the_band_and_the_live_points(make, rho):
+    # offset_value finds its pass edges by bisection; the points it evaluates
+    # are theta, the pass-1 band and the lattice points whose bound
+    # B + sqrt(rho^2 - s^2) reaches the band's maximum, found here over
+    # the whole window
+    base = make()
+    h = min(rho / 200, 0.05)
+    smax = rho * (1.0 - 1e-12)
+    w = _offset_window(base, rho)
+    for theta in (0.0, 0.37 * h, 1.3, -2.0 + 0.5 * h):
+        ls, seen = _counting(base)
+        got = offset_value(ls, rho, theta, h)
+        j0 = math.ceil((theta - w) / h - 1e-9)
+        j1 = math.floor((theta + w) / h + 1e-9)
+        tp = np.arange(j0, j1 + 1) * h
+        s = np.clip(tp - theta, -smax, smax)
+        circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
+        band = (s >= -w / geometry._NARROW) & (s <= w / geometry._NARROW)
+        best = max(np.max(base.f_batch(tp[band][:, None]) + circ[band]),
+                   base.f_batch(np.array([[theta]]))[0] + rho)
+        live = base.value_bound * (1.0 + 1e-12) + circ >= best
+        want = np.unique(np.append(tp[band | live], theta))
+        np.testing.assert_array_equal(np.unique(np.concatenate(seen)), want)
+        assert got == np.max(base.f_batch(want[:, None]) +
+                             np.sqrt(np.maximum(rho * rho - np.clip(want - theta, -smax, smax) ** 2, 0.0)))
 
 
 def test_offset_profile_memory_is_bounded():

@@ -1,9 +1,13 @@
 """Landscape catalogue: analytic oracles, batch evaluators, registry."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollball import landscape as landscape_module
 from rollball.landscape import (Landscape, affine_plus_bump, catalogue_names,
                                 eval_batch, make_landscape, quadratic, riemann,
                                 sinusoid, value_and_grad)
@@ -37,12 +41,52 @@ def test_riemann_bound_and_name():
 
 
 def test_riemann_batch_matches_pointwise():
-    # batch route reduces through a matvec; agreement is to summation-order dust
+    # forward rounds each phase n^2 t before its sine, the batch kernel's
+    # phase recurrence does not; at |t| <= 9 they differ by a few 1e-15
     ls = riemann(17)
     ts = np.linspace(-3, 9, 101)
     batch = eval_batch(ls, ts)
     point = np.array([value(ls, [t]) for t in ts])
     np.testing.assert_allclose(batch, point, rtol=0, atol=1e-14)
+
+
+def test_riemann_batch_value_ignores_its_batch():
+    # a point's value is the same float alone, in a block cut one to eight
+    # points short of or past the kernel's block size, and in shifted slices
+    block = landscape_module._RIEMANN_BLOCK
+    ls = riemann(100)
+    ts = np.random.default_rng(8).uniform(-50.0, 50.0, 2 * block + 16)
+    full = ls.f_batch(ts[:, None])
+    alone = np.array([ls.f_batch(ts[i:i + 1, None])[0]
+                      for i in [*range(40), *range(block - 8, block + 8)]])
+    np.testing.assert_array_equal(alone, full[[*range(40), *range(block - 8, block + 8)]])
+    for d in range(1, 9):
+        for size in (block - d, block + d):
+            np.testing.assert_array_equal(ls.f_batch(ts[:size, None]), full[:size])
+        np.testing.assert_array_equal(ls.f_batch(ts[d:, None]), full[d:])
+
+
+def _riemann_reference(t, n_terms):
+    """sum_n sin(n^2 t) / n^2 with every phase n^2 t exact: n^2 t = a + b
+    with a = fl(n^2 t) and |b| <= ulp(a) / 2, so sin(n^2 t) is sin(a) +
+    b cos(a) up to b^2 / 2 < 1e-18 at |t| <= 1024."""
+    terms = []
+    for n in range(1, n_terms + 1):
+        phase = Fraction(t) * (n * n)
+        a = float(phase)
+        b = float(phase - Fraction(a))
+        terms.append((math.sin(a) + b * math.cos(a)) / (n * n))
+    return math.fsum(terms)
+
+
+def test_riemann_batch_is_accurate():
+    # at t = k / 2^20 with |t| <= 1024 the phases n^2 t are floats; at the
+    # other points a kernel that rounds n^2 t is off by up to ~N |t| eps
+    rng = np.random.default_rng(9)
+    ts = np.concatenate([rng.integers(-2**30, 2**30, 40) / 2.0**20,
+                         rng.uniform(-35.0, 35.0, 40)])
+    ref = np.array([_riemann_reference(t, 100) for t in ts])
+    np.testing.assert_allclose(riemann(100).f_batch(ts[:, None]), ref, rtol=0, atol=4e-15)
 
 
 @given(finite_theta)

@@ -291,6 +291,17 @@ class TestRegistry:
         with pytest.raises(KeyError, match="'sigma'"):
             check_overrides("weak-ironing", {"sigma": 1.0})
 
+    def test_overrides_take_the_json_type_of_the_default(self):
+        # an int stands for a float, a list for a tuple, anything for None
+        assert check_overrides("smoothing", {"rhos": [1, 10.0], "lo": 0, "h": 1e-3}) == \
+            {"rhos": (1, 10.0), "lo": 0, "h": 1e-3}
+        assert check_overrides("gd-limit", {"landscape": {"name": "sinusoid"},
+                                            "informational": True, "steps": 3})
+        for key, bad in [("n_terms", 5.0), ("n_terms", True), ("lo", "0"),
+                         ("lo", False), ("rhos", [1.0, None]), ("rhos", "1")]:
+            with pytest.raises(TypeError, match=f"'{key}'"):
+                check_overrides("smoothing", {key: bad})
+
 
 class TestReportSerialization:
     def test_nan_becomes_null(self, tmp_path):
