@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -44,11 +44,25 @@ class ConfigError(ValueError):
 # configs
 # ---------------------------------------------------------------------------
 
+# optimizer -> {hyperparameter: default}. A RunConfig field in some entry
+# applies to the optimizers whose entry names it; rbo's projection settings
+# default to ProjectionConfig's.
+_PROJECTION = ProjectionConfig()
+OPTIMIZERS: dict[str, dict[str, Any]] = {
+    "rbo": {"rho": 1.0, "eta": 6.0, "max_iters": _PROJECTION.max_iters,
+            "grad_tol": _PROJECTION.grad_tol,
+            "warm_start": _PROJECTION.warm_start.value},
+    "gd": {"eta": 0.01},
+    "sgd": {"eta": 0.01},
+    "sam": {"sam_rho": 0.05, "eta": 0.01},
+}
+
+
 @dataclass
 class RunConfig:
     """One optimizer run. rho and the projection settings (max_iters,
     grad_tol, warm_start) apply to rbo only, sam_rho to sam only; defaults
-    depend on the optimizer and fill fields left unset."""
+    depend on the optimizer (see OPTIMIZERS) and fill fields left unset."""
 
     landscape: str = "riemann"
     landscape_params: dict[str, Any] = field(default_factory=dict)
@@ -66,15 +80,13 @@ class RunConfig:
     format: str = "csv"
 
     def validated(self) -> "RunConfig":
-        if self.optimizer not in ("rbo", "gd", "sgd", "sam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.rho is not None and self.optimizer != "rbo":
-            raise ConfigError("rho applies to the rbo optimizer only")
-        if self.sam_rho is not None and self.optimizer != "sam":
-            raise ConfigError("sam_rho applies to the sam optimizer only")
-        for name in ("max_iters", "grad_tol", "warm_start"):
-            if getattr(self, name) is not None and self.optimizer != "rbo":
-                raise ConfigError(f"{name} applies to the rbo optimizer only")
+        own = OPTIMIZERS[self.optimizer]
+        for opt, hyper in OPTIMIZERS.items():
+            for name in hyper:
+                if name not in own and getattr(self, name) is not None:
+                    raise ConfigError(f"{name} applies to the {opt} optimizer only")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.steps < 0:
@@ -88,21 +100,9 @@ class RunConfig:
 
     def filled(self) -> "RunConfig":
         """Apply per-optimizer hyperparameter defaults to unset fields."""
-        cfg = RunConfig(**asdict(self))
-        if cfg.optimizer == "rbo":
-            cfg.rho = 1.0 if cfg.rho is None else cfg.rho
-            cfg.eta = 6.0 if cfg.eta is None else cfg.eta
-            default = ProjectionConfig()
-            cfg.max_iters = default.max_iters if cfg.max_iters is None else cfg.max_iters
-            cfg.grad_tol = default.grad_tol if cfg.grad_tol is None else cfg.grad_tol
-            cfg.warm_start = default.warm_start.value if cfg.warm_start is None \
-                else cfg.warm_start
-        elif cfg.optimizer == "sam":
-            cfg.sam_rho = 0.05 if cfg.sam_rho is None else cfg.sam_rho
-            cfg.eta = 0.01 if cfg.eta is None else cfg.eta
-        else:
-            cfg.eta = 0.01 if cfg.eta is None else cfg.eta
-        return cfg
+        return replace(self, **{name: default for name, default
+                                in OPTIMIZERS[self.optimizer].items()
+                                if getattr(self, name) is None})
 
     def projection(self) -> ProjectionConfig:
         return ProjectionConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
@@ -171,10 +171,14 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _merge_config(cls, file_data: Mapping[str, Any],
-                  flag_data: Mapping[str, Any]):
+def _merge_config(cls, file_data: Mapping[str, Any], args: argparse.Namespace):
+    """The config file's fields, overridden by every flag given. A flag's
+    dest is the config field it sets, so a flag whose dest is no field fails
+    as an unknown config key instead of being ignored. The namespace's
+    other entries are the subcommand, its handler and --config itself."""
     merged = dict(file_data)
-    merged.update({k: v for k, v in flag_data.items() if v is not None})
+    merged.update({k: v for k, v in vars(args).items()
+                   if k not in ("command", "handler", "config") and v is not None})
     return config_from_mapping(cls, merged)
 
 
@@ -190,6 +194,16 @@ def _parse_param(text: str) -> tuple[str, Any]:
         return key, json.loads(raw)
     except json.JSONDecodeError:
         return key, raw
+
+
+class _ParamAction(argparse.Action):
+    """Gathers repeated --param KEY=VALUE pairs into one dict; a repeated
+    key keeps its last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        key, value = values
+        setattr(namespace, self.dest,
+                {**(getattr(namespace, self.dest) or {}), key: value})
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -253,18 +267,7 @@ def _run_optimizer(cfg: RunConfig, landscape: Landscape,
 # ---------------------------------------------------------------------------
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    flag_data = {
-        "landscape": args.landscape,
-        "landscape_params": dict(args.param) if args.param else None,
-        "optimizer": args.optimizer,
-        "theta0": args.theta0,
-        "rho": args.rho, "eta": args.eta, "steps": args.steps,
-        "sam_rho": args.sam_rho, "seed": args.seed,
-        "max_iters": args.max_iters,
-        "grad_tol": args.grad_tol, "warm_start": args.warm_start,
-        "out": args.out, "format": args.format,
-    }
-    cfg = _merge_config(RunConfig, _load_config_file(args.config), flag_data)
+    cfg = _merge_config(RunConfig, _load_config_file(args.config), args)
     cfg = cfg.validated().filled()
     landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
     theta0 = _resolve_theta0(cfg.theta0, landscape)
@@ -317,22 +320,7 @@ def _sweep_cell_mlp(cfg: SweepConfig, train, val, rho: float, eta: float,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    flag_data = {
-        "task": args.task,
-        "landscape": args.landscape,
-        "landscape_params": dict(args.param) if args.param else None,
-        "theta0": args.theta0,
-        "rho_min": args.rho_min, "rho_max": args.rho_max,
-        "rho_count": args.rho_count,
-        "eta_scale_min": args.eta_scale_min, "eta_scale_max": args.eta_scale_max,
-        "eta_count": args.eta_count,
-        "steps": args.steps, "epochs": args.epochs,
-        "subset": args.subset, "data_dir": args.data_dir,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    cfg = _merge_config(SweepConfig, _load_config_file(args.config), flag_data)
-    cfg = cfg.validated()
+    cfg = _merge_config(SweepConfig, _load_config_file(args.config), args).validated()
 
     if cfg.task == "mlp":
         train_full, test = neural.load_mnist(cfg.data_dir)
@@ -394,11 +382,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
     split = args.split if args.split is not None else 50_000
+    subset = None if args.subset_range is None else _parse_range(args.subset_range)
 
     train_full, _test = neural.load_mnist(args.data_dir)
     train, val = train_full.split(split)
-    if args.subset_range is not None:
-        a, b = _parse_range(args.subset_range)
+    if subset is not None:
+        a, b = subset
         if b > train.n:
             raise ConfigError(f"subset range {a}:{b} exceeds the {train.n}-row "
                               "training split")
@@ -424,8 +413,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_offset(args: argparse.Namespace) -> int:
-    params = dict(args.param) if args.param else {}
-    landscape = _build_landscape(args.landscape or "riemann", params)
+    landscape = _build_landscape(args.landscape or "riemann",
+                                 args.landscape_params or {})
     if args.rho is None or args.rho <= 0:
         raise ConfigError("--rho must be given and positive")
     lo, hi = _parse_interval(args.interval or "0:6.283185307179586")
@@ -450,6 +439,10 @@ _COMMON_FLAGS = {
     "config": dict(help="JSON config file; flags override its fields"),
     "seed": dict(type=int, help="global seed (fans out per component)"),
     "out": dict(help="output path"),
+    "landscape": dict(help=f"one of {', '.join(catalogue_names())}"),
+    "param": dict(dest="landscape_params", action=_ParamAction, type=_parse_param,
+                  metavar="KEY=VALUE", help="landscape parameter (repeatable)"),
+    "optimizer": dict(choices=tuple(OPTIMIZERS)),
 }
 
 
@@ -466,11 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trajectory", help="run one optimizer, dump step records")
-    _add_common(p, "config", "seed", "out")
-    p.add_argument("--landscape", help=f"one of {', '.join(catalogue_names())}")
-    p.add_argument("--param", action="append", type=_parse_param,
-                   metavar="KEY=VALUE", help="landscape parameter (repeatable)")
-    p.add_argument("--optimizer", choices=("rbo", "gd", "sgd", "sam"))
+    _add_common(p, "config", "seed", "out", "landscape", "param", "optimizer")
     p.add_argument("--theta0", type=float, nargs="+", metavar="X")
     p.add_argument("--rho", type=float, help="ball radius (rbo only)")
     p.add_argument("--eta", type=float, help="step size")
@@ -490,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="radius/step-size grid to CSV")
     _add_common(p, "config", "seed", "out")
     p.add_argument("--task", choices=("landscape", "mlp"))
-    p.add_argument("--landscape")
-    p.add_argument("--param", action="append", type=_parse_param,
-                   metavar="KEY=VALUE")
+    _add_common(p, "landscape", "param")
     p.add_argument("--theta0", type=float, nargs="+", metavar="X")
     p.add_argument("--rho-min", dest="rho_min", type=float)
     p.add_argument("--rho-max", dest="rho_max", type=float)
@@ -514,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("train", help="train the network, write learning curve")
-    _add_common(p, "seed", "out")
-    p.add_argument("--optimizer", choices=("rbo", "gd", "sgd", "sam"))
+    _add_common(p, "seed", "out", "optimizer")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--eta", type=float)
@@ -532,10 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("offset", help="dump offset-profile samples")
-    _add_common(p, "out")
-    p.add_argument("--landscape")
-    p.add_argument("--param", action="append", type=_parse_param,
-                   metavar="KEY=VALUE")
+    _add_common(p, "out", "landscape", "param")
     p.add_argument("--rho", type=float)
     p.add_argument("--interval", metavar="A:B", help="theta interval (default 0:2pi)")
     p.add_argument("--grid-step", dest="grid_step", type=float,
@@ -551,8 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports bad flags itself
-        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-        return EXIT_CONFIG if code not in (EXIT_OK,) else code
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -39,6 +39,11 @@ def tangent_from_grad(g: Array) -> Array:
 # grids and distances
 # ---------------------------------------------------------------------------
 
+def _lattice(a: float, b: float, h: float) -> Array:
+    """The multiples of h in [a, b], each end widened by 1e-9 steps."""
+    return np.arange(math.ceil(a / h - 1e-9), math.floor(b / h + 1e-9) + 1) * h
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned search box with uniform step, anchored at multiples of step."""
@@ -58,13 +63,9 @@ class GridSpec:
             raise ValueError("brute-force grids support d in {1, 2} only")
 
     def axes(self) -> list[Array]:
-        out = []
-        for l, h in zip(self.lo, self.hi):
-            j0 = math.ceil(l / self.step - 1e-9)
-            j1 = math.floor(h / self.step + 1e-9)
-            if j1 < j0:
-                raise ValueError("empty grid: no lattice point inside the box")
-            out.append(np.arange(j0, j1 + 1) * self.step)
+        out = [_lattice(l, h, self.step) for l, h in zip(self.lo, self.hi)]
+        if any(axis.size == 0 for axis in out):
+            raise ValueError("empty grid: no lattice point inside the box")
         return out
 
     def points(self) -> Array:
@@ -87,16 +88,10 @@ def _curve_tree(points: Array) -> cKDTree:
     return cKDTree(points, leafsize=256)
 
 
-def graph_points(landscape: Landscape, grid: GridSpec) -> Array:
-    """Sampled graph {(theta, f(theta))} over the grid, shape (n, d+1)."""
-    pts = grid.points()
-    vals = eval_batch(landscape, pts)
-    return np.column_stack([pts, vals])
-
-
 def distances_to_graph(landscape: Landscape, points: Array, grid: GridSpec) -> Array:
     """Exact min distance from each ambient point to the sampled graph."""
-    gp = graph_points(landscape, grid)
+    grid_pts = grid.points()
+    gp = np.column_stack([grid_pts, eval_batch(landscape, grid_pts)])
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d, _ = _curve_tree(gp).query(pts)
     return d
@@ -402,8 +397,7 @@ class UnreachabilityReport:
 
 
 def is_unreachable(landscape: Landscape, theta: float, rho: float,
-                   grid_step: float = 1e-4,
-                   angular_step: float | None = None) -> UnreachabilityReport:
+                   grid_step: float = 1e-4) -> UnreachabilityReport:
     """Sphere-containment test for rho-unreachability of (theta, f(theta)).
 
     Samples the sphere of radius rho around the graph point, keeps the
@@ -423,20 +417,13 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
 
     # graph box wide enough to contain the true nearest point of any sphere sample
     half = 2.0 * rho + 10.0 * h
-    j0 = math.ceil((theta - half) / h - 1e-9)
-    j1 = math.floor((theta + half) / h + 1e-9)
-    tg = np.arange(j0, j1 + 1) * h
+    tg = _lattice(theta - half, theta + half, h)
     fg = eval_batch(landscape, tg)
     lip = float(np.max(np.abs(np.diff(fg)))) / h if tg.size > 1 else 0.0
     slack = 2.0 * h * (1.0 + lip)
 
-    if angular_step is None:
-        # fine enough that a genuine tangent direction is missed by < slack/2
-        n_sphere = max(4096, 4 * math.ceil(2.0 * math.pi * rho / slack / 4.0))
-    else:
-        if angular_step <= 0:
-            raise ValueError("angular step must be positive")
-        n_sphere = max(4, 4 * math.ceil(2.0 * math.pi / angular_step / 4.0))
+    # fine enough that a genuine tangent direction is missed by < slack/2
+    n_sphere = max(4096, 4 * math.ceil(2.0 * math.pi * rho / slack / 4.0))
     ang = np.arange(n_sphere) * (2.0 * math.pi / n_sphere)
     sx = theta + rho * np.cos(ang)
     sy = y0 + rho * np.sin(ang)

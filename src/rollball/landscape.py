@@ -264,21 +264,16 @@ def affine_plus_bump(a: float | Array, b: float,
               "profile": profile.name, "amplitude": amp})
 
 
-_CATALOGUE: dict[str, Callable[..., Landscape]] = {}
-
-
-def _register(name: str, factory: Callable[..., Landscape]) -> None:
-    _CATALOGUE[name] = factory
-
-
-_register("riemann", lambda n=100: riemann(int(n)))
-_register("sinusoid", lambda: sinusoid())
-_register("quadratic", lambda a=None, a_diag=None, theta_star=None: quadratic(
-    np.diag(np.asarray(a_diag, dtype=float)) if a_diag is not None
-    else np.asarray(a if a is not None else [[1.0]], dtype=float),
-    theta_star))
-_register("affine_bump", lambda a=1.0, b=0.0, profile="sin", amplitude=1.0:
-          affine_plus_bump(a, b, profile, amplitude))
+_CATALOGUE: dict[str, Callable[..., Landscape]] = {
+    "riemann": lambda n=100: riemann(int(n)),
+    "sinusoid": lambda: sinusoid(),
+    "quadratic": lambda a=None, a_diag=None, theta_star=None: quadratic(
+        np.diag(np.asarray(a_diag, dtype=float)) if a_diag is not None
+        else np.asarray(a if a is not None else [[1.0]], dtype=float),
+        theta_star),
+    "affine_bump": lambda a=1.0, b=0.0, profile="sin", amplitude=1.0:
+        affine_plus_bump(a, b, profile, amplitude),
+}
 
 
 def make_landscape(name: str, params: Mapping[str, Any] | None = None) -> Landscape:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import OffsetSamples, UnreachabilityReport
+from .geometry import OffsetSamples
 from .neural import EpochStats
 from .optimizer import StepRecord, Trajectory
 from .verify import CheckReport
@@ -29,8 +29,12 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def _open_csv(path: str | Path):
-    return open(path, "w", newline="", encoding="utf-8")
+def _write_csv(path: str | Path, header: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +58,8 @@ def _record_row(r: StepRecord) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """One StepRecord per row. Header metadata and the error flag live in
     the JSON form; a partial trajectory still writes its recorded rows."""
-    dim = len(traj.records[0].theta)
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_columns(dim))
-        for r in traj.records:
-            writer.writerow(_record_row(r))
+    _write_csv(path, trajectory_columns(len(traj.records[0].theta)),
+               map(_record_row, traj.records))
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
@@ -97,22 +97,9 @@ def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def write_offset_csv(samples: OffsetSamples, path: str | Path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta", "rho", "value", "grid_step"])
-        for theta, value in zip(samples.thetas, samples.values):
-            writer.writerow([_num(theta), _num(samples.rho), _num(value),
-                             _num(samples.grid_step)])
-
-
-def write_unreachability_csv(reports: Sequence[UnreachabilityReport],
-                             path: str | Path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta", "rho", "flag", "grid_step"])
-        for r in reports:
-            writer.writerow([_num(r.theta), _num(r.rho), r.verdict,
-                             _num(r.grid_step)])
+    _write_csv(path, ["theta", "rho", "value", "grid_step"],
+               ([_num(theta), _num(samples.rho), _num(value), _num(samples.grid_step)]
+                for theta, value in zip(samples.thetas, samples.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +146,13 @@ def write_sweep_csv(cells: Iterable[tuple[float, float, float, str]],
     Failed cells carry metric nan plus a non-empty error note.
     """
     ordered = sorted(cells, key=lambda c: (c[0], c[1]))
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rho", "eta", "metric", "error"])
-        for rho, eta, metric, error in ordered:
-            writer.writerow([_num(rho), _num(eta), _num(metric), error])
+    _write_csv(path, ["rho", "eta", "metric", "error"],
+               ([_num(rho), _num(eta), _num(metric), error]
+                for rho, eta, metric, error in ordered))
 
 
 def write_learning_curve_csv(stats: Sequence[EpochStats], path: str | Path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "train_accuracy",
-                         "val_loss", "val_accuracy"])
-        for s in stats:
-            writer.writerow([str(s.epoch), _num(s.train_loss),
-                             _num(s.train_accuracy), _num(s.val_loss),
-                             _num(s.val_accuracy)])
+    _write_csv(path, ["epoch", "train_loss", "train_accuracy",
+                      "val_loss", "val_accuracy"],
+               ([str(s.epoch), _num(s.train_loss), _num(s.train_accuracy),
+                 _num(s.val_loss), _num(s.val_accuracy)] for s in stats))

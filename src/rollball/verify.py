@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import inspect
 import math
+import types
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Union, get_args, get_origin
 
 import numpy as np
 
-from .geometry import (_offset_window, count_local_minima, hausdorff_distance,
-                       is_unreachable, offset_profile)
+from .geometry import (_lattice, _offset_window, count_local_minima,
+                       hausdorff_distance, is_unreachable, offset_profile)
 from .landscape import Landscape, affine_plus_bump, eval_batch, make_landscape, \
     quadratic, riemann, sinusoid
 from .optimizer import ProjectionConfig, run_gd, run_rbo
@@ -56,10 +57,11 @@ def _report(name: str, observations: list[Observation], notes: str) -> CheckRepo
                        observations=tuple(observations), notes=notes)
 
 
-def _monotone_obs(label: str, values: list[float], keys: list[float]) -> list[Observation]:
-    # consecutive differences must be <= 0 (non-increasing sequence)
+def _monotone_obs(label: str, values: list[float], keys: list[float],
+                  bound: float | None = 0.0) -> list[Observation]:
+    # consecutive differences, bound 0.0 for a non-increasing sequence
     return [_obs(f"{label}(rho={keys[i + 1]:g})-{label}(rho={keys[i]:g})",
-                 values[i + 1] - values[i], 0.0)
+                 values[i + 1] - values[i], bound)
             for i in range(len(values) - 1)]
 
 
@@ -92,9 +94,7 @@ def check_weak_ironing(landscape: Landscape, radii: tuple[float, ...] = (10.0, 1
         profiles.append(offset_profile(landscape, rho, lo, hi, theta_step, h=h))
         # measurement slack from the lattice of the offset's candidate window
         width = _offset_window(landscape, rho)
-        j0 = math.ceil((lo - width) / h - 1e-9)
-        j1 = math.floor((hi + width) / h + 1e-9)
-        lattice = np.arange(j0, j1 + 1) * h
+        lattice = _lattice(lo - width, hi + width, h)
         fv = eval_batch(landscape, lattice)
         ref_max = max(ref_max, float(np.max(fv)))
         lip = float(np.max(np.abs(np.diff(fv)))) / h if lattice.size > 1 else 0.0
@@ -287,16 +287,11 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
 
     valid = [g for g in gaps if not math.isnan(g)]
     keys = [r for r, g in zip(rhos, gaps) if not math.isnan(g)]
-    final_bound = None if informational else eps
-    mono_bound = None if informational else 0.0
     observations += [_obs(f"gap(rho={r:g})", g, None) for r, g in zip(keys[:-1], valid[:-1])]
-    observations += [Observation(parameter=f"gap(rho={keys[i + 1]:g})-gap(rho={keys[i]:g})",
-                                 value=valid[i + 1] - valid[i], bound=mono_bound,
-                                 ok=True if mono_bound is None
-                                 else valid[i + 1] - valid[i] <= mono_bound)
-                     for i in range(len(valid) - 1)]
+    observations += _monotone_obs("gap", valid, keys, None if informational else 0.0)
     if valid:
-        observations.append(_obs(f"gap(rho={keys[-1]:g})", valid[-1], final_bound))
+        observations.append(_obs(f"gap(rho={keys[-1]:g})", valid[-1],
+                                 None if informational else eps))
     note = "informational run: gaps recorded without binding bounds" \
         if informational else f"final gap bound eps = {eps:g}"
     return _report("gd-limit", observations, note)
@@ -383,45 +378,49 @@ def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _stands_for(value: Any, default: Any) -> bool:
-    """Whether a JSON value has the type of a keyword's default. A float
-    default takes an int too, a tuple default a list whose items each stand
-    for its first item, and a None default, whose type says nothing, any
-    value."""
-    if default is None:
-        return True
-    if isinstance(default, tuple):
+def _stands_for(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits a keyword's annotation. A float takes an
+    int too, a tuple a list whose items each fit its item type, a union a
+    value that fits one of its members, and a Mapping any JSON object."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return any(_stands_for(value, a) for a in args)
+    if origin is tuple:
         return isinstance(value, (list, tuple)) and \
-            (not default or all(_stands_for(v, default[0]) for v in value))
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+            all(_stands_for(v, args[0]) for v in value)
+    if isinstance(value, bool) or hint is bool:
+        return type(value) is hint
+    return isinstance(value, (int, float) if hint is float else origin or hint)
 
 
 def check_overrides(name: str, overrides: Mapping[str, Any]) -> dict[str, Any]:
     """The keyword arguments `overrides` sets for a named check, with JSON
     lists turned into tuples. The keys are the keyword parameters with a
     JSON-valued default of the check and of its runner, which picks the
-    check's landscape. An unknown name or key raises KeyError naming it, a
-    value without the type of its key's default (see _stands_for) TypeError."""
+    check's landscape. An unknown name or key raises KeyError naming it; a
+    value that does not fit its key's annotation (see _stands_for), or a
+    landscape spec that builds no catalogue landscape, raises TypeError."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; available: "
                        f"{', '.join(available_checks())}")
     if not isinstance(overrides, Mapping):
         raise KeyError(f"overrides of check {name!r} must be a mapping of keys")
-    defaults = {p.name: p.default for fn in _REGISTRY[name]
-                for p in inspect.signature(fn).parameters.values()
-                if p.default is not p.empty and isinstance(p.default, _JSON_DEFAULTS)}
-    unknown = sorted(set(overrides) - set(defaults))
+    hints = {p.name: p.annotation for fn in _REGISTRY[name]
+             for p in inspect.signature(fn, eval_str=True).parameters.values()
+             if p.default is not p.empty and isinstance(p.default, _JSON_DEFAULTS)}
+    unknown = sorted(set(overrides) - set(hints))
     if unknown:
         raise KeyError(f"unknown keys for check {name!r}: {unknown}; "
-                       f"known: {sorted(defaults)}")
+                       f"known: {sorted(hints)}")
     for key, value in overrides.items():
-        if not _stands_for(value, defaults[key]):
-            raise TypeError(f"key {key!r} of check {name!r} takes a value like "
-                            f"{defaults[key]!r}, got {value!r}")
+        if not _stands_for(value, hints[key]):
+            raise TypeError(f"key {key!r} of check {name!r} takes "
+                            f"{inspect.formatannotation(hints[key])}, got {value!r}")
+    try:  # a landscape spec is valid if it builds
+        _named(overrides.get("landscape"), lambda: None)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TypeError(f"key 'landscape' of check {name!r} names no catalogue "
+                        f"landscape: {overrides['landscape']!r} ({exc!r})") from None
     return {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
 
 

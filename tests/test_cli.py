@@ -1,16 +1,41 @@
 """End-to-end command-line tests: exit codes, file outputs, determinism."""
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rollball.cli import (ConfigError, RunConfig, SweepConfig,
+from rollball import verify
+from rollball.cli import (ConfigError, RunConfig, SweepConfig, build_parser,
                           config_from_mapping, config_to_json, main)
 from rollball.optimizer import ProjectionConfig
 from test_neural import seed_mnist_dir
 
 TRAJ_HEADER = ("t,theta_0,loss,center_0,center_1,grad_norm,"
                "projection_iters,projection_residual")
+
+
+# the subcommands whose flags set the fields of a config
+CONFIG_OF = {"trajectory": RunConfig, "sweep": SweepConfig}
+
+
+def _flag_actions(command):
+    """The argparse actions of a subcommand's flags, apart from --help and
+    --config."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+
+
+CONFIG_FLAGS = [(command, a) for command in CONFIG_OF for a in _flag_actions(command)]
+
+
+def _sample_flag(action):
+    """The flag with a value it accepts."""
+    if action.choices:
+        return [action.option_strings[0], action.choices[-1]]
+    return [action.option_strings[0], {int: "7", float: "0.5"}.get(action.type, "k=5")]
 
 
 @pytest.fixture()
@@ -131,6 +156,28 @@ class TestTrajectory:
         rows = (sandbox / "merged.csv").read_text().splitlines()
         # flag eta wins: 2.0 * (1 - 0.1) = 1.8 after one step
         assert rows[2].startswith("1,1.8,")
+
+    @pytest.mark.parametrize("command", CONFIG_OF)
+    def test_every_flag_sets_a_config_field(self, command):
+        dests = {a.dest for a in _flag_actions(command)}
+        assert dests <= {f.name for f in fields(CONFIG_OF[command])}
+
+    @pytest.mark.parametrize("command, action", CONFIG_FLAGS,
+                             ids=[f"{c}{a.option_strings[0]}" for c, a in CONFIG_FLAGS])
+    def test_each_flag_overrides_its_config_file_field(self, sandbox, monkeypatch,
+                                                       command, action):
+        seen = []
+
+        def stop(cfg):  # capture the merged config instead of running it
+            seen.append(cfg)
+            raise ConfigError("stopped before validation")
+
+        monkeypatch.setattr(CONFIG_OF[command], "validated", stop)
+        (sandbox / "cfg.json").write_text(json.dumps({action.dest: "from file"}))
+        argv = [command, "--config", "cfg.json", *_sample_flag(action)]
+        assert main(argv) == 2
+        flag_value = getattr(build_parser().parse_args(argv), action.dest)
+        assert getattr(seen[0], action.dest) == flag_value != "from file"
 
     def test_divergence_writes_partial_file_then_exit_3(self, sandbox, capsys):
         out = sandbox / "div.csv"
@@ -297,7 +344,10 @@ class TestVerify:
         ({"smoothing": {"rhos": 1.0}}, "'rhos'"),
         ({"gd-limit": {"steps": 2.5}}, "'steps'"),
         ({"gd-limit": {"informational": 1}}, "'informational'"),
-        ({"linear-ironing": {"profile": 3}}, "'profile'")])
+        ({"linear-ironing": {"profile": 3}}, "'profile'"),
+        ({"smoothing": {"h": "x"}}, "'h'"),
+        ({"weak-ironing": {"landscape": {"name": "sinusoid", "params": 3}}}, "'landscape'"),
+        ({"gd-limit": {"landscape": {"nam": "sinusoid"}}}, "'landscape'")])
     def test_config_type_errors_exit_2_naming_the_key(self, sandbox, capsys,
                                                       config, named):
         path, out_dir = sandbox / "overrides.json", sandbox / "reports"
@@ -305,6 +355,12 @@ class TestVerify:
         assert main(["verify", "--config", str(path), "--out", str(out_dir)]) == 2
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_keys_defaulting_to_none_take_their_annotated_type(self):
+        assert verify.check_overrides("smoothing", {"h": 0.001}) == {"h": 0.001}
+        assert verify.check_overrides("smoothing", {"h": None}) == {"h": None}
+        spec = {"landscape": {"name": "sinusoid"}}
+        assert verify.check_overrides("gd-limit", spec) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +391,11 @@ class TestTrain:
         assert main(["train", "--epochs", "-1"]) == 2
         assert main(["train", "--split", "1", "--epochs", "0",
                      "--subset-range", "0:5"]) == 2
+
+    @pytest.mark.parametrize("bad", ["5:2", "a:b"])
+    def test_subset_range_is_checked_before_the_data_loads(self, sandbox, capsys, bad):
+        assert main(["train", "--subset-range", bad]) == 2  # no data here: 3 if loaded
+        assert "range flag" in capsys.readouterr().err
 
     def test_max_iters_is_rbo_only(self, sandbox, capsys):
         seed_mnist_dir(sandbox / "data")

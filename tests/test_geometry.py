@@ -416,8 +416,6 @@ def test_unreachable_accepts_array_theta_and_validates():
         is_unreachable(ls, 0.0, rho=-1.0)
     with pytest.raises(ValueError, match="1D"):
         is_unreachable(quadratic(np.eye(2)), 0.0, rho=1.0)
-    with pytest.raises(ValueError):
-        is_unreachable(ls, 0.0, rho=0.3, angular_step=-0.1)
 
 
 def test_sharpness_quadratic_exact_and_fd():
