@@ -144,6 +144,38 @@ class SweepConfig:
         return self
 
 
+@dataclass
+class TrainConfig:
+    """One network training run. The optimizer settings are validated and
+    defaulted as for a trajectory (see RunConfig)."""
+
+    optimizer: str = "rbo"
+    rho: float | None = None
+    eta: float | None = None
+    sam_rho: float | None = None
+    max_iters: int | None = None
+    epochs: int = 10
+    batch_size: int = 128
+    split: int = 50_000
+    subset_range: str | None = None
+    data_dir: str | None = None
+    seed: int = 0
+    out: str = "learning_curve.csv"
+
+
+@dataclass
+class OffsetConfig:
+    """Offset-profile samples over a theta interval A:B."""
+
+    landscape: str = "riemann"
+    landscape_params: dict[str, Any] = field(default_factory=dict)
+    rho: float | None = None
+    interval: str = "0:6.283185307179586"
+    grid_step: float = 1e-3
+    h: float | None = None
+    out: str = "offset.csv"
+
+
 def config_to_json(cfg) -> str:
     return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
@@ -375,17 +407,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # the optimizer settings are validated and defaulted as for a trajectory
-    run = RunConfig(optimizer=args.optimizer or "rbo", rho=args.rho, eta=args.eta,
-                    sam_rho=args.sam_rho, max_iters=args.max_iters).validated().filled()
-    epochs = args.epochs if args.epochs is not None else 10
-    if epochs < 0:
+    cfg = _merge_config(TrainConfig, {}, args)
+    run = RunConfig(optimizer=cfg.optimizer, rho=cfg.rho, eta=cfg.eta, sam_rho=cfg.sam_rho,
+                    max_iters=cfg.max_iters).validated().filled()
+    if cfg.epochs < 0:
         raise ConfigError("epochs must be >= 0")
-    split = args.split if args.split is not None else 50_000
-    subset = None if args.subset_range is None else _parse_range(args.subset_range)
+    subset = None if cfg.subset_range is None else _parse_range(cfg.subset_range)
 
-    train_full, _test = neural.load_mnist(args.data_dir)
-    train, val = train_full.split(split)
+    train_full, _test = neural.load_mnist(cfg.data_dir)
+    train, val = train_full.split(cfg.split)
     if subset is not None:
         a, b = subset
         if b > train.n:
@@ -399,35 +429,30 @@ def cmd_train(args: argparse.Namespace) -> int:
         settings = {"sam_rho": run.sam_rho} if run.optimizer == "sam" else {}
     spec = neural.MlpSpec()
     params, stats = neural.train_mlp(
-        spec, train, val, optimizer=run.optimizer, epochs=epochs,
-        batch_size=args.batch_size if args.batch_size is not None else 128,
-        eta=run.eta, seed=args.seed if args.seed is not None else 0, **settings)
+        spec, train, val, optimizer=run.optimizer, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, eta=run.eta, seed=cfg.seed, **settings)
 
-    out = args.out or "learning_curve.csv"
-    serialize.write_learning_curve_csv(stats, out)
+    serialize.write_learning_curve_csv(stats, cfg.out)
     last = stats[-1]
     print(f"{run.optimizer}: epoch {last.epoch} train loss {last.train_loss:.4f} "
           f"acc {last.train_accuracy:.4f} | val loss {last.val_loss:.4f} "
-          f"acc {last.val_accuracy:.4f} -> {out}")
+          f"acc {last.val_accuracy:.4f} -> {cfg.out}")
     return EXIT_OK
 
 
 def cmd_offset(args: argparse.Namespace) -> int:
-    landscape = _build_landscape(args.landscape or "riemann",
-                                 args.landscape_params or {})
-    if args.rho is None or args.rho <= 0:
+    cfg = _merge_config(OffsetConfig, {}, args)
+    landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
+    if cfg.rho is None or cfg.rho <= 0:
         raise ConfigError("--rho must be given and positive")
-    lo, hi = _parse_interval(args.interval or "0:6.283185307179586")
-    theta_step = args.grid_step if args.grid_step is not None else 1e-3
+    lo, hi = _parse_interval(cfg.interval)
     try:
-        samples = offset_profile(landscape, args.rho, lo, hi, theta_step,
-                                 h=args.h)
+        samples = offset_profile(landscape, cfg.rho, lo, hi, cfg.grid_step, h=cfg.h)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out = args.out or "offset.csv"
-    serialize.write_offset_csv(samples, out)
-    print(f"offset of {landscape.name} at rho={args.rho:g}: "
-          f"{samples.thetas.size} samples -> {out}")
+    serialize.write_offset_csv(samples, cfg.out)
+    print(f"offset of {landscape.name} at rho={cfg.rho:g}: "
+          f"{samples.thetas.size} samples -> {cfg.out}")
     return EXIT_OK
 
 
@@ -512,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", dest="data_dir",
                    help=f"IDX directory (default ${neural.DATA_DIR_ENV} or ./data)")
     p.add_argument("--split", type=int,
-                   help="train/validation split point (default 50000)")
+                   help=f"train/validation split point (default {TrainConfig.split})")
     p.add_argument("--subset-range", dest="subset_range", metavar="A:B",
                    help="train on rows A..B of the training split")
     p.set_defaults(handler=cmd_train)
@@ -522,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float)
     p.add_argument("--interval", metavar="A:B", help="theta interval (default 0:2pi)")
     p.add_argument("--grid-step", dest="grid_step", type=float,
-                   help="theta sampling step (default 1e-3)")
+                   help=f"theta sampling step (default {OffsetConfig.grid_step:g})")
     p.add_argument("--h", type=float, help="search lattice step "
                                            "(default min(rho/100, grid step))")
     p.set_defaults(handler=cmd_offset)

@@ -4,14 +4,15 @@ The rolling-ball step displaces the center of a rigid sphere resting on the
 loss surface along the lifted steepest-ascent tangent, then re-attaches the
 sphere by projecting the displaced center back to a foot point on the graph
 and re-lifting along the normal. Plain, stochastic, and sharpness-aware
-gradient descent live here too so every run shares one trajectory format.
+gradient descent live here too; all four run in one step loop, so every run
+shares one trajectory format.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -56,7 +57,12 @@ class ProjectionConfig:
         object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
 
 
-class ProjectionDivergence(RuntimeError):
+class Divergence(RuntimeError):
+    """A step left the region where a run can go on; the run ends there and
+    keeps the records made so far."""
+
+
+class ProjectionDivergence(Divergence):
     """The projection met a candidate beyond DIVERGENCE_LIMIT or a
     non-finite oracle value; iteration 0 is the candidate or the warm start."""
 
@@ -284,6 +290,16 @@ def _raise_damping(lam: float) -> float:
     return lam * DAMPING_FACTOR if lam else 1.0
 
 
+def _record(t: int, point: GraphPoint, center: Array | None = None, iters: int = 0,
+            resid: float = 0.0) -> StepRecord:
+    """Snapshot of a carried graph point; center defaults to the point itself
+    (the convention for optimizers that do not carry a ball)."""
+    return StepRecord(t=t, theta=point.theta, loss=point.y,
+                      center=point.ambient if center is None else center,
+                      grad_norm=float(np.linalg.norm(point.grad)),
+                      projection_iters=iters, projection_residual=resid)
+
+
 def rbo_step(landscape: Landscape, state: BallState, eta: float,
              cfg: ProjectionConfig = ProjectionConfig(), t: int = 0,
              ) -> tuple[BallState, StepRecord]:
@@ -300,157 +316,132 @@ def rbo_step(landscape: Landscape, state: BallState, eta: float,
         else candidate[:landscape.dim]
     foot, iters, resid = project_footpoint(landscape, candidate, warm, cfg)
     new_state = _rest(foot, state.rho)
-    record = StepRecord(t=t, theta=foot.theta, loss=foot.y,
-                        center=new_state.center,
-                        grad_norm=float(np.linalg.norm(foot.grad)),
-                        projection_iters=iters, projection_residual=resid)
-    return new_state, record
+    return new_state, _record(t, foot, new_state.center, iters, resid)
 
 
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
-def _record(t: int, point: GraphPoint, center: Array | None = None) -> StepRecord:
-    """Snapshot of a carried graph point; center defaults to the point itself
-    (the convention for optimizers that do not carry a ball)."""
-    return StepRecord(t=t, theta=point.theta, loss=point.y,
-                      center=point.ambient if center is None else center,
-                      grad_norm=float(np.linalg.norm(point.grad)),
-                      projection_iters=0, projection_residual=0.0)
+def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
+         hyperparameters: dict[str, Any], step: Callable, seed: int | None = None,
+         keep_records: bool = True, rho: float | None = None,
+         minibatches: bool = True) -> Trajectory:
+    """The step loop of every optimizer: steps+1 records, or with
+    keep_records=False only the last.
 
+    step(view, point, t) makes update t from the carried graph point, whose
+    gradient is on the view. It returns the next graph point with its record
+    (rbo), or the next theta with None (descent), which the loop evaluates
+    for the record. On a stochastic landscape (unless minibatches is False)
+    each step draws one seeded minibatch, the view of all the step's oracle
+    calls, and evaluates the carried theta on it. An evaluation made for a
+    record then serves only the record, so a lean run (keep_records=False)
+    evaluates only its final record, on the minibatch of its step. With rho
+    (rbo), a record the loop makes carries the center of the ball resting on
+    its point. A step that raises Divergence ends the run, which keeps its
+    records and names the failing step.
 
-def _keep(records: list[StepRecord], record: StepRecord, keep_records: bool) -> None:
-    """Append the record, or let it replace the last one if there is one."""
-    if keep_records or not records:
-        records.append(record)
-    else:
-        records[-1] = record
-
-
-def _check_run_args(landscape: Landscape, theta0: Array, steps: int) -> Array:
+    An explicit seed wins; otherwise the landscape's default seed (meta key
+    "default_seed") keeps unseeded runs reproducible. The seed in effect
+    goes into the header, so a serialized run replays from its metadata.
+    """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (landscape.dim,):
         raise ValueError(f"theta0 must have shape ({landscape.dim},)")
     if steps < 0:
         raise ValueError("step count must be >= 0")
-    return theta0
+    rng = None
+    if minibatches and landscape.is_stochastic:
+        if seed is None and landscape.meta is not None:
+            seed = landscape.meta.get("default_seed")
+        rng = np.random.default_rng(seed)
+    header = TrajectoryHeader(optimizer, landscape.name, seed, hyperparameters)
 
+    def record(t: int, point: GraphPoint) -> StepRecord:
+        return _record(t, point, None if rho is None else _rest(point, rho).center)
 
-def _run_rng(landscape: Landscape, seed: int | None,
-             ) -> tuple[np.random.Generator | None, int | None]:
-    """Minibatch RNG for stochastic landscapes, plus the seed actually in
-    effect. An explicit run seed wins; otherwise the landscape's own default
-    seed (meta key "default_seed") keeps unseeded runs reproducible. The
-    effective seed goes into the trajectory header so a serialized run can
-    be replayed from its own metadata."""
-    if not landscape.is_stochastic:
-        return None, seed
-    if seed is None and landscape.meta is not None:
-        seed = landscape.meta.get("default_seed")
-    return np.random.default_rng(seed), seed
-
-
-def _step_view(landscape: Landscape, rng: np.random.Generator | None) -> Landscape:
-    """Landscape view for one outer step: a fresh minibatch for stochastic
-    landscapes, the landscape itself otherwise. The view stays fixed for the
-    whole step including every inner projection iteration."""
-    if landscape.is_stochastic and rng is not None:
-        return landscape.with_context(landscape.sample_context(rng))
-    return landscape
+    lean = rng is not None and not keep_records
+    theta, view, done = theta0, landscape, 0  # view: the oracle of record `done`
+    point = None if lean else _graph_point(landscape, theta0)
+    records = [] if lean else [record(0, point)]
+    error = None
+    for t in range(1, steps + 1):
+        step_view = landscape
+        if rng is not None:
+            step_view = landscape.with_context(landscape.sample_context(rng))
+            point = _graph_point(step_view, theta)
+        try:
+            nxt, rec = step(step_view, point, t)
+        except Divergence as exc:
+            error = f"step {t}: {exc}"
+            break
+        view, done = step_view, t
+        if rec is None:  # a descent step: the loop evaluates its theta
+            theta = nxt
+            if lean:
+                continue
+            nxt = _graph_point(view, theta)
+            rec = record(t, nxt)
+        point, theta = nxt, nxt.theta
+        if keep_records or not records:
+            records.append(rec)
+        else:
+            records[-1] = rec
+    if not records:  # a lean run whose steps made no record
+        records = [record(done, _graph_point(view, theta))]
+    return Trajectory(header=header, records=records, error=error)
 
 
 def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
             steps: int, cfg: ProjectionConfig = ProjectionConfig(),
             seed: int | None = None, keep_records: bool = True) -> Trajectory:
-    """Roll the ball for `steps` updates; returns steps+1 records, or with
-    keep_records=False only the last (a record costs no oracle call here).
-
-    On stochastic landscapes each outer step draws one minibatch (seeded)
-    and uses it for the lift, the displacement, and all inner projection
-    iterations of that step. The full-data lift at theta0 then serves only
-    record 0, so without keep_records it is made only if no step completes.
-    A diverging step aborts the run and returns the partial trajectory with
-    the error recorded.
-    """
-    theta0 = _check_run_args(landscape, theta0, steps)
+    """Roll the ball for `steps` updates (see _run for the records, the
+    minibatches and aborts). A step's record costs no oracle call, so a lean
+    run lifts theta0 on the full data only if no step completes."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    rng, seed = _run_rng(landscape, seed)
-    header = TrajectoryHeader(
-        optimizer="rbo", landscape=landscape.name, seed=seed,
-        hyperparameters={"rho": rho, "eta": eta, "steps": steps,
-                         "max_iters": cfg.max_iters,
-                         "grad_tol": cfg.grad_tol,
-                         "warm_start": cfg.warm_start.value})
-    lazy = rng is not None and not keep_records
-    state = None if lazy else lift(landscape, theta0, rho)
-    records = [] if lazy else [_record(0, state.contact, center=state.center)]
-    error = None
-    for t in range(1, steps + 1):
-        view = _step_view(landscape, rng)
-        if view is not landscape:
-            state = lift(view, theta0 if state is None else state.contact.theta, rho)
-        try:
-            state, record = rbo_step(view, state, eta, cfg, t=t)
-        except ProjectionDivergence as exc:
-            error = f"step {t}: {exc}"
-            break
-        _keep(records, record, keep_records)
-    if not records:
-        state = lift(landscape, theta0, rho)
-        records = [_record(0, state.contact, center=state.center)]
-    return Trajectory(header=header, records=records, error=error)
+    ball = None  # the last step's ball, reused while the loop carries its contact
+
+    def step(view: Landscape, point: GraphPoint, t: int):
+        nonlocal ball
+        if ball is None or ball.contact is not point:
+            ball = _rest(point, rho)
+        ball, rec = rbo_step(view, ball, eta, cfg, t=t)
+        return ball.contact, rec
+
+    return _run("rbo", landscape, theta0, steps,
+                {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
+                 "grad_tol": cfg.grad_tol, "warm_start": cfg.warm_start.value},
+                step, seed, keep_records, rho=rho)
 
 
-def _descent_loop(landscape: Landscape, theta0: Array, eta: float, steps: int,
-                  header: TrajectoryHeader, rng: np.random.Generator | None,
-                  sam_rho: float | None = None, keep_records: bool = True,
-                  ) -> Trajectory:
-    """Shared loop for gd / sgd / sam. sam_rho=None means a plain gradient
-    step; sam_rho=0.0 reproduces it bitwise since the ascent point is theta.
-    On a deterministic landscape the gradient evaluated for a record is the
-    next step's gradient, so a plain step costs one oracle call. On a
-    stochastic one the next step reads a new minibatch, so a record's
-    evaluation serves only the record: without keep_records the loop skips
-    them and evaluates the final record alone, on the minibatch of its step."""
-    lazy = rng is not None and not keep_records
-    theta, view, done = theta0, landscape, 0  # view: the oracle of record `done`
-    point = None if lazy else _graph_point(landscape, theta0)
-    records = [] if lazy else [_record(0, point)]
-    error = None
-    for t in range(1, steps + 1):
-        step_view = _step_view(landscape, rng)
-        g = point.grad if step_view is landscape else value_and_grad(step_view, theta)[1]
-        step_grad = g
-        if sam_rho is not None:
+def _descent_step(eta: float, sam_rho: float | None = None) -> Callable:
+    """The step of gd, sgd and sam: theta - eta * grad, with sam's gradient
+    taken at the ascent point theta + sam_rho * grad / |grad|. sam_rho=0.0
+    reproduces the plain step bitwise since the ascent point is theta. On a
+    deterministic landscape the gradient the loop evaluated for the last
+    record is this step's, so a plain step costs one oracle call."""
+    def step(view: Landscape, point: GraphPoint, t: int):
+        g = point.grad
+        if sam_rho:  # zero radius or zero gradient: the ascent point is theta
             gn = float(np.linalg.norm(g))
-            # zero radius or zero gradient: the ascent point is theta itself
-            if sam_rho != 0.0 and gn != 0.0:
-                step_grad = value_and_grad(step_view, theta + sam_rho * (g / gn))[1]
-        stepped = theta - eta * step_grad
-        if float(np.linalg.norm(stepped)) > DIVERGENCE_LIMIT:
-            error = (f"step {t}: iterate diverged, |theta| = "
-                     f"{float(np.linalg.norm(stepped)):.3e}")
-            break
-        theta, view, done = stepped, step_view, t
-        if not lazy:
-            point = _graph_point(view, theta)
-            _keep(records, _record(t, point), keep_records)
-    if lazy:
-        records = [_record(done, _graph_point(view, theta))]
-    return Trajectory(header=header, records=records, error=error)
+            if gn != 0.0:
+                g = value_and_grad(view, point.theta + sam_rho * (g / gn))[1]
+        theta = point.theta - eta * g
+        norm = float(np.linalg.norm(theta))
+        if norm > DIVERGENCE_LIMIT:
+            raise Divergence(f"iterate diverged, |theta| = {norm:.3e}")
+        return theta, None
+    return step
 
 
 def run_gd(landscape: Landscape, theta0: Array, eta: float, steps: int,
            keep_records: bool = True) -> Trajectory:
     """Plain full-gradient descent. keep_records=False keeps only the last
     record, as in run_sgd."""
-    theta0 = _check_run_args(landscape, theta0, steps)
-    header = TrajectoryHeader(optimizer="gd", landscape=landscape.name, seed=None,
-                              hyperparameters={"eta": eta, "steps": steps})
-    return _descent_loop(landscape, theta0, eta, steps, header, rng=None,
-                         keep_records=keep_records)
+    return _run("gd", landscape, theta0, steps, {"eta": eta, "steps": steps},
+                _descent_step(eta), keep_records=keep_records, minibatches=False)
 
 
 def run_sgd(landscape: Landscape, theta0: Array, eta: float, steps: int,
@@ -463,12 +454,8 @@ def run_sgd(landscape: Landscape, theta0: Array, eta: float, steps: int,
     each step then costs one forward and backward, and the run one more of
     each for that record.
     """
-    theta0 = _check_run_args(landscape, theta0, steps)
-    rng, seed = _run_rng(landscape, seed)
-    header = TrajectoryHeader(optimizer="sgd", landscape=landscape.name, seed=seed,
-                              hyperparameters={"eta": eta, "steps": steps})
-    return _descent_loop(landscape, theta0, eta, steps, header, rng=rng,
-                         keep_records=keep_records)
+    return _run("sgd", landscape, theta0, steps, {"eta": eta, "steps": steps},
+                _descent_step(eta), seed, keep_records)
 
 
 def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
@@ -477,12 +464,8 @@ def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
     """Sharpness-aware descent: gradient taken at the normalized ascent point
     theta + sam_rho * grad/|grad|. sam_rho = 0 reduces to run_gd bitwise.
     keep_records=False keeps only the last record, as in run_sgd."""
-    theta0 = _check_run_args(landscape, theta0, steps)
     if sam_rho < 0:
         raise ValueError("sam_rho must be >= 0")
-    rng, seed = _run_rng(landscape, seed)
-    header = TrajectoryHeader(optimizer="sam", landscape=landscape.name, seed=seed,
-                              hyperparameters={"eta": eta, "sam_rho": sam_rho,
-                                               "steps": steps})
-    return _descent_loop(landscape, theta0, eta, steps, header, rng=rng,
-                         sam_rho=sam_rho, keep_records=keep_records)
+    return _run("sam", landscape, theta0, steps,
+                {"eta": eta, "sam_rho": sam_rho, "steps": steps},
+                _descent_step(eta, sam_rho), seed, keep_records)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -41,49 +42,38 @@ def _write_csv(path: str | Path, header: Sequence[str],
 # trajectories
 # ---------------------------------------------------------------------------
 
-def trajectory_columns(dim: int) -> list[str]:
-    """Header row for a d-dimensional trajectory CSV, in StepRecord order."""
-    return (["t"] + [f"theta_{i}" for i in range(dim)] + ["loss"]
-            + [f"center_{i}" for i in range(dim + 1)]
-            + ["grad_norm", "projection_iters", "projection_residual"])
-
-
-def _record_row(r: StepRecord) -> list[str]:
-    return ([str(r.t)] + [_num(v) for v in r.theta] + [_num(r.loss)]
-            + [_num(v) for v in r.center]
-            + [_num(r.grad_norm), str(r.projection_iters),
-               _num(r.projection_residual)])
+def _record_items(record: StepRecord) -> list[tuple[str, Any]]:
+    """A record's (column, value) pairs in StepRecord field order; an array
+    field `name` gives one column name_i per entry."""
+    items = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if np.ndim(value):
+            items += [(f"{f.name}_{i}", v) for i, v in enumerate(value)]
+        else:
+            items.append((f.name, value))
+    return items
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """One StepRecord per row. Header metadata and the error flag live in
     the JSON form; a partial trajectory still writes its recorded rows."""
-    _write_csv(path, trajectory_columns(len(traj.records[0].theta)),
-               map(_record_row, traj.records))
+    _write_csv(path, [name for name, _ in _record_items(traj.records[0])],
+               ([_num(v) for _, v in _record_items(r)] for r in traj.records))
+
+
+def _json_number(x):
+    """A record value as JSON: ints bare, other numbers as floats, arrays as
+    lists of floats."""
+    if np.ndim(x):
+        return [float(v) for v in x]
+    return int(x) if isinstance(x, (int, np.integer)) else float(x)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {
-        "header": {
-            "optimizer": traj.header.optimizer,
-            "landscape": traj.header.landscape,
-            "seed": traj.header.seed,
-            "hyperparameters": dict(traj.header.hyperparameters),
-        },
-        "error": traj.error,
-        "records": [
-            {
-                "t": r.t,
-                "theta": [float(v) for v in r.theta],
-                "loss": float(r.loss),
-                "center": [float(v) for v in r.center],
-                "grad_norm": float(r.grad_norm),
-                "projection_iters": r.projection_iters,
-                "projection_residual": float(r.projection_residual),
-            }
-            for r in traj.records
-        ],
-    }
+    return {"header": asdict(traj.header), "error": traj.error,
+            "records": [{f.name: _json_number(getattr(r, f.name)) for f in fields(r)}
+                        for r in traj.records]}
 
 
 def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
@@ -112,21 +102,14 @@ def _finite_or_none(x: float | None) -> float | None:
     return float(x)
 
 
+def _report_fields(items: list[tuple[str, Any]]) -> dict:
+    """asdict factory: numbers as finite floats or null, the rest as is."""
+    return {k: _finite_or_none(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
+            else v for k, v in items}
+
+
 def check_report_to_dict(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "passed": report.passed,
-        "observations": [
-            {
-                "parameter": o.parameter,
-                "value": _finite_or_none(o.value),
-                "bound": _finite_or_none(o.bound),
-                "ok": o.ok,
-            }
-            for o in report.observations
-        ],
-        "notes": report.notes,
-    }
+    return asdict(report, dict_factory=_report_fields)
 
 
 def write_check_report_json(report: CheckReport, path: str | Path) -> None:
@@ -152,7 +135,5 @@ def write_sweep_csv(cells: Iterable[tuple[float, float, float, str]],
 
 
 def write_learning_curve_csv(stats: Sequence[EpochStats], path: str | Path) -> None:
-    _write_csv(path, ["epoch", "train_loss", "train_accuracy",
-                      "val_loss", "val_accuracy"],
-               ([str(s.epoch), _num(s.train_loss), _num(s.train_accuracy),
-                 _num(s.val_loss), _num(s.val_accuracy)] for s in stats))
+    _write_csv(path, [f.name for f in fields(EpochStats)],
+               ([_num(v) for v in astuple(s)] for s in stats))

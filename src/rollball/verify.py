@@ -254,16 +254,13 @@ def check_open_unreachables(landscape: Landscape, theta0: float, rho: float,
 def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 50,
                    rhos: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4),
                    eps: float = 1e-2, cfg: ProjectionConfig = ProjectionConfig(),
-                   informational: bool = False) -> CheckReport:
+                   ) -> CheckReport:
     """Rolling-ball trajectories collapse onto plain gradient descent as the
     radius shrinks.
 
     gap(rho) = max over t of |theta_rbo(t) - theta_gd(t)|. Passes iff the
     gaps are non-increasing along the (strictly decreasing) radii and the
     last gap is below eps. A diverged rolling-ball run fails the check.
-    informational=True records the same gaps without binding bounds, for
-    regimes (large radii on oscillatory landscapes) where the trajectories
-    legitimately differ.
     """
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])) or len(rhos) < 1:
         raise ValueError("rhos must be strictly decreasing")
@@ -278,8 +275,7 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
     for rho in rhos:
         traj = run_rbo(landscape, theta0, rho, eta, steps, cfg)
         if traj.error is not None:
-            observations.append(_obs(f"rbo_diverged(rho={rho:g})", 1.0,
-                                     None if informational else 0.0))
+            observations.append(_obs(f"rbo_diverged(rho={rho:g})", 1.0, 0.0))
             gaps.append(math.nan)
             continue
         gap = float(np.max(np.linalg.norm(traj.thetas() - gd_thetas, axis=1)))
@@ -288,13 +284,10 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
     valid = [g for g in gaps if not math.isnan(g)]
     keys = [r for r, g in zip(rhos, gaps) if not math.isnan(g)]
     observations += [_obs(f"gap(rho={r:g})", g, None) for r, g in zip(keys[:-1], valid[:-1])]
-    observations += _monotone_obs("gap", valid, keys, None if informational else 0.0)
+    observations += _monotone_obs("gap", valid, keys)
     if valid:
-        observations.append(_obs(f"gap(rho={keys[-1]:g})", valid[-1],
-                                 None if informational else eps))
-    note = "informational run: gaps recorded without binding bounds" \
-        if informational else f"final gap bound eps = {eps:g}"
-    return _report("gd-limit", observations, note)
+        observations.append(_obs(f"gap(rho={keys[-1]:g})", valid[-1], eps))
+    return _report("gd-limit", observations, f"final gap bound eps = {eps:g}")
 
 
 # ---------------------------------------------------------------------------

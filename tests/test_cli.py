@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rollball import verify
-from rollball.cli import (ConfigError, RunConfig, SweepConfig, build_parser,
-                          config_from_mapping, config_to_json, main)
+from rollball.cli import (ConfigError, OffsetConfig, RunConfig, SweepConfig,
+                          TrainConfig, build_parser, config_from_mapping,
+                          config_to_json, main)
 from rollball.optimizer import ProjectionConfig
 from test_neural import seed_mnist_dir
 
@@ -16,8 +17,11 @@ TRAJ_HEADER = ("t,theta_0,loss,center_0,center_1,grad_norm,"
                "projection_iters,projection_residual")
 
 
-# the subcommands whose flags set the fields of a config
-CONFIG_OF = {"trajectory": RunConfig, "sweep": SweepConfig}
+# the subcommands whose flags set the fields of a config, and those of them
+# that also read the fields from a --config file
+CONFIG_OF = {"trajectory": RunConfig, "sweep": SweepConfig, "train": TrainConfig,
+             "offset": OffsetConfig}
+FILE_CONFIG_OF = {"trajectory": RunConfig, "sweep": SweepConfig}
 
 
 def _flag_actions(command):
@@ -28,7 +32,7 @@ def _flag_actions(command):
     return [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
 
 
-CONFIG_FLAGS = [(command, a) for command in CONFIG_OF for a in _flag_actions(command)]
+CONFIG_FLAGS = [(command, a) for command in FILE_CONFIG_OF for a in _flag_actions(command)]
 
 
 def _sample_flag(action):
@@ -190,6 +194,28 @@ class TestTrajectory:
         assert lines[0] == TRAJ_HEADER
         assert 2 < len(lines) < 202  # partial: stopped at the divergence step
 
+    @pytest.mark.parametrize("argv, header", [
+        (["--landscape", "quadratic", "--param", "a=[[2.0, 0.5], [0.5, 1.0]]",
+          "--optimizer", "sam", "--theta0", "1.0", "-2.0", "--steps", "6"],
+         "t,theta_0,theta_1,loss,center_0,center_1,center_2,grad_norm,"
+         "projection_iters,projection_residual"),
+        (["--landscape", "quadratic", "--optimizer", "gd", "--theta0", "1.0",
+          "--eta", "2.5", "--steps", "200"], TRAJ_HEADER)], ids=["sam-2d", "gd-aborted"])
+    def test_csv_and_json_forms_agree_field_by_field(self, sandbox, argv, header):
+        codes = [main(["trajectory", *argv, "--format", fmt, "--out", f"run.{fmt}"])
+                 for fmt in ("csv", "json")]
+        assert codes[0] == codes[1]
+        lines = (sandbox / "run.csv").read_text().splitlines()
+        records = json.loads((sandbox / "run.json").read_text())["records"]
+        assert lines[0] == header and len(lines) == len(records) + 1 > 2
+        for line, record in zip(lines[1:], records):
+            flat = {}
+            for name, value in record.items():
+                flat.update({f"{name}_{i}": v for i, v in enumerate(value)}
+                            if isinstance(value, list) else {name: value})
+            assert list(flat) == header.split(",")
+            assert [json.loads(cell) for cell in line.split(",")] == list(flat.values())
+
     def test_config_errors(self, sandbox, capsys):
         assert main(["trajectory", "--landscape", "volcano"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -329,7 +355,8 @@ class TestVerify:
         ({"smoothing": {"rhos": [1.0]}, "smothing": {}}, "'smothing'"),
         ({"smoothing": {"rhos": [1.0], "thetastep": 0.1}}, "['thetastep']"),
         ({"gd-limit": {"cfg": {"max_iters": 5}}}, "['cfg']"),
-        ({"sharp-minima": [2.0]}, "'sharp-minima'")])
+        ({"sharp-minima": [2.0]}, "'sharp-minima'"),
+        ({"gd-limit": {"informational": True}}, "['informational']")])
     def test_config_typos_exit_2_naming_the_key(self, sandbox, capsys, config, named):
         path, out_dir = sandbox / "overrides.json", sandbox / "reports"
         path.write_text(json.dumps(config))

@@ -296,12 +296,15 @@ def test_rbo_makes_one_fused_call_per_trial(landscape):
 
 
 def test_descent_reuses_the_record_gradient():
-    for run in (lambda ls: run_gd(ls, np.array([2.0]), eta=0.05, steps=25),
-                lambda ls: run_sgd(ls, np.array([2.0]), eta=0.05, steps=25, seed=1)):
+    # one of each per step plus record 0, and sam one more per step for its ascent point
+    for run, count in ((lambda ls: run_gd(ls, np.array([2.0]), eta=0.05, steps=25), 26),
+                       (lambda ls: run_sgd(ls, np.array([2.0]), eta=0.05, steps=25,
+                                           seed=1), 26),
+                       (lambda ls: run_sam(ls, np.array([2.0]), eta=0.05, sam_rho=0.05,
+                                           steps=25), 51)):
         ls, calls = counting(riemann(10))
         assert run(ls).error is None
-        # one of each per step plus record 0
-        assert calls == {"forward": 26, "backward": 26}
+        assert calls == {"forward": count, "backward": count}
 
 
 
@@ -415,15 +418,16 @@ def test_lean_rbo_run_lifts_theta0_on_the_full_data_only_for_record_0():
                                      steps=5, seed=5, keep_records=False), aborted)
 
 
-def counting_views(landscape):
+def counting_views(landscape, full_forward=forbidden):
     """A stochastic landscape whose minibatch views count their forward and
-    backward calls, and whose own (full-data) oracle must not be called."""
+    backward calls, and whose own (full-data) oracle is full_forward, by
+    default one that must not be called."""
     calls = {"forward": 0, "backward": 0}
 
     def bind(ctx):
         view = landscape.with_context(ctx)
         return dataclasses.replace(view, forward=counting_forward(view, calls))
-    return dataclasses.replace(landscape, forward=forbidden, with_context=bind), calls
+    return dataclasses.replace(landscape, forward=full_forward, with_context=bind), calls
 
 
 def test_lean_sgd_epoch_evaluates_only_the_final_record():
@@ -433,3 +437,17 @@ def test_lean_sgd_epoch_evaluates_only_the_final_record():
     assert traj.error is None and traj.records[0].t == 5
     # one of each per step, and one more for the record
     assert calls == {"forward": 6, "backward": 6}
+
+
+# forward calls of a 12-step run on the minibatch views and on the full data,
+# with keep_records=True and False
+@pytest.mark.parametrize("optimizer, view_calls, full_calls", [
+    ("rbo", (153, 153), (1, 0)), ("sam", (36, 25), (1, 0)), ("sgd", (24, 13), (1, 0)),
+    ("gd", (0, 0), (13, 13))])
+def test_minibatch_and_full_data_calls_per_run(optimizer, view_calls, full_calls):
+    landscape, theta0 = tiny_mlp_landscape()
+    for keep_records, views, full in zip((True, False), view_calls, full_calls):
+        full_data = {"forward": 0, "backward": 0}
+        ls, calls = counting_views(landscape, counting_forward(landscape, full_data))
+        assert lean_run(optimizer, ls, theta0, keep_records=keep_records).error is None
+        assert (calls["forward"], full_data["forward"]) == (views, full)

@@ -211,13 +211,6 @@ class TestGdLimit:
             assert obs[f"gap(rho={rho:g})"].value == pytest.approx(gap, abs=1e-7)
         assert obs["gap(rho=0.0001)"].bound == 1e-2
 
-    def test_informational_mode_binds_nothing(self):
-        report = check_gd_limit(quadratic(np.array([[1.0]])), 1.0,
-                                rhos=(1e-1, 1e-2), informational=True)
-        assert report.passed
-        assert all(o.bound is None for o in report.observations)
-        assert "informational" in report.notes
-
     def test_diverged_reference_raises(self):
         with pytest.raises(ValueError, match="reference descent run diverged"):
             check_gd_limit(quadratic(np.array([[1.0]])), 1.0, eta=2.5, steps=80)
@@ -295,8 +288,7 @@ class TestRegistry:
         # an int stands for a float, a list for a tuple, anything for None
         assert check_overrides("smoothing", {"rhos": [1, 10.0], "lo": 0, "h": 1e-3}) == \
             {"rhos": (1, 10.0), "lo": 0, "h": 1e-3}
-        assert check_overrides("gd-limit", {"landscape": {"name": "sinusoid"},
-                                            "informational": True, "steps": 3})
+        assert check_overrides("gd-limit", {"landscape": {"name": "sinusoid"}, "steps": 3})
         for key, bad in [("n_terms", 5.0), ("n_terms", True), ("lo", "0"),
                          ("lo", False), ("rhos", [1.0, None]), ("rhos", "1")]:
             with pytest.raises(TypeError, match=f"'{key}'"):
