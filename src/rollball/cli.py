@@ -12,12 +12,13 @@ flags win field by field. Exit codes: 0 success, 1 verify-check failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -181,10 +182,15 @@ def config_to_json(cfg) -> str:
 
 
 def config_from_mapping(cls, data: Mapping[str, Any]):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    """cls from the mapping; each key must name a field and fit its annotation."""
+    hints = get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not verify._stands_for(value, hints[key]):
+            raise ConfigError(f"config key {key!r} takes "
+                              f"{inspect.formatannotation(hints[key])}, got {value!r}")
     return cls(**data)
 
 

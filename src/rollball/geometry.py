@@ -163,8 +163,8 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
 
     For a landscape with sup |f| <= B, any s with sqrt(rho^2 - s^2) below
     rho - 2B loses to the s = 0 candidate, so the window can be cut exactly.
-    offset_value and offset_profile then prune this window further from the
-    values they evaluate (see _can_reach), returning the same maximum.
+    _offset_scan then prunes this window further from the values it
+    evaluates (see _can_reach), returning the same maximum.
     """
     smax = rho * (1.0 - 1e-12)
     b = landscape.value_bound
@@ -177,8 +177,8 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
 def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
     """Mask of the window offsets whose candidates f + circ can reach `lower`.
 
-    `lower` is a candidate value already attained at every theta of the scan,
-    so it never exceeds any theta's maximum. A candidate is the float sum
+    `lower` is a candidate value already attained at every anchor of the
+    scan, so it never exceeds any anchor's maximum. A candidate is the float sum
     fl(f + circ) of a computed f and the scan's own circ value; rounding is
     monotone, so a computed f <= B' gives fl(f + circ) <= fl(B' + circ), and
     where that is below `lower` the candidate loses: dropping it leaves every
@@ -192,14 +192,18 @@ def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
 
 
 def _circ(s: Array | float, rho: float) -> Array | float:
-    """Height sqrt(rho^2 - s^2) of the ball's upper arc over the offsets s.
+    """Height sqrt(rho^2 - s^2) of the ball's upper arc over the offsets s,
+    with |s| clamped to rho * (1 - 1e-12).
 
-    s is an array, or one float for the edge searches of the pruned scans.
+    s is an array, or one float for the edge searches of the pruned scan.
     Both run the same IEEE operations, so they give the same float at the
-    same s; the float path costs well under a microsecond.
+    same s; the float path takes under a microsecond, np.clip alone several.
     """
+    smax = rho * (1.0 - 1e-12)
     if isinstance(s, float):
+        s = min(max(s, -smax), smax)
         return math.sqrt(max(rho * rho - s * s, 0.0))
+    s = np.clip(s, -smax, smax)
     return np.sqrt(np.maximum(rho * rho - s * s, 0.0))
 
 
@@ -215,6 +219,66 @@ def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: int,
+                 circ: Callable[[Array | int], Array | float]) -> Array:
+    """For each lattice anchor a, the maximum of f((a+m)h) + circ(m) over
+    -nl <= m <= nr.
+
+    circ must not decrease along m = -nl, ..., -1 nor increase along
+    m = 1, ..., nr. With a value_bound the scan runs in two passes: the band
+    |m| <= max(nl, nr) // _NARROW gives L, the smallest band maximum, which
+    is attained at every anchor; each side then widens only to the m where
+    B + circ(m) can still reach L (see _can_reach), evaluating just the new
+    lattice points. Every excluded candidate loses to L, so each value is
+    the same float as the maximum over the whole window.
+    """
+    k, first, last = anchors.step, anchors[0], anchors[-1]
+
+    def scan(fv: Array, l: int, r: int) -> Array:
+        # out[i] = max over -l <= m <= r of fv[i*k + l + m] + circ(m), in
+        # chunks that keep each temporary below _WINDOW_CHUNK elements
+        c = circ(np.arange(-l, r + 1))
+        sw = np.ndarray((len(anchors), c.size), buffer=np.ascontiguousarray(fv),
+                        strides=(8 * k, 8))  # a few us cheaper than as_strided
+        out = np.empty(len(anchors))
+        chunk = max(1, _WINDOW_CHUNK // c.size)
+        for i in range(0, len(anchors), chunk):
+            out[i:i + chunk] = np.max(sw[i:i + chunk] + c, axis=1)
+        return out
+
+    n = max(nl, nr) if landscape.value_bound is None else max(nl, nr) // _NARROW
+    l, r = min(nl, n), min(nr, n)
+    fv = eval_batch(landscape, np.arange(first - l, last + r + 1) * h)
+    out = scan(fv, l, r)
+    if (l, r) == (nl, nr):
+        return out
+    lower = float(out.min())
+    l2 = _first(lambda m: not _can_reach(landscape, circ(-m), lower), l + 1, nl + 1) - 1
+    r2 = _first(lambda m: not _can_reach(landscape, circ(m), lower), r + 1, nr + 1) - 1
+    if (l2, r2) == (l, r):
+        return out
+    ext = eval_batch(landscape, np.concatenate([np.arange(first - l2, first - l) * h,
+                                                np.arange(last + r + 1, last + r2 + 1) * h]))
+    fv = np.concatenate([ext[:l2 - l], fv, ext[l2 - l:]])
+    del ext  # neither ext nor the pass-1 values stay alive through the scan's peak
+    return scan(fv, l2, r2)
+
+
+def _offset_values(landscape: Landscape, rho: float, thetas: Array, h: float) -> Array:
+    """phi_rho at each theta: the larger of theta's own candidate f(theta) + rho
+    and the one-anchor scan of theta's window from the lattice point nearest it."""
+    w = _offset_window(landscape, rho)
+    out = eval_batch(landscape, thetas) + _circ(0.0, rho)
+    for i, theta in enumerate(thetas.tolist()):
+        j0 = math.ceil((theta - w) / h - 1e-9)
+        j1 = math.floor((theta + w) / h + 1e-9)
+        if j0 <= j1:  # else no lattice point is in the window
+            a = min(max(round(theta / h), j0), j1)
+            out[i] = max(out[i], _offset_scan(landscape, h, range(a, a + 1), a - j0, j1 - a,
+                                              lambda m: _circ((a + m) * h - theta, rho))[0])
+    return out
 
 
 def _check_offset_args(landscape: Landscape, rho: float, h: float) -> None:
@@ -237,65 +301,23 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     sampled peaks of f at theta-independent phases, which is what makes
     sampled offsets of nearby thetas comparable.
 
-    With a value_bound the search runs in two passes: theta and the
-    lattice within 1/8 of the window give an attained value L, and f is
-    then evaluated only where B + sqrt(rho^2 - s^2) can still reach L.
-    The excluded candidates provably lose, so the result is the same float
-    as the maximum over the whole window.
+    The lattice part is a one-anchor pruned scan (see _offset_scan), the
+    same float as the maximum over the whole window.
     """
     _check_offset_args(landscape, rho, h)
-    theta = float(theta)
-    smax = rho * (1.0 - 1e-12)
-    w = _offset_window(landscape, rho)
-    j0 = math.ceil((theta - w) / h - 1e-9)
-    j1 = math.floor((theta + w) / h + 1e-9)
-
-    def lattice(idx: Array) -> Array:  # the lattice points j0 + idx
-        return (j0 + idx) * h
-
-    def candidates(tp: Array) -> float:
-        circ = _circ(np.clip(tp - theta, -smax, smax), rho)
-        return float(np.max(eval_batch(landscape, tp) + circ))
-
-    def s_at(i: int) -> float:  # the offset candidates() computes for j0 + i
-        return min(max((j0 + i) * h - theta, -smax), smax)
-
-    n = j1 - j0 + 1
-    if landscape.value_bound is None:
-        return candidates(np.append(lattice(np.arange(n)), theta))
-
-    # pass 1: the lattice band within w / _NARROW of theta, and theta itself
-    a1 = _first(lambda i: s_at(i) >= -w / _NARROW, 0, n)
-    b1 = _first(lambda i: s_at(i) > w / _NARROW, a1, n)
-    best = candidates(np.append(lattice(np.arange(a1, b1)), theta))
-
-    # pass 2: the rest of the window where a candidate can still reach best;
-    # circ rises along [0, a1) and falls along [b1, n), so that is two runs
-    def reach(i: int) -> bool:
-        return _can_reach(landscape, _circ(s_at(i), rho), best)
-
-    left = _first(reach, 0, a1)
-    right = _first(lambda i: not reach(i), b1, n)
-    if left < a1 or right > b1:
-        best = max(best, candidates(lattice(np.r_[left:a1, b1:right])))
-    return best
+    return float(_offset_values(landscape, rho, np.array([float(theta)]), h)[0])
 
 
 def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
                    theta_step: float, h: float | None = None) -> OffsetSamples:
     """Sampled offset over [lo, hi] with theta spacing theta_step.
 
-    When theta_step is an integer multiple of h the lattice is shared and
-    the scan runs as a strided sliding-window maximum; otherwise each theta
-    falls back to offset_value semantics. Both paths compute the same set
-    maximum.
-
-    With a value_bound the shared scan prunes the candidate window in two
-    passes: a band of 1/8 of the window gives L, the smallest of the band
-    maxima, which is attained at every theta; the band then widens only to
-    the |s| where B + sqrt(rho^2 - s^2) can still reach L, evaluating just
-    the new lattice points. Every excluded candidate loses to L, so each
-    value is the same float as the maximum over the whole window.
+    When theta_step is an integer multiple k of h and lo sits on the theta
+    lattice, one strided scan serves every theta (see _offset_scan);
+    otherwise each theta falls back to offset_value semantics. The strided
+    scan takes theta's lattice point (i * k) * h as its s = 0 candidate and
+    never theta = i * theta_step itself, which can differ by rounding, so
+    the two paths agree to about 1e-15, not bit for bit.
     """
     if h is None:
         h = min(rho / 100.0, theta_step)
@@ -310,44 +332,14 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     if aligned and lo_aligned:
         k = int(round(ratio))
         i0 = int(round(lo / theta_step))
-        thetas = (np.arange(i0, i0 + n_t + 1) * theta_step)
-        smax = rho * (1.0 - 1e-12)
+        thetas = np.arange(i0, i0 + n_t + 1) * theta_step
         nw = int(math.floor(_offset_window(landscape, rho) / h + 1e-9))
-        first, last = i0 * k, (i0 + n_t) * k
-
-        def circ(j: Array | int) -> Array | float:  # the arc over offsets j * h
-            return _circ(np.clip(j * h, -smax, smax), rho)
-
-        def scan(fv: Array, n: int) -> Array:
-            # out[i] = max over |j| <= n of fv[i*k + n + j] + circ(j), in
-            # chunks that keep each temporary below _WINDOW_CHUNK elements
-            c = circ(np.arange(-n, n + 1))
-            sw = np.lib.stride_tricks.sliding_window_view(fv, c.size)[::k]
-            out = np.empty(n_t + 1)
-            chunk = max(1, _WINDOW_CHUNK // c.size)
-            for a in range(0, n_t + 1, chunk):
-                out[a:a + chunk] = np.max(sw[a:a + chunk] + c, axis=1)
-            return out
-
-        n = nw if landscape.value_bound is None else nw // _NARROW
-        fv = eval_batch(landscape, np.arange(first - n, last + n + 1) * h)
-        out = scan(fv, n)
-        if n < nw:
-            # circ(j) never increases along j = 0, 1, ..., nw, so the offsets
-            # that can still reach the attained minimum are one run from 0
-            lower = float(out.min())
-            n2 = _first(lambda j: not _can_reach(landscape, circ(j), lower),
-                        n + 1, nw + 1) - 1
-            if n2 > n:
-                fv = np.concatenate([
-                    eval_batch(landscape, np.arange(first - n2, first - n) * h), fv,
-                    eval_batch(landscape, np.arange(last + n + 1, last + n2 + 1) * h)])
-                out = scan(fv, n2)
-        return OffsetSamples(thetas=thetas, values=out, rho=rho, grid_step=h)
-
-    thetas = lo + np.arange(n_t + 1) * theta_step
-    out = np.array([offset_value(landscape, rho, float(t), h) for t in thetas])
-    return OffsetSamples(thetas=thetas, values=out, rho=rho, grid_step=h)
+        values = _offset_scan(landscape, h, range(i0 * k, (i0 + n_t) * k + 1, k), nw, nw,
+                              lambda m: _circ(m * h, rho))
+    else:
+        thetas = lo + np.arange(n_t + 1) * theta_step
+        values = _offset_values(landscape, rho, thetas, h)
+    return OffsetSamples(thetas=thetas, values=values, rho=rho, grid_step=h)
 
 
 def count_local_minima(values: Array) -> int:

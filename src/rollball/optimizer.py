@@ -430,7 +430,7 @@ def _descent_step(eta: float, sam_rho: float | None = None) -> Callable:
                 g = value_and_grad(view, point.theta + sam_rho * (g / gn))[1]
         theta = point.theta - eta * g
         norm = float(np.linalg.norm(theta))
-        if norm > DIVERGENCE_LIMIT:
+        if not norm <= DIVERGENCE_LIMIT:  # a NaN iterate diverged too
             raise Divergence(f"iterate diverged, |theta| = {norm:.3e}")
         return theta, None
     return step

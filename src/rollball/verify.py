@@ -372,13 +372,13 @@ def available_checks() -> tuple[str, ...]:
 
 
 def _stands_for(value: Any, hint: Any) -> bool:
-    """Whether a JSON value fits a keyword's annotation. A float takes an
-    int too, a tuple a list whose items each fit its item type, a union a
+    """Whether a JSON value fits a keyword's annotation. A float takes an int
+    too, a tuple or list a list of items that fit its item type, a union a
     value that fits one of its members, and a Mapping any JSON object."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, types.UnionType):
         return any(_stands_for(value, a) for a in args)
-    if origin is tuple:
+    if origin in (tuple, list):
         return isinstance(value, (list, tuple)) and \
             all(_stands_for(v, args[0]) for v in value)
     if isinstance(value, bool) or hint is bool:

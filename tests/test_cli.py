@@ -106,6 +106,20 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_mapping(SweepConfig, {"optimizer": "rbo"})
 
+    @pytest.mark.parametrize("command, data, key", [
+        ("trajectory", {"steps": 2.5}, "steps"),
+        ("trajectory", {"eta": True, "steps": 2}, "eta"),
+        ("trajectory", {"theta0": 2.0}, "theta0"),
+        ("trajectory", {"theta0": [0.5, "1"]}, "theta0"),
+        ("sweep", {"steps": "3"}, "steps"),
+        ("sweep", {"rho_count": 2.5}, "rho_count")])
+    def test_config_file_values_are_type_checked(self, sandbox, capsys, command, data, key):
+        config = sandbox / "config.json"
+        config.write_text(json.dumps(data))
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config key {key!r} takes" in capsys.readouterr().err
+        assert [p.name for p in sandbox.iterdir()] == ["config.json"]
+
 
 # ---------------------------------------------------------------------------
 # trajectory subcommand

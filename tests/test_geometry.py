@@ -15,8 +15,9 @@ from rollball.geometry import (GridSpec, _offset_window, count_local_minima,
                                is_unreachable, normal_from_grad,
                                offset_profile, offset_value, sharpness,
                                tangent_from_grad)
-from rollball.landscape import (affine_plus_bump, eval_batch, quadratic, riemann,
-                                sinusoid, value_and_grad)
+from rollball.landscape import (Landscape, affine_plus_bump, eval_batch, quadratic,
+                                riemann, sinusoid, value_and_grad)
+from reference import full_window_profile
 
 grad_vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -145,33 +146,6 @@ def _counting(ls):
     return replace(ls, f_batch=f_batch), seen
 
 
-def _full_window_profile(ls, rho, h, thetas, k=None):
-    """Brute-force maximum over the whole rho*(1-1e-12) lattice window.
-
-    k=None follows offset_value (each theta's own lattice plus theta);
-    an integer k follows the shared lattice of offset_profile, where
-    theta number i sits on lattice index (i0 + i) * k.
-    """
-    smax = rho * (1.0 - 1e-12)
-    if k is None:
-        out = []
-        for t in thetas:
-            j0 = math.ceil((t - smax) / h - 1e-9)
-            j1 = math.floor((t + smax) / h + 1e-9)
-            tp = np.concatenate([np.arange(j0, j1 + 1) * h, [t]])
-            s = np.clip(tp - t, -smax, smax)
-            out.append(np.max(ls.f_batch(tp[:, None]) +
-                              np.sqrt(np.maximum(rho * rho - s * s, 0.0))))
-        return np.array(out)
-    n = int(math.floor(smax / h + 1e-9))
-    s = np.clip(np.arange(-n, n + 1) * h, -smax, smax)
-    circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-    first = int(round(thetas[0] / (k * h))) * k
-    fv = ls.f_batch((np.arange(first - n, first + (thetas.size - 1) * k + n + 1) * h)[:, None])
-    return np.array([np.max(fv[i * k:i * k + 2 * n + 1] + circ)
-                     for i in range(thetas.size)])
-
-
 @pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
 @pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid,
                                   lambda: affine_plus_bump(0.5, 0.0, "sin", 1.0)],
@@ -184,7 +158,7 @@ def test_offset_pruned_window_is_exact(make, rho):
     h = min(rho / 200, 0.05)
     step = 10 * h
     prof = offset_profile(ls, rho, 0.0, 40 * step, theta_step=step, h=h)
-    assert np.array_equal(prof.values, _full_window_profile(base, rho, h, prof.thetas, k=10))
+    assert np.array_equal(prof.values, full_window_profile(base, rho, h, prof.thetas, k=10))
     # no lattice point is evaluated twice; without a value_bound the whole
     # window is evaluated, with one a large radius leaves most of it out
     pts = np.concatenate(seen)
@@ -197,18 +171,38 @@ def test_offset_pruned_window_is_exact(make, rho):
 
     rough = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
                            theta_step=10.5 * h, h=h)
-    assert np.array_equal(rough.values, _full_window_profile(base, rho, h, rough.thetas))
+    assert np.array_equal(rough.values, full_window_profile(base, rho, h, rough.thetas))
     t = float(prof.thetas[7])
-    assert offset_value(ls, rho, t, h) == _full_window_profile(base, rho, h, [t])[0]
+    assert offset_value(ls, rho, t, h) == full_window_profile(base, rho, h, [t])[0]
+
+
+def test_offset_window_without_lattice_points():
+    # a bound of 1e-9 cuts the window to |s| <= 6.3e-5; at h=1e-2 most
+    # thetas then find no lattice point in it and keep their own candidate
+    def forward(t):
+        return 1e-9 * math.sin(float(t[0])), lambda: np.array([1e-9 * math.cos(float(t[0]))])
+
+    ls = Landscape(dim=1, forward=forward, name="tiny_sinusoid", value_bound=1e-9,
+                   f_batch=lambda t: 1e-9 * np.sin(np.asarray(t, dtype=float).reshape(-1)))
+    rho, h = 1.0, 1e-2
+    assert _offset_window(ls, rho) < 1e-4
+    for t in (0.0, 0.37 * h, 0.5 * h, 0.9 * h, 1.3):
+        assert offset_value(ls, rho, t, h) == full_window_profile(ls, rho, h, [t])[0]
+    prof = offset_profile(ls, rho, 0.0, 40 * 10 * h, theta_step=10 * h, h=h)
+    assert np.array_equal(prof.values, full_window_profile(ls, rho, h, prof.thetas, k=10))
+    rough = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
+                           theta_step=10.5 * h, h=h)
+    assert np.array_equal(rough.values, full_window_profile(ls, rho, h, rough.thetas))
 
 
 @pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
 @pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid], ids=["riemann5", "sinusoid"])
 def test_offset_value_evaluates_the_band_and_the_live_points(make, rho):
-    # offset_value finds its pass edges by bisection; the points it evaluates
-    # are theta, the pass-1 band and the lattice points whose bound
-    # B + sqrt(rho^2 - s^2) reaches the band's maximum, found here over
-    # the whole window
+    # offset_value scans the lattice of theta's window from the lattice
+    # point a nearest theta; the points it evaluates are theta, the band
+    # |m| <= max(nl, nr) // _NARROW of offsets a + m, and the lattice points
+    # whose bound B + sqrt(rho^2 - s^2) reaches the band's maximum, found
+    # here over the whole window
     base = make()
     h = min(rho / 200, 0.05)
     smax = rho * (1.0 - 1e-12)
@@ -218,12 +212,13 @@ def test_offset_value_evaluates_the_band_and_the_live_points(make, rho):
         got = offset_value(ls, rho, theta, h)
         j0 = math.ceil((theta - w) / h - 1e-9)
         j1 = math.floor((theta + w) / h + 1e-9)
-        tp = np.arange(j0, j1 + 1) * h
+        a = round(theta / h)
+        m = np.arange(j0 - a, j1 - a + 1)
+        tp = (a + m) * h
         s = np.clip(tp - theta, -smax, smax)
         circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-        band = (s >= -w / geometry._NARROW) & (s <= w / geometry._NARROW)
-        best = max(np.max(base.f_batch(tp[band][:, None]) + circ[band]),
-                   base.f_batch(np.array([[theta]]))[0] + rho)
+        band = np.abs(m) <= max(a - j0, j1 - a) // geometry._NARROW
+        best = np.max(base.f_batch(tp[band][:, None]) + circ[band])
         live = base.value_bound * (1.0 + 1e-12) + circ >= best
         want = np.unique(np.append(tp[band | live], theta))
         np.testing.assert_array_equal(np.unique(np.concatenate(seen)), want)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollball.landscape import affine_plus_bump, quadratic, riemann
+from rollball.landscape import Landscape, affine_plus_bump, quadratic, riemann
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, WarmStart,
                                 lift, project_footpoint, rbo_step, run_gd,
@@ -180,6 +180,25 @@ def test_gd_divergence_flagged_not_raised():
     assert traj.error is not None and "diverged" in traj.error
     assert 0 < len(traj.records) < 401  # partial records kept
     assert traj.records[-1].loss > 1e20
+
+
+def _nan_grad_at(t0: float) -> Landscape:
+    """f = theta^2 whose gradient oracle returns NaN at theta = t0."""
+    def forward(theta):
+        t = float(theta[0])
+        return t * t, lambda: np.array([math.nan if t == t0 else 2.0 * t])
+    return Landscape(dim=1, forward=forward, name="nan_grad")
+
+
+@pytest.mark.parametrize("run", [
+    lambda ls: run_gd(ls, np.array([0.2]), eta=0.1, steps=5),
+    lambda ls: run_sgd(ls, np.array([0.2]), eta=0.1, steps=5, seed=0),
+    lambda ls: run_sam(ls, np.array([0.2]), eta=0.1, sam_rho=0.05, steps=5)],
+    ids=["gd", "sgd", "sam"])
+def test_descent_stops_on_a_nan_iterate(run):
+    traj = run(_nan_grad_at(0.2))
+    assert traj.error.startswith("step 1:") and "diverged" in traj.error
+    assert len(traj.records) == 1 and traj.records[0].theta[0] == 0.2
 
 
 def test_sam_zero_radius_is_bitwise_gd():
