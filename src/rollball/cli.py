@@ -337,10 +337,8 @@ def _sweep_grid(cfg: SweepConfig) -> list[tuple[int, float, float]]:
     return cells
 
 
-def _sweep_cell_landscape(cfg: SweepConfig, rho: float, eta: float,
-                          seed: int) -> float:
-    landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
-    theta0 = _resolve_theta0(cfg.theta0, landscape)
+def _sweep_cell_landscape(cfg: SweepConfig, landscape: Landscape, theta0: np.ndarray,
+                          rho: float, eta: float, seed: int) -> float:
     traj = run_rbo(landscape, theta0, rho, eta, cfg.steps,
                    ProjectionConfig(max_iters=cfg.max_iters), seed=seed)
     if traj.error is not None:
@@ -365,6 +363,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         train, val = train_full.split(50_000)
         if cfg.subset:
             train = train.subset(slice(0, cfg.subset))
+    else:  # a bad landscape is a config error before any cell runs
+        landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
+        theta0 = _resolve_theta0(cfg.theta0, landscape)
     cells = _sweep_grid(cfg)
 
     def run_cell(cell: tuple[int, float, float]) -> tuple[float, float, float, str]:
@@ -372,7 +373,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed = cfg.seed + SWEEP_CELL_SEED_STRIDE * index
         try:
             if cfg.task == "landscape":
-                metric = _sweep_cell_landscape(cfg, rho, eta, seed)
+                metric = _sweep_cell_landscape(cfg, landscape, theta0, rho, eta, seed)
             else:
                 metric = _sweep_cell_mlp(cfg, train, val, rho, eta, seed)
             return rho, eta, metric, ""

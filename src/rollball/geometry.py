@@ -144,16 +144,26 @@ def hausdorff_distance(a: Array, b: Array) -> float:
 
 # Pass 1 of a pruned offset search covers 1/_NARROW of the candidate window.
 _NARROW = 8
-# Elements of one sliding-window temporary of offset_profile (32 MB).
+# Elements of one temporary of the offset scan (32 MB).
 _WINDOW_CHUNK = 4_000_000
+# One block of the monotone offset scan costs about as much numpy overhead
+# as adding and maximizing this many candidates.
+_BLOCK_COST = 8000
 
 
 @dataclass(frozen=True)
 class OffsetSamples:
-    """Sampled upper offset phi_rho over a theta interval."""
+    """Sampled upper offset phi_rho over a theta interval.
+
+    contacts[i] is the theta of the candidate that attains values[i]: the
+    lattice point of the leftmost maximizer, or thetas[i] itself when its
+    own s = 0 candidate wins. The ball of radius rho centred at
+    (thetas[i], values[i]) touches the sampled graph there.
+    """
 
     thetas: Array
     values: Array
+    contacts: Array
     rho: float
     grid_step: float
 
@@ -221,64 +231,113 @@ def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
     return lo
 
 
-def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: int,
-                 circ: Callable[[Array | int], Array | float]) -> Array:
-    """For each lattice anchor a, the maximum of f((a+m)h) + circ(m) over
-    -nl <= m <= nr.
+def _pivot_stride(rows: int, w: int, k: int) -> int:
+    """Rows from one pivot to the next in the monotone scan of _offset_scan,
+    over `rows` anchors k lattice points apart with w-wide windows; 1, the
+    plain scan, where blocking would not pay.
 
-    circ must not decrease along m = -nl, ..., -1 nor increase along
-    m = 1, ..., nr. With a value_bound the scan runs in two passes: the band
-    |m| <= max(nl, nr) // _NARROW gives L, the smallest band maximum, which
-    is attained at every anchor; each side then widens only to the m where
+    Pivots cost about rows / b * (w + _BLOCK_COST) candidate-equivalents,
+    the rows between them about b * (rows * k + w); b balances the two.
+    """
+    b = math.isqrt(rows * (w + _BLOCK_COST) // (rows * k + w))
+    if b < 2 or rows * (w + _BLOCK_COST) // b + b * (rows * k + w) >= rows * w:
+        return 1
+    return b
+
+
+def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: int,
+                 circ: Callable[[Array | int], Array | float]) -> tuple[Array, Array]:
+    """For each lattice anchor a, the maximum of f((a+m)h) + circ(m) over
+    -nl <= m <= nr, and the lattice index a + m of its leftmost maximizer.
+
+    circ must be concave, rising along m <= 0 and falling along m >= 0.
+    With a value_bound the scan runs in two passes: the band |m| <=
+    max(nl, nr) // _NARROW gives L, the smallest band maximum, which is
+    attained at every anchor; each side then widens only to the m where
     B + circ(m) can still reach L (see _can_reach), evaluating just the new
     lattice points. Every excluded candidate loses to L, so each value is
     the same float as the maximum over the whole window.
-    """
-    k, first, last = anchors.step, anchors[0], anchors[-1]
 
-    def scan(fv: Array, l: int, r: int) -> Array:
-        # out[i] = max over -l <= m <= r of fv[i*k + l + m] + circ(m), in
-        # chunks that keep each temporary below _WINDOW_CHUNK elements
+    For a concave circ the candidates form an inverse Monge matrix over
+    (anchor, lattice point): the leftmost maximizer never moves left as the
+    anchor moves right (the fact behind SMAWK). So every b-th anchor and the
+    last are pivots, maximized over their whole window, and the anchors
+    between two pivots only between the pivots' maximizers (b from
+    _pivot_stride; b = 1 is the plain scan). NaN and +-inf keep the order;
+    that rounding keeps it at near-ties is tested, not proven.
+    """
+    k, first, last, rows = anchors.step, anchors[0], anchors[-1], len(anchors)
+
+    def scan(fv: Array, l: int, r: int) -> tuple[Array, Array]:
+        # best[i] and arg[i]: the maximum over columns 0 <= j <= l + r of
+        # fv[i*k + j] + circ(j - l), and its leftmost j; returns best and
+        # the lattice index first - l + i*k + arg[i]
         c = circ(np.arange(-l, r + 1))
-        sw = np.ndarray((len(anchors), c.size), buffer=np.ascontiguousarray(fv),
+        w = c.size
+        sw = np.ndarray((rows, w), buffer=np.ascontiguousarray(fv),
                         strides=(8 * k, 8))  # a few us cheaper than as_strided
-        out = np.empty(len(anchors))
-        chunk = max(1, _WINDOW_CHUNK // c.size)
-        for i in range(0, len(anchors), chunk):
-            out[i:i + chunk] = np.max(sw[i:i + chunk] + c, axis=1)
-        return out
+        best, arg = np.empty(rows), np.empty(rows, dtype=np.intp)
+
+        def block(sel: slice, lo: int, hi: int) -> None:
+            # rows sel over columns lo..hi-1, in chunks that keep each
+            # temporary below _WINDOW_CHUNK elements
+            v, bv, av = sw[sel, lo:hi], best[sel], arg[sel]
+            n = max(1, _WINDOW_CHUNK // (hi - lo))
+            for i in range(0, len(v), n):
+                t = v[i:i + n] + c[lo:hi]
+                a = t.argmax(axis=1)
+                bv[i:i + n], av[i:i + n] = t[np.arange(a.size), a], a + lo
+                del t  # the next chunk's temporary replaces it instead of joining it
+
+        b = _pivot_stride(rows, w, k)
+        pivots = list(range(0, rows, b))
+        block(slice(0, rows, b), 0, w)
+        if pivots[-1] != rows - 1:
+            pivots.append(rows - 1)
+            block(slice(rows - 1, rows), 0, w)
+        for p, q in zip(pivots, pivots[1:]):
+            if q > p + 1:  # fv positions of the pivots' maximizers bound the rows between
+                lo, hi = sorted((p * k + int(arg[p]), q * k + int(arg[q])))
+                block(slice(p + 1, q), max(0, lo - (q - 1) * k), min(w, hi - (p + 1) * k + 1))
+        return best, first - l + k * np.arange(rows) + arg
 
     n = max(nl, nr) if landscape.value_bound is None else max(nl, nr) // _NARROW
     l, r = min(nl, n), min(nr, n)
     fv = eval_batch(landscape, np.arange(first - l, last + r + 1) * h)
-    out = scan(fv, l, r)
+    out, index = scan(fv, l, r)
     if (l, r) == (nl, nr):
-        return out
+        return out, index
     lower = float(out.min())
     l2 = _first(lambda m: not _can_reach(landscape, circ(-m), lower), l + 1, nl + 1) - 1
     r2 = _first(lambda m: not _can_reach(landscape, circ(m), lower), r + 1, nr + 1) - 1
     if (l2, r2) == (l, r):
-        return out
+        return out, index
     ext = eval_batch(landscape, np.concatenate([np.arange(first - l2, first - l) * h,
                                                 np.arange(last + r + 1, last + r2 + 1) * h]))
     fv = np.concatenate([ext[:l2 - l], fv, ext[l2 - l:]])
-    del ext  # neither ext nor the pass-1 values stay alive through the scan's peak
+    del ext, out, index  # no pass-1 array stays alive through the scan's peak
     return scan(fv, l2, r2)
 
 
-def _offset_values(landscape: Landscape, rho: float, thetas: Array, h: float) -> Array:
-    """phi_rho at each theta: the larger of theta's own candidate f(theta) + rho
-    and the one-anchor scan of theta's window from the lattice point nearest it."""
+def _offset_values(landscape: Landscape, rho: float, thetas: Array,
+                   h: float) -> tuple[Array, Array]:
+    """phi_rho at each theta and its contact: the larger of theta's own
+    candidate f(theta) + rho (contact theta) and the one-anchor scan of
+    theta's window from the lattice point nearest it (contact its lattice
+    maximizer); a tie keeps theta."""
     w = _offset_window(landscape, rho)
     out = eval_batch(landscape, thetas) + _circ(0.0, rho)
+    contacts = thetas.copy()
     for i, theta in enumerate(thetas.tolist()):
         j0 = math.ceil((theta - w) / h - 1e-9)
         j1 = math.floor((theta + w) / h + 1e-9)
         if j0 <= j1:  # else no lattice point is in the window
             a = min(max(round(theta / h), j0), j1)
-            out[i] = max(out[i], _offset_scan(landscape, h, range(a, a + 1), a - j0, j1 - a,
-                                              lambda m: _circ((a + m) * h - theta, rho))[0])
-    return out
+            v, j = _offset_scan(landscape, h, range(a, a + 1), a - j0, j1 - a,
+                                lambda m: _circ((a + m) * h - theta, rho))
+            if v[0] > out[i]:
+                out[i], contacts[i] = v[0], j[0] * h
+    return out, contacts
 
 
 def _check_offset_args(landscape: Landscape, rho: float, h: float) -> None:
@@ -305,7 +364,7 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     same float as the maximum over the whole window.
     """
     _check_offset_args(landscape, rho, h)
-    return float(_offset_values(landscape, rho, np.array([float(theta)]), h)[0])
+    return float(_offset_values(landscape, rho, np.array([float(theta)]), h)[0][0])
 
 
 def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
@@ -313,11 +372,12 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     """Sampled offset over [lo, hi] with theta spacing theta_step.
 
     When theta_step is an integer multiple k of h and lo sits on the theta
-    lattice, one strided scan serves every theta (see _offset_scan);
-    otherwise each theta falls back to offset_value semantics. The strided
-    scan takes theta's lattice point (i * k) * h as its s = 0 candidate and
-    never theta = i * theta_step itself, which can differ by rounding, so
-    the two paths agree to about 1e-15, not bit for bit.
+    lattice, one strided monotone scan serves every theta (see
+    _offset_scan); otherwise each theta falls back to offset_value
+    semantics. The strided scan takes theta's lattice point (i * k) * h as
+    its s = 0 candidate and never theta = i * theta_step itself, which can
+    differ by rounding, so the two paths agree to about 1e-15, not bit for
+    bit. Either path also returns each value's contact (see OffsetSamples).
     """
     if h is None:
         h = min(rho / 100.0, theta_step)
@@ -334,12 +394,14 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
         i0 = int(round(lo / theta_step))
         thetas = np.arange(i0, i0 + n_t + 1) * theta_step
         nw = int(math.floor(_offset_window(landscape, rho) / h + 1e-9))
-        values = _offset_scan(landscape, h, range(i0 * k, (i0 + n_t) * k + 1, k), nw, nw,
-                              lambda m: _circ(m * h, rho))
+        values, index = _offset_scan(landscape, h, range(i0 * k, (i0 + n_t) * k + 1, k),
+                                     nw, nw, lambda m: _circ(m * h, rho))
+        contacts = index * h
     else:
         thetas = lo + np.arange(n_t + 1) * theta_step
-        values = _offset_values(landscape, rho, thetas, h)
-    return OffsetSamples(thetas=thetas, values=values, rho=rho, grid_step=h)
+        values, contacts = _offset_values(landscape, rho, thetas, h)
+    return OffsetSamples(thetas=thetas, values=values, contacts=contacts, rho=rho,
+                         grid_step=h)
 
 
 def count_local_minima(values: Array) -> int:

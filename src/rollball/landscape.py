@@ -264,8 +264,18 @@ def affine_plus_bump(a: float | Array, b: float,
               "profile": profile.name, "amplitude": amp})
 
 
+def _integer(name: str, value: Any) -> int:
+    """An integral int or float parameter as an int; anything else is a
+    ValueError naming the parameter, not a silent truncation."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"landscape parameter {name!r} must be an integer, got {value!r}")
+    return value
+
+
 _CATALOGUE: dict[str, Callable[..., Landscape]] = {
-    "riemann": lambda n=100: riemann(int(n)),
+    "riemann": lambda n=100: riemann(_integer("n", n)),
     "sinusoid": lambda: sinusoid(),
     "quadratic": lambda a=None, a_diag=None, theta_star=None: quadratic(
         np.diag(np.asarray(a_diag, dtype=float)) if a_diag is not None

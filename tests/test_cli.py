@@ -316,6 +316,15 @@ class TestSweep:
         assert error != ""
         assert "1 failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("param", ["n=x", "n=2.5"])
+    def test_bad_landscape_exits_2_before_any_cell(self, sandbox, capsys, param):
+        out = sandbox / "sweep.csv"
+        assert main(["sweep", "--landscape", "riemann", "--param", param,
+                     "--rho-count", "1", "--eta-count", "1", "--steps", "2",
+                     "--out", str(out)]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_rbo_rejected(self, sandbox):
         cfg = sandbox / "cfg.json"
         cfg.write_text(json.dumps({"optimizer": "gd"}))
@@ -384,7 +393,7 @@ class TestVerify:
         ({"smoothing": {"rhos": [0.1, "1"]}}, "'rhos'"),
         ({"smoothing": {"rhos": 1.0}}, "'rhos'"),
         ({"gd-limit": {"steps": 2.5}}, "'steps'"),
-        ({"gd-limit": {"informational": 1}}, "'informational'"),
+        ({"gd-limit": {"eta": "fast"}}, "'eta'"),
         ({"linear-ironing": {"profile": 3}}, "'profile'"),
         ({"smoothing": {"h": "x"}}, "'h'"),
         ({"weak-ironing": {"landscape": {"name": "sinusoid", "params": 3}}}, "'landscape'"),
@@ -466,6 +475,14 @@ class TestOffset:
 
     def test_requires_rho(self, sandbox):
         assert main(["offset", "--landscape", "sinusoid"]) == 2
+
+    def test_non_integral_term_count_exits_2_naming_n(self, sandbox, capsys):
+        out = sandbox / "offset.csv"
+        assert main(["offset", "--rho", "1.0", "--param", "n=2.5", "--out", str(out)]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["offset", "--rho", "1.0", "--param", "n=3.0", "--interval", "0:1",
+                     "--out", str(out)]) == 0
 
     def test_bad_interval(self, sandbox):
         assert main(["offset", "--rho", "1.0", "--interval", "1:0"]) == 2

@@ -146,44 +146,110 @@ def _counting(ls):
     return replace(ls, f_batch=f_batch), seen
 
 
-@pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
-@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid,
-                                  lambda: affine_plus_bump(0.5, 0.0, "sin", 1.0)],
-                         ids=["riemann5", "sinusoid", "affine_bump"])
-def test_offset_pruned_window_is_exact(make, rho):
-    # the pruned search returns the very float of the full-window maximum,
-    # on the shared lattice, on the per-theta fallback and in offset_value
-    base = make()
-    ls, seen = _counting(base)
-    h = min(rho / 200, 0.05)
-    step = 10 * h
-    prof = offset_profile(ls, rho, 0.0, 40 * step, theta_step=step, h=h)
-    assert np.array_equal(prof.values, full_window_profile(base, rho, h, prof.thetas, k=10))
-    # no lattice point is evaluated twice; without a value_bound the whole
-    # window is evaluated, with one a large radius leaves most of it out
-    pts = np.concatenate(seen)
-    assert np.unique(pts).size == pts.size
-    window = 40 * 10 + 2 * int(math.floor(_offset_window(ls, rho) / h + 1e-9)) + 1
-    if ls.value_bound is None:
-        assert pts.size == window
-    elif rho == 1e3:
-        assert pts.size < window / 2
+def _tiny_sinusoid():
+    """1e-9 sin: a bound of 1e-9 cuts the offset window to |s| <= 6.3e-5 at
+    rho = 1, far narrower than any lattice step used here."""
+    def forward(t):
+        return 1e-9 * math.sin(float(t[0])), lambda: np.array([1e-9 * math.cos(float(t[0]))])
 
-    rough = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
+    return Landscape(dim=1, forward=forward, name="tiny_sinusoid", value_bound=1e-9,
+                     f_batch=lambda t: 1e-9 * np.sin(np.asarray(t, dtype=float).reshape(-1)))
+
+
+def _spiked():
+    """sin with NaN at 0, +inf from 1 on and -inf up to -1, no value_bound."""
+    def f_batch(t):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        out = np.sin(t)
+        out[t == 0.0], out[t >= 1.0], out[t <= -1.0] = np.nan, np.inf, -np.inf
+        return out
+
+    return Landscape(dim=1, forward=lambda t: (float(f_batch(t)[0]), None),
+                     name="spiked", f_batch=f_batch)
+
+
+def _assert_contacts(ls, samples, h, k=None):
+    """Every value is its contact's candidate f(contact) + arc, with the arc
+    from the scan's own float operations: circ(m * h) on the shared lattice,
+    where m is the contact's offset from theta's lattice point, and
+    circ(contact - theta) per theta."""
+    c = samples.contacts
+    if k is None:
+        s = c - samples.thetas
+    else:
+        anchors = np.round(samples.thetas / (k * h)).astype(int) * k
+        assert np.array_equal(c, np.round(c / h) * h)  # lattice points
+        s = (np.round(c / h).astype(int) - anchors) * h
+    np.testing.assert_array_equal(samples.values,
+                                  eval_batch(ls, c) + geometry._circ(s, samples.rho))
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3, 1e4])
+@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid,
+                                  lambda: affine_plus_bump(0.5, 0.0, "sin", 1.0),
+                                  lambda: affine_plus_bump(0.0, 3.0, "sin", amplitude=0.0),
+                                  lambda: quadratic(np.eye(1)), _tiny_sinusoid, _spiked],
+                         ids=["riemann5", "sinusoid", "affine_bump", "constant", "quadratic",
+                              "tiny_window", "spiked"])
+def test_offset_pruned_window_is_exact(make, rho, monkeypatch):
+    # the pruned monotone scan returns the very float of the full-window
+    # maximum, on the shared lattice, on the per-theta fallback and in
+    # offset_value, and each value is the candidate of its contact. Shapes:
+    # 41 rows 10 lattice points apart; 400 adjacent rows, the smoothing
+    # check's shape, where blocking is deepest; and the same with a forced
+    # pivot stride of 7, which makes the last row (399 = 57 * 7) a pivot.
+    # At rho = 1e4 the brute-force reference of 400 rows takes seconds
+    base = make()
+    h = min(rho / 200, 0.05)
+    for k, rows, stride in [(10, 41, None), (1, 400, None), (1, 400, 7)][:1 if rho > 1e3 else 3]:
+        with monkeypatch.context() as patch:
+            if stride is not None:
+                patch.setattr(geometry, "_pivot_stride", lambda *args: stride)
+            ls, seen = _counting(base)
+            prof = offset_profile(ls, rho, 0.0, (rows - 1) * k * h, theta_step=k * h, h=h)
+            assert prof.thetas.size == rows
+            np.testing.assert_array_equal(prof.values,
+                                          full_window_profile(base, rho, h, prof.thetas, k=k))
+            _assert_contacts(base, prof, h, k)
+        # no lattice point is evaluated twice; without a value_bound the whole
+        # window is evaluated, with one a large radius leaves most of it out
+        pts = np.concatenate(seen)
+        assert np.unique(pts).size == pts.size
+        nw = int(math.floor(_offset_window(ls, rho) / h + 1e-9))
+        window = (rows - 1) * k + 2 * nw + 1
+        if ls.value_bound is None:
+            assert pts.size == window
+        elif rho >= 1e3 and nw > (rows - 1) * k:
+            assert pts.size < window / 2
+    if base.name == "spiked":
+        return  # the per-theta fallback keeps max(own, lattice), which passes over a NaN
+
+    rough = offset_profile(base, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
                            theta_step=10.5 * h, h=h)
-    assert np.array_equal(rough.values, full_window_profile(base, rho, h, rough.thetas))
+    np.testing.assert_array_equal(rough.values, full_window_profile(base, rho, h, rough.thetas))
+    _assert_contacts(base, rough, h)
     t = float(prof.thetas[7])
-    assert offset_value(ls, rho, t, h) == full_window_profile(base, rho, h, [t])[0]
+    np.testing.assert_array_equal(offset_value(base, rho, t, h),
+                                  full_window_profile(base, rho, h, [t])[0])
+
+
+@given(n=st.integers(1, 60), log_rho=st.floats(-2.0, 2.0), q=st.integers(100, 400),
+       k=st.integers(1, 20), rows=st.integers(2, 300), i0=st.integers(-50, 50))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_offset_profile_contacts_property(n, log_rho, q, k, rows, i0):
+    # riemann(n) at any radius, lattice step h = rho / q and theta step k * h:
+    # the scan's values are the full-window maxima and their contacts' candidates
+    ls, rho = riemann(n), 10.0 ** log_rho
+    h = rho / q
+    prof = offset_profile(ls, rho, i0 * k * h, (i0 + rows - 1) * k * h, theta_step=k * h, h=h)
+    assert np.array_equal(prof.values, full_window_profile(ls, rho, h, prof.thetas, k=k))
+    _assert_contacts(ls, prof, h, k)
 
 
 def test_offset_window_without_lattice_points():
     # a bound of 1e-9 cuts the window to |s| <= 6.3e-5; at h=1e-2 most
     # thetas then find no lattice point in it and keep their own candidate
-    def forward(t):
-        return 1e-9 * math.sin(float(t[0])), lambda: np.array([1e-9 * math.cos(float(t[0]))])
-
-    ls = Landscape(dim=1, forward=forward, name="tiny_sinusoid", value_bound=1e-9,
-                   f_batch=lambda t: 1e-9 * np.sin(np.asarray(t, dtype=float).reshape(-1)))
+    ls = _tiny_sinusoid()
     rho, h = 1.0, 1e-2
     assert _offset_window(ls, rho) < 1e-4
     for t in (0.0, 0.37 * h, 0.5 * h, 0.9 * h, 1.3):

@@ -188,6 +188,10 @@ def test_eval_batch_without_batch_oracle():
 def test_catalogue_contents_and_errors():
     assert catalogue_names() == ["affine_bump", "quadratic", "riemann", "sinusoid"]
     assert make_landscape("riemann", {"n": 5}).name == "riemann(5)"
+    assert make_landscape("riemann", {"n": 100.0}).name == "riemann(100)"
+    for bad in (2.5, "x", True, float("inf")):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            make_landscape("riemann", {"n": bad})
     assert make_landscape("quadratic", {}).dim == 1
     assert make_landscape("quadratic", {"a_diag": [2.0, 3.0]}).dim == 2
     assert make_landscape("affine_bump", {"a": 2.0, "amplitude": 0.5}).dim == 1
