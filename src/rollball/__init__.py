@@ -12,8 +12,9 @@ from .neural import (Dataset, EpochStats, MlpSpec, as_landscape, evaluate,
                      loss_and_grad, param_count, train_mlp)
 from .optimizer import (BallState, GraphPoint, ProjectionConfig,
                         ProjectionDivergence, StepRecord, Trajectory,
-                        TrajectoryHeader, WarmStart, lift, project_footpoint,
-                        rbo_step, run_gd, run_rbo, run_sam, run_sgd)
+                        TrajectoryHeader, WarmStart, hyperparameters, lift,
+                        project_footpoint, rbo_step, run, run_gd, run_rbo,
+                        run_sam, run_sgd)
 from .verify import (CheckReport, Observation, available_checks,
                      check_gd_limit, check_linear_ironing,
                      check_open_unreachables, check_sharp_minima,
@@ -30,11 +31,11 @@ __all__ = [
     "check_gd_limit", "check_linear_ironing", "check_open_unreachables",
     "check_sharp_minima", "check_smoothing", "check_weak_ironing",
     "count_local_minima", "distance_to_graph", "eval_batch", "evaluate",
-    "find_mnist", "hausdorff_distance", "init_params", "is_unreachable",
-    "lift", "load_idx", "load_mnist", "loss_and_grad", "make_landscape",
-    "normal_from_grad", "offset_profile", "offset_value",
+    "find_mnist", "hausdorff_distance", "hyperparameters", "init_params",
+    "is_unreachable", "lift", "load_idx", "load_mnist", "loss_and_grad",
+    "make_landscape", "normal_from_grad", "offset_profile", "offset_value",
     "param_count", "project_footpoint", "quadratic", "rbo_step", "riemann",
-    "run_check", "run_gd", "run_rbo", "run_sam", "run_sgd", "sharpness",
+    "run", "run_check", "run_gd", "run_rbo", "run_sam", "run_sgd", "sharpness",
     "sinusoid", "tangent_from_grad", "train_mlp",
     "value_and_grad",
 ]

@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence, get_type_hints
 
@@ -25,8 +25,7 @@ import numpy as np
 from . import neural, serialize, verify
 from .geometry import offset_profile
 from .landscape import Landscape, catalogue_names, make_landscape
-from .optimizer import (ProjectionConfig, Trajectory, WarmStart, run_gd,
-                        run_rbo, run_sam, run_sgd)
+from .optimizer import OPTIMIZERS, WarmStart, hyperparameters, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,25 +44,22 @@ class ConfigError(ValueError):
 # configs
 # ---------------------------------------------------------------------------
 
-# optimizer -> {hyperparameter: default}. A RunConfig field in some entry
-# applies to the optimizers whose entry names it; rbo's projection settings
-# default to ProjectionConfig's.
-_PROJECTION = ProjectionConfig()
-OPTIMIZERS: dict[str, dict[str, Any]] = {
-    "rbo": {"rho": 1.0, "eta": 6.0, "max_iters": _PROJECTION.max_iters,
-            "grad_tol": _PROJECTION.grad_tol,
-            "warm_start": _PROJECTION.warm_start.value},
-    "gd": {"eta": 0.01},
-    "sgd": {"eta": 0.01},
-    "sam": {"sam_rho": 0.05, "eta": 0.01},
-}
+def _hyperparameters(optimizer: str, cfg) -> dict[str, Any]:
+    """The fields of cfg that the optimizer table names, laid over the
+    optimizer's defaults (see optimizer.hyperparameters)."""
+    given = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+             if any(f.name in hyper for hyper in OPTIMIZERS.values())}
+    try:
+        return hyperparameters(optimizer, **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
 class RunConfig:
     """One optimizer run. rho and the projection settings (max_iters,
-    grad_tol, warm_start) apply to rbo only, sam_rho to sam only; defaults
-    depend on the optimizer (see OPTIMIZERS) and fill fields left unset."""
+    grad_tol, warm_start) apply to rbo only, sam_rho to sam only; a field
+    left unset takes the optimizer's default from optimizer.OPTIMIZERS."""
 
     landscape: str = "riemann"
     landscape_params: dict[str, Any] = field(default_factory=dict)
@@ -81,39 +77,24 @@ class RunConfig:
     format: str = "csv"
 
     def validated(self) -> "RunConfig":
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        own = OPTIMIZERS[self.optimizer]
-        for opt, hyper in OPTIMIZERS.items():
-            for name in hyper:
-                if name not in own and getattr(self, name) is not None:
-                    raise ConfigError(f"{name} applies to the {opt} optimizer only")
+        _hyperparameters(self.optimizer, self)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if self.warm_start is not None:
-            try:
-                WarmStart(self.warm_start)
-            except ValueError:
-                raise ConfigError(f"unknown warm_start {self.warm_start!r}") from None
         return self
 
-    def filled(self) -> "RunConfig":
-        """Apply per-optimizer hyperparameter defaults to unset fields."""
-        return replace(self, **{name: default for name, default
-                                in OPTIMIZERS[self.optimizer].items()
-                                if getattr(self, name) is None})
 
-    def projection(self) -> ProjectionConfig:
-        return ProjectionConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
-                                warm_start=WarmStart(self.warm_start))
+# the sweep fields that only one task reads
+_TASK_FIELDS = {"landscape": ("landscape", "landscape_params", "theta0", "steps"),
+                "mlp": ("epochs", "subset", "data_dir")}
 
 
 @dataclass
 class SweepConfig:
-    """Radius/step-size grid. Radii are log-spaced; per radius the step
-    sizes are log-spaced between eta_scale_min*rho and eta_scale_max*rho."""
+    """Radius/step-size grid of rbo runs. Radii are log-spaced; per radius the
+    step sizes are log-spaced between eta_scale_min*rho and eta_scale_max*rho.
+    Each task's _TASK_FIELDS keep their defaults under the other task."""
 
     task: str = "landscape"
     landscape: str = "quadratic"
@@ -134,7 +115,7 @@ class SweepConfig:
     out: str = "sweep.csv"
 
     def validated(self) -> "SweepConfig":
-        if self.task not in ("landscape", "mlp"):
+        if self.task not in _TASK_FIELDS:
             raise ConfigError(f"unknown sweep task {self.task!r}")
         if self.rho_count < 1 or self.eta_count < 1:
             raise ConfigError("grid counts must be >= 1")
@@ -142,13 +123,19 @@ class SweepConfig:
             raise ConfigError("need 0 < rho_min < rho_max")
         if self.eta_scale_min <= 0 or self.eta_scale_min >= self.eta_scale_max:
             raise ConfigError("need 0 < eta_scale_min < eta_scale_max")
+        default = SweepConfig()
+        for task, names in _TASK_FIELDS.items():
+            for name in names:
+                if task != self.task and getattr(self, name) != getattr(default, name):
+                    raise ConfigError(f"{name} applies to the {task} sweep task only")
+        _hyperparameters("rbo", self)
         return self
 
 
 @dataclass
 class TrainConfig:
-    """One network training run. The optimizer settings are validated and
-    defaulted as for a trajectory (see RunConfig)."""
+    """One network training run. The optimizer settings apply and default
+    as for a trajectory (see RunConfig)."""
 
     optimizer: str = "rbo"
     rho: float | None = None
@@ -287,30 +274,17 @@ def _resolve_theta0(theta0: list[float] | None, landscape: Landscape) -> np.ndar
     return arr
 
 
-def _run_optimizer(cfg: RunConfig, landscape: Landscape,
-                   theta0: np.ndarray) -> Trajectory:
-    if cfg.optimizer == "rbo":
-        return run_rbo(landscape, theta0, cfg.rho, cfg.eta, cfg.steps,
-                       cfg.projection(), seed=cfg.seed)
-    if cfg.optimizer == "gd":
-        return run_gd(landscape, theta0, cfg.eta, cfg.steps)
-    if cfg.optimizer == "sgd":
-        return run_sgd(landscape, theta0, cfg.eta, cfg.steps, seed=cfg.seed)
-    return run_sam(landscape, theta0, cfg.eta, cfg.sam_rho, cfg.steps,
-                   seed=cfg.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    cfg = _merge_config(RunConfig, _load_config_file(args.config), args)
-    cfg = cfg.validated().filled()
+    cfg = _merge_config(RunConfig, _load_config_file(args.config), args).validated()
     landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
     theta0 = _resolve_theta0(cfg.theta0, landscape)
 
-    traj = _run_optimizer(cfg, landscape, theta0)
+    traj = run(cfg.optimizer, landscape, theta0, cfg.steps, seed=cfg.seed,
+               **_hyperparameters(cfg.optimizer, cfg))
     if cfg.format == "csv":
         serialize.write_trajectory_csv(traj, cfg.out)
     else:
@@ -337,24 +311,6 @@ def _sweep_grid(cfg: SweepConfig) -> list[tuple[int, float, float]]:
     return cells
 
 
-def _sweep_cell_landscape(cfg: SweepConfig, landscape: Landscape, theta0: np.ndarray,
-                          rho: float, eta: float, seed: int) -> float:
-    traj = run_rbo(landscape, theta0, rho, eta, cfg.steps,
-                   ProjectionConfig(max_iters=cfg.max_iters), seed=seed)
-    if traj.error is not None:
-        raise RuntimeError(traj.error)
-    return traj.records[-1].loss
-
-
-def _sweep_cell_mlp(cfg: SweepConfig, train, val, rho: float, eta: float,
-                    seed: int) -> float:
-    spec = neural.MlpSpec()
-    _, stats = neural.train_mlp(spec, train, val, optimizer="rbo",
-                                epochs=cfg.epochs, eta=eta, rho=rho, seed=seed,
-                                cfg=ProjectionConfig(max_iters=cfg.max_iters))
-    return stats[-1].val_accuracy
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_config(SweepConfig, _load_config_file(args.config), args).validated()
 
@@ -371,12 +327,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def run_cell(cell: tuple[int, float, float]) -> tuple[float, float, float, str]:
         index, rho, eta = cell
         seed = cfg.seed + SWEEP_CELL_SEED_STRIDE * index
+        hyper = {"rho": rho, "eta": eta, "max_iters": cfg.max_iters}
         try:
-            if cfg.task == "landscape":
-                metric = _sweep_cell_landscape(cfg, landscape, theta0, rho, eta, seed)
-            else:
-                metric = _sweep_cell_mlp(cfg, train, val, rho, eta, seed)
-            return rho, eta, metric, ""
+            if cfg.task == "mlp":
+                _, stats = neural.train_mlp(neural.MlpSpec(), train, val, "rbo", cfg.epochs,
+                                            seed=seed, **hyper)
+                return rho, eta, stats[-1].val_accuracy, ""
+            traj = run("rbo", landscape, theta0, cfg.steps, seed=seed, **hyper)
+            if traj.error is not None:
+                raise RuntimeError(traj.error)
+            return rho, eta, traj.records[-1].loss, ""
         except Exception as exc:  # cell failures stay in the grid as NaN
             return rho, eta, math.nan, str(exc)
 
@@ -415,8 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(TrainConfig, {}, args)
-    run = RunConfig(optimizer=cfg.optimizer, rho=cfg.rho, eta=cfg.eta, sam_rho=cfg.sam_rho,
-                    max_iters=cfg.max_iters).validated().filled()
+    hyper = _hyperparameters(cfg.optimizer, cfg)
     if cfg.epochs < 0:
         raise ConfigError("epochs must be >= 0")
     subset = None if cfg.subset_range is None else _parse_range(cfg.subset_range)
@@ -430,18 +389,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                               "training split")
         train = train.subset(slice(a, b))
 
-    if run.optimizer == "rbo":
-        settings = {"rho": run.rho, "cfg": run.projection()}
-    else:
-        settings = {"sam_rho": run.sam_rho} if run.optimizer == "sam" else {}
-    spec = neural.MlpSpec()
-    params, stats = neural.train_mlp(
-        spec, train, val, optimizer=run.optimizer, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, eta=run.eta, seed=cfg.seed, **settings)
+    _, stats = neural.train_mlp(neural.MlpSpec(), train, val, cfg.optimizer, cfg.epochs,
+                                cfg.batch_size, cfg.seed, **hyper)
 
     serialize.write_learning_curve_csv(stats, cfg.out)
     last = stats[-1]
-    print(f"{run.optimizer}: epoch {last.epoch} train loss {last.train_loss:.4f} "
+    print(f"{cfg.optimizer}: epoch {last.epoch} train loss {last.train_loss:.4f} "
           f"acc {last.train_accuracy:.4f} | val loss {last.val_loss:.4f} "
           f"acc {last.val_accuracy:.4f} -> {cfg.out}")
     return EXIT_OK
@@ -475,6 +428,10 @@ _COMMON_FLAGS = {
     "param": dict(dest="landscape_params", action=_ParamAction, type=_parse_param,
                   metavar="KEY=VALUE", help="landscape parameter (repeatable)"),
     "optimizer": dict(choices=tuple(OPTIMIZERS)),
+    "rho": dict(type=float, help="ball radius (rbo only)"),
+    "eta": dict(type=float, help="step size"),
+    "sam-rho": dict(type=float, help="ascent radius (sam only)"),
+    "max-iters": dict(type=int, help="inner projection iteration cap (rbo only)"),
 }
 
 
@@ -493,24 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="run one optimizer, dump step records")
     _add_common(p, "config", "seed", "out", "landscape", "param", "optimizer")
     p.add_argument("--theta0", type=float, nargs="+", metavar="X")
-    p.add_argument("--rho", type=float, help="ball radius (rbo only)")
-    p.add_argument("--eta", type=float, help="step size")
     p.add_argument("--steps", type=int, help="number of updates T")
-    p.add_argument("--sam-rho", dest="sam_rho", type=float,
-                   help="ascent radius (sam only)")
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="inner projection iteration cap (rbo only)")
+    _add_common(p, "rho", "eta", "sam-rho", "max-iters")
     p.add_argument("--grad-tol", dest="grad_tol", type=float,
                    help="inner projection stop tolerance (rbo only)")
     p.add_argument("--warm-start", dest="warm_start",
-                   choices=("previous_contact", "candidate_theta"),
+                   choices=tuple(w.value for w in WarmStart),
                    help="inner projection starting point (rbo only)")
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(handler=cmd_trajectory)
 
     p = sub.add_parser("sweep", help="radius/step-size grid to CSV")
     _add_common(p, "config", "seed", "out")
-    p.add_argument("--task", choices=("landscape", "mlp"))
+    p.add_argument("--task", choices=tuple(_TASK_FIELDS))
     _add_common(p, "landscape", "param")
     p.add_argument("--theta0", type=float, nargs="+", metavar="X")
     p.add_argument("--rho-min", dest="rho_min", type=float)
@@ -533,14 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("train", help="train the network, write learning curve")
-    _add_common(p, "seed", "out", "optimizer")
+    _add_common(p, "seed", "out", "optimizer", "rho", "eta", "sam-rho", "max-iters")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--rho", type=float, help="ball radius (rbo only)")
-    p.add_argument("--sam-rho", dest="sam_rho", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="inner projection iteration cap (rbo only)")
     p.add_argument("--data-dir", dest="data_dir",
                    help=f"IDX directory (default ${neural.DATA_DIR_ENV} or ./data)")
     p.add_argument("--split", type=int,

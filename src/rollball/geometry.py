@@ -201,6 +201,15 @@ def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
     return landscape.value_bound * (1.0 + 1e-12) + circ >= lower
 
 
+def _bounded_batch(landscape: Landscape, thetas: Array) -> Array:
+    """eval_batch, checked by reductions against value_bound with _can_reach's
+    margin: the pruned scan is exact only within it, and a NaN makes its cut NaN."""
+    fv, b = eval_batch(landscape, thetas), landscape.value_bound
+    if b is not None and not -b * (1.0 + 1e-12) <= fv.min() <= fv.max() <= b * (1.0 + 1e-12):
+        raise ValueError(f"landscape {landscape.name!r} breaks its value_bound {b!r}")
+    return fv
+
+
 def _circ(s: Array | float, rho: float) -> Array | float:
     """Height sqrt(rho^2 - s^2) of the ball's upper arc over the offsets s,
     with |s| clamped to rho * (1 - 1e-12).
@@ -303,7 +312,7 @@ def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: in
 
     n = max(nl, nr) if landscape.value_bound is None else max(nl, nr) // _NARROW
     l, r = min(nl, n), min(nr, n)
-    fv = eval_batch(landscape, np.arange(first - l, last + r + 1) * h)
+    fv = _bounded_batch(landscape, np.arange(first - l, last + r + 1) * h)
     out, index = scan(fv, l, r)
     if (l, r) == (nl, nr):
         return out, index
@@ -312,8 +321,8 @@ def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: in
     r2 = _first(lambda m: not _can_reach(landscape, circ(m), lower), r + 1, nr + 1) - 1
     if (l2, r2) == (l, r):
         return out, index
-    ext = eval_batch(landscape, np.concatenate([np.arange(first - l2, first - l) * h,
-                                                np.arange(last + r + 1, last + r2 + 1) * h]))
+    ext = _bounded_batch(landscape, np.concatenate(
+        [np.arange(first - l2, first - l) * h, np.arange(last + r + 1, last + r2 + 1) * h]))
     fv = np.concatenate([ext[:l2 - l], fv, ext[l2 - l:]])
     del ext, out, index  # no pass-1 array stays alive through the scan's peak
     return scan(fv, l2, r2)
@@ -324,7 +333,7 @@ def _offset_values(landscape: Landscape, rho: float, thetas: Array,
     """phi_rho at each theta and its contact: the larger of theta's own
     candidate f(theta) + rho (contact theta) and the one-anchor scan of
     theta's window from the lattice point nearest it (contact its lattice
-    maximizer); a tie keeps theta."""
+    maximizer); a tie keeps theta, and a NaN wins as in np.max."""
     w = _offset_window(landscape, rho)
     out = eval_batch(landscape, thetas) + _circ(0.0, rho)
     contacts = thetas.copy()
@@ -335,7 +344,7 @@ def _offset_values(landscape: Landscape, rho: float, thetas: Array,
             a = min(max(round(theta / h), j0), j1)
             v, j = _offset_scan(landscape, h, range(a, a + 1), a - j0, j1 - a,
                                 lambda m: _circ((a + m) * h - theta, rho))
-            if v[0] > out[i]:
+            if v[0] > out[i] or (math.isnan(v[0]) and not math.isnan(out[i])):
                 out[i], contacts[i] = v[0], j[0] * h
     return out, contacts
 

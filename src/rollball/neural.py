@@ -13,12 +13,12 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
 from .landscape import Array, Landscape
-from .optimizer import ProjectionConfig, run_gd, run_rbo, run_sam, run_sgd
+from .optimizer import hyperparameters, run
 
 DATA_DIR_ENV = "RLB_DATA_DIR"
 
@@ -417,21 +417,19 @@ class EpochStats:
 
 
 def train_mlp(spec: MlpSpec, train: Dataset, val: Dataset, optimizer: str = "rbo",
-              epochs: int = 10, batch_size: int = 128, eta: float = 6.0,
-              rho: float = 1.0, sam_rho: float = 0.05, seed: int = 0,
-              cfg: ProjectionConfig = ProjectionConfig(),
+              epochs: int = 10, batch_size: int = 128, seed: int = 0, **hyper: Any,
               ) -> tuple[Array, list[EpochStats]]:
     """Train for whole epochs and evaluate at every epoch boundary.
 
-    One epoch is floor(n / batch_size) optimizer steps on freshly sampled
-    batches; the per-epoch minibatch seed fans out from `seed` by a fixed
-    offset so runs are reproducible end to end. epochs=0 evaluates the
+    One epoch is floor(n / batch_size) steps of optimizer.run(optimizer,
+    ..., **hyper) on freshly sampled batches (hyper defaulted and checked
+    before any work, see optimizer.hyperparameters); the per-epoch minibatch
+    seed fans out from `seed` by a fixed offset. epochs=0 evaluates the
     freshly initialized network and returns that single row. A diverged
     epoch raises with the step that failed. Runs keep only their final
     record, so memory does not grow with the epoch's step count.
     """
-    if optimizer not in ("rbo", "gd", "sgd", "sam"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    hyper = hyperparameters(optimizer, **hyper)
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     params = init_params(spec, seed)
@@ -449,18 +447,8 @@ def train_mlp(spec: MlpSpec, train: Dataset, val: Dataset, optimizer: str = "rbo
     landscape = as_landscape(spec, train, batch_size)
     steps_per_epoch = max(1, train.n // batch_size)
     for epoch in range(1, epochs + 1):
-        ep_seed = seed + 1000 * epoch
-        if optimizer == "rbo":
-            traj = run_rbo(landscape, params, rho, eta, steps_per_epoch, cfg,
-                           seed=ep_seed, keep_records=False)
-        elif optimizer == "sgd":
-            traj = run_sgd(landscape, params, eta, steps_per_epoch, seed=ep_seed,
-                           keep_records=False)
-        elif optimizer == "sam":
-            traj = run_sam(landscape, params, eta, sam_rho, steps_per_epoch,
-                           seed=ep_seed, keep_records=False)
-        else:
-            traj = run_gd(landscape, params, eta, steps_per_epoch, keep_records=False)
+        traj = run(optimizer, landscape, params, steps_per_epoch, seed=seed + 1000 * epoch,
+                   keep_records=False, **hyper)
         if traj.error is not None:
             raise RuntimeError(f"epoch {epoch} aborted: {traj.error}")
         params = traj.records[-1].theta

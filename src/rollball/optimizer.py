@@ -5,7 +5,8 @@ loss surface along the lifted steepest-ascent tangent, then re-attaches the
 sphere by projecting the displaced center back to a foot point on the graph
 and re-lifting along the normal. Plain, stochastic, and sharpness-aware
 gradient descent live here too; all four run in one step loop, so every run
-shares one trajectory format.
+shares one trajectory format, and `run` starts any of them from the one
+table of their hyperparameters, OPTIMIZERS.
 """
 from __future__ import annotations
 
@@ -54,7 +55,10 @@ class ProjectionConfig:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
+        try:
+            object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
+        except ValueError:
+            raise ValueError(f"unknown warm_start {self.warm_start!r}") from None
 
 
 class Divergence(RuntimeError):
@@ -469,3 +473,57 @@ def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
     return _run("sam", landscape, theta0, steps,
                 {"eta": eta, "sam_rho": sam_rho, "steps": steps},
                 _descent_step(eta, sam_rho), seed, keep_records)
+
+
+# optimizer -> {hyperparameter: default}: which optimizer takes which setting;
+# rbo's projection settings default to ProjectionConfig's
+OPTIMIZERS: dict[str, dict[str, Any]] = {
+    "rbo": {"rho": 1.0, "eta": 6.0, "max_iters": ProjectionConfig.max_iters,
+            "grad_tol": ProjectionConfig.grad_tol,
+            "warm_start": ProjectionConfig.warm_start.value},
+    "gd": {"eta": 0.01},
+    "sgd": {"eta": 0.01},
+    "sam": {"sam_rho": 0.05, "eta": 0.01},
+}
+
+
+def _projection(hyper: dict[str, Any]) -> ProjectionConfig:
+    return ProjectionConfig(hyper["max_iters"], hyper["grad_tol"], hyper["warm_start"])
+
+
+def hyperparameters(optimizer: str, **given: Any) -> dict[str, Any]:
+    """The given values laid over the optimizer's OPTIMIZERS defaults, None
+    counting as unset. A ValueError names an unknown optimizer, a setting
+    it does not take, or a projection setting ProjectionConfig rejects."""
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    for name, value in given.items():
+        owners = [opt for opt, hyper in OPTIMIZERS.items() if name in hyper]
+        if not owners:
+            raise ValueError(f"unknown hyperparameter {name!r}")
+        if value is not None and optimizer not in owners:
+            raise ValueError(f"{name} applies to the {owners[0]} optimizer only")
+    hyper = {name: default if given.get(name) is None else given[name]
+             for name, default in OPTIMIZERS[optimizer].items()}
+    if optimizer == "rbo":
+        _projection(hyper)
+    return hyper
+
+
+def run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
+        seed: int | None = None, keep_records: bool = True, **given: Any,
+        ) -> Trajectory:
+    """`steps` updates of the optimizer with hyperparameters(optimizer,
+    **given); gd takes no seed. run_rbo and the others are looked up by name
+    at each call, so a rebound module attribute sees every run."""
+    hyper = hyperparameters(optimizer, **given)
+    if optimizer == "rbo":
+        return run_rbo(landscape, theta0, hyper["rho"], hyper["eta"], steps,
+                       _projection(hyper), seed=seed, keep_records=keep_records)
+    if optimizer == "gd":
+        return run_gd(landscape, theta0, hyper["eta"], steps, keep_records=keep_records)
+    if optimizer == "sgd":
+        return run_sgd(landscape, theta0, hyper["eta"], steps, seed=seed,
+                       keep_records=keep_records)
+    return run_sam(landscape, theta0, hyper["eta"], hyper["sam_rho"], steps, seed=seed,
+                   keep_records=keep_records)

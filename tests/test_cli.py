@@ -6,12 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rollball import verify
+from rollball import optimizer, verify
 from rollball.cli import (ConfigError, OffsetConfig, RunConfig, SweepConfig,
                           TrainConfig, build_parser, config_from_mapping,
                           config_to_json, main)
-from rollball.optimizer import ProjectionConfig
-from test_neural import seed_mnist_dir
+from rollball.neural import train_mlp
+from rollball.optimizer import ProjectionConfig, hyperparameters
+from test_neural import TINY, seed_mnist_dir, tiny_dataset
 
 TRAJ_HEADER = ("t,theta_0,loss,center_0,center_1,grad_norm,"
                "projection_iters,projection_residual")
@@ -85,18 +86,35 @@ class TestConfigs:
             RunConfig(steps=-1).validated()
 
     def test_run_config_fill_defaults(self):
-        rbo = RunConfig().filled()
-        assert (rbo.rho, rbo.eta) == (1.0, 6.0)
-        sam = RunConfig(optimizer="sam").filled()
-        assert (sam.sam_rho, sam.eta) == (0.05, 0.01)
-        assert RunConfig(optimizer="gd").filled().eta == 0.01
-        assert RunConfig(rho=0.25, eta=3.0).filled().rho == 0.25
+        assert hyperparameters("rbo") == {"rho": 1.0, "eta": 6.0, "max_iters": 100,
+                                          "grad_tol": 1e-8, "warm_start": "previous_contact"}
+        assert hyperparameters("sam") == {"sam_rho": 0.05, "eta": 0.01}
+        assert hyperparameters("gd") == hyperparameters("sgd") == {"eta": 0.01}
+        given = hyperparameters("rbo", rho=0.25, eta=3.0, max_iters=None)
+        assert (given["rho"], given["eta"], given["max_iters"]) == (0.25, 3.0, 100)
+        with pytest.raises(ValueError, match="unknown optimizer 'adam'"):
+            hyperparameters("adam")
+        with pytest.raises(ValueError, match="unknown hyperparameter 'momentum'"):
+            hyperparameters("sgd", momentum=0.9)
 
     def test_projection_defaults_fill_rbo_only(self):
-        assert RunConfig().filled().projection() == ProjectionConfig()
-        for optimizer in ("gd", "sgd", "sam"):
-            cfg = RunConfig(optimizer=optimizer).validated().filled()
-            assert (cfg.max_iters, cfg.grad_tol, cfg.warm_start) == (None, None, None)
+        rbo = hyperparameters("rbo")
+        assert ProjectionConfig(rbo["max_iters"], rbo["grad_tol"],
+                                rbo["warm_start"]) == ProjectionConfig()
+        unset = dict(rho=None, max_iters=None, grad_tol=None, warm_start=None)
+        for name in ("gd", "sgd", "sam"):
+            assert hyperparameters(name, **unset) == hyperparameters(name)
+            for key, value in [("rho", 1.0), ("max_iters", 5), ("grad_tol", 1e-3),
+                               ("warm_start", "candidate_theta")]:
+                with pytest.raises(ValueError, match=f"{key} applies to the rbo optimizer only"):
+                    hyperparameters(name, **{key: value})
+        with pytest.raises(ValueError, match="sam_rho applies to the sam optimizer only"):
+            hyperparameters("rbo", sam_rho=0.1)
+        for key, value, message in [("max_iters", 0, "max_iters must be >= 1"),
+                                    ("grad_tol", -1.0, "grad_tol must be positive"),
+                                    ("warm_start", "nearest", "unknown warm_start")]:
+            with pytest.raises(ValueError, match=message):
+                hyperparameters("rbo", **{key: value})
 
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError, match="task"):
@@ -256,6 +274,16 @@ class TestTrajectory:
         assert not (sandbox / "trajectory.csv").exists()
         assert main(["trajectory", "--optimizer", "rbo", flag, value, "--steps", "2"]) == 0
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "0", "max_iters must be >= 1"),
+        ("--grad-tol", "-1", "grad_tol must be positive")])
+    def test_bad_projection_settings_exit_2_before_the_run(self, sandbox, capsys,
+                                                           flag, value, message):
+        assert main(["trajectory", flag, value, "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
+
     def test_landscape_param_flag(self, sandbox):
         out = sandbox / "r5.json"
         code = main(["trajectory", "--landscape", "riemann", "--param", "n=5",
@@ -324,6 +352,32 @@ class TestSweep:
                      "--out", str(out)]) == 2
         assert "'n'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_max_iters_exits_2_before_any_cell(self, sandbox, capsys):
+        config, out = sandbox / "sweep.json", sandbox / "sweep.csv"
+        config.write_text(json.dumps({"max_iters": 0}))
+        assert main(SWEEP_ARGS + ["--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "max_iters must be >= 1" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--epochs", "7"], "epochs"), (["--subset", "5"], "subset"),
+        (["--data-dir", "/nope"], "data_dir")])
+    def test_mlp_fields_exit_2_under_the_landscape_task(self, sandbox, capsys, argv, field):
+        out = sandbox / "sweep.csv"
+        assert main(SWEEP_ARGS + argv + ["--out", str(out)]) == 2
+        assert f"{field} applies to the mlp sweep task only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--steps", "5"], "steps"), (["--landscape", "riemann"], "landscape"),
+        (["--param", "n=5"], "landscape_params"), (["--theta0", "1.0"], "theta0")])
+    def test_landscape_fields_exit_2_under_the_mlp_task(self, sandbox, capsys, argv, field):
+        # no data here, so a run that got as far as loading it would exit 3
+        assert main(["sweep", "--task", "mlp"] + argv) == 2
+        assert f"{field} applies to the landscape sweep task only" in capsys.readouterr().err
+        assert list(sandbox.iterdir()) == []
 
     def test_non_rbo_rejected(self, sandbox):
         cfg = sandbox / "cfg.json"
@@ -447,6 +501,13 @@ class TestTrain:
         assert main(["train", "--subset-range", bad]) == 2  # no data here: 3 if loaded
         assert "range flag" in capsys.readouterr().err
 
+    def test_bad_max_iters_exits_2_before_the_data_search(self, sandbox, capsys):
+        # no data here, so a run that got as far as loading it would exit 3
+        assert main(["train", "--max-iters", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "max_iters must be >= 1" in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
+
     def test_max_iters_is_rbo_only(self, sandbox, capsys):
         seed_mnist_dir(sandbox / "data")
         for optimizer in ("sgd", "gd", "sam"):
@@ -510,3 +571,27 @@ class TestParser:
     ], ids=["offset-config", "offset-seed", "verify-seed", "train-config"])
     def test_flags_a_subcommand_ignores_are_rejected(self, sandbox, argv):
         assert main(argv) == 2
+
+
+# ---------------------------------------------------------------------------
+# one optimizer table
+# ---------------------------------------------------------------------------
+
+def test_every_entry_point_reaches_the_module_run_functions(sandbox, monkeypatch):
+    """optimizer.run looks run_rbo and run_sgd up by name when it is called,
+    so a rebound module attribute (the benchmark's run probe) sees the runs
+    of train_mlp, trajectory and sweep; a table holding the function objects
+    would hide them."""
+    calls = []
+    for name in ("run_rbo", "run_sgd"):
+        def counted(*args, _run=getattr(optimizer, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(optimizer, name, counted)
+    rows = tiny_dataset(16)
+    for name in ("rbo", "sgd"):
+        train_mlp(TINY, rows, rows, optimizer=name, epochs=1, batch_size=8, eta=0.5)
+    assert main(["trajectory", "--steps", "2"]) == 0
+    assert main(["trajectory", "--optimizer", "sgd", "--steps", "2"]) == 0
+    assert main(SWEEP_ARGS) == 0
+    assert calls == ["run_rbo", "run_sgd", "run_rbo", "run_sgd"] + ["run_rbo"] * 6

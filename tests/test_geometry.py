@@ -221,8 +221,6 @@ def test_offset_pruned_window_is_exact(make, rho, monkeypatch):
             assert pts.size == window
         elif rho >= 1e3 and nw > (rows - 1) * k:
             assert pts.size < window / 2
-    if base.name == "spiked":
-        return  # the per-theta fallback keeps max(own, lattice), which passes over a NaN
 
     rough = offset_profile(base, rho, 0.3 * h, 0.3 * h + 8 * 10.5 * h,
                            theta_step=10.5 * h, h=h)
@@ -231,6 +229,25 @@ def test_offset_pruned_window_is_exact(make, rho, monkeypatch):
     t = float(prof.thetas[7])
     np.testing.assert_array_equal(offset_value(base, rho, t, h),
                                   full_window_profile(base, rho, h, [t])[0])
+
+
+def test_offset_scan_rejects_a_value_beyond_the_bound():
+    # the two-pass cut is exact only within value_bound: riemann(5) with a
+    # NaN at 0 would give a NaN cut that never widens, so the scan refuses it
+    base = riemann(5)
+
+    def f_batch(t):
+        out = base.f_batch(t)
+        out[np.asarray(t, dtype=float).reshape(-1) == 0.0] = np.nan
+        return out
+
+    ls = replace(base, f_batch=f_batch)
+    with pytest.raises(ValueError, match=r"'riemann\(5\)' breaks its value_bound"):
+        offset_profile(ls, 10.0, 0.0, 20.0, theta_step=0.5, h=0.05)
+    with pytest.raises(ValueError, match="value_bound"):
+        offset_value(ls, 10.0, 0.3, 0.05)
+    with pytest.raises(ValueError, match="value_bound 0.5"):
+        offset_profile(replace(sinusoid(), value_bound=0.5), 2.0, 0.0, 1.0, 0.01)
 
 
 @given(n=st.integers(1, 60), log_rho=st.floats(-2.0, 2.0), q=st.integers(100, 400),

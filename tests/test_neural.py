@@ -468,6 +468,23 @@ class TestTrainMlp:
         with pytest.raises(ValueError, match="epochs"):
             train_mlp(TINY, train, train, epochs=-1)
 
+    def test_rejects_a_hyperparameter_its_optimizer_does_not_take(self):
+        train = tiny_dataset(8)
+        with pytest.raises(ValueError, match="rho applies to the rbo optimizer only"):
+            train_mlp(TINY, train, train, optimizer="sgd", rho=123)
+        with pytest.raises(ValueError, match="sam_rho applies to the sam optimizer only"):
+            train_mlp(TINY, train, train, optimizer="sgd", sam_rho=9)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            train_mlp(TINY, train, train, optimizer="rbo", max_iters=0)
+
+    def test_defaults_come_from_the_optimizer_table(self):
+        train = tiny_dataset(32, seed=1)
+        for name, hyper in [("sgd", dict(eta=0.01)), ("rbo", dict(eta=6.0, rho=1.0))]:
+            p1, s1 = train_mlp(TINY, train, train, optimizer=name, epochs=1, batch_size=8)
+            p2, s2 = train_mlp(TINY, train, train, optimizer=name, epochs=1, batch_size=8,
+                               **hyper)
+            assert np.array_equal(p1, p2) and s1 == s2
+
     def test_epoch_memory_is_flat_in_the_step_count(self):
         """An epoch keeps no per-step records: going from 8 to 32 sgd steps
         over the same rows of the full-size network must not raise the
