@@ -12,7 +12,7 @@ from .neural import (Dataset, EpochStats, MlpSpec, as_landscape, evaluate,
                      loss_and_grad, param_count, train_mlp)
 from .optimizer import (BallState, GraphPoint, ProjectionConfig,
                         ProjectionDivergence, StepRecord, Trajectory,
-                        TrajectoryHeader, WarmStart, hyperparameters, lift,
+                        TrajectoryHeader, hyperparameters, lift,
                         project_footpoint, rbo_step, run, run_gd, run_rbo,
                         run_sam, run_sgd)
 from .verify import (CheckReport, Observation, available_checks,
@@ -26,7 +26,7 @@ __all__ = [
     "BallState", "CheckReport", "Dataset", "EpochStats", "GraphPoint",
     "GridSpec", "Landscape", "MlpSpec", "Observation", "OffsetSamples",
     "ProjectionConfig", "ProjectionDivergence", "StepRecord", "Trajectory",
-    "TrajectoryHeader", "UnreachabilityReport", "WarmStart",
+    "TrajectoryHeader", "UnreachabilityReport",
     "affine_plus_bump", "as_landscape", "available_checks", "catalogue_names",
     "check_gd_limit", "check_linear_ironing", "check_open_unreachables",
     "check_sharp_minima", "check_smoothing", "check_weak_ironing",

@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence, get_type_hints
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import neural, serialize, verify
 from .geometry import offset_profile
 from .landscape import Landscape, catalogue_names, make_landscape
-from .optimizer import OPTIMIZERS, WarmStart, hyperparameters, run
+from .optimizer import OPTIMIZERS, RULES, hyperparameters, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,21 +45,27 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _hyperparameters(optimizer: str, cfg) -> dict[str, Any]:
-    """The fields of cfg that the optimizer table names, laid over the
+    """The fields of cfg that have a rule in optimizer.RULES, laid over the
     optimizer's defaults (see optimizer.hyperparameters)."""
-    given = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-             if any(f.name in hyper for hyper in OPTIMIZERS.values())}
+    given = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in RULES}
     try:
         return hyperparameters(optimizer, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def _at_least(cfg, **bounds: int) -> None:
+    """Each named run length of cfg (steps, epochs, ...) is at least its bound."""
+    for name, bound in bounds.items():
+        if getattr(cfg, name) < bound:
+            raise ConfigError(f"{name} must be >= {bound}")
+
+
 @dataclass
 class RunConfig:
     """One optimizer run. rho and the projection settings (max_iters,
-    grad_tol, warm_start) apply to rbo only, sam_rho to sam only; a field
-    left unset takes the optimizer's default from optimizer.OPTIMIZERS."""
+    grad_tol) apply to rbo only, sam_rho to sam only; a field left unset
+    takes the optimizer's default from optimizer.OPTIMIZERS."""
 
     landscape: str = "riemann"
     landscape_params: dict[str, Any] = field(default_factory=dict)
@@ -72,7 +78,6 @@ class RunConfig:
     seed: int | None = None
     max_iters: int | None = None
     grad_tol: float | None = None
-    warm_start: str | None = None
     out: str = "trajectory.csv"
     format: str = "csv"
 
@@ -80,8 +85,7 @@ class RunConfig:
         _hyperparameters(self.optimizer, self)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
+        _at_least(self, steps=0)
         return self
 
 
@@ -111,7 +115,7 @@ class SweepConfig:
     subset: int = 4096
     data_dir: str | None = None
     seed: int = 0
-    max_iters: int = 100
+    max_iters: int | None = None
     out: str = "sweep.csv"
 
     def validated(self) -> "SweepConfig":
@@ -119,15 +123,16 @@ class SweepConfig:
             raise ConfigError(f"unknown sweep task {self.task!r}")
         if self.rho_count < 1 or self.eta_count < 1:
             raise ConfigError("grid counts must be >= 1")
-        if self.rho_min <= 0 or self.rho_min >= self.rho_max:
+        if not 0 < self.rho_min < self.rho_max:
             raise ConfigError("need 0 < rho_min < rho_max")
-        if self.eta_scale_min <= 0 or self.eta_scale_min >= self.eta_scale_max:
+        if not 0 < self.eta_scale_min < self.eta_scale_max:
             raise ConfigError("need 0 < eta_scale_min < eta_scale_max")
         default = SweepConfig()
         for task, names in _TASK_FIELDS.items():
             for name in names:
                 if task != self.task and getattr(self, name) != getattr(default, name):
                     raise ConfigError(f"{name} applies to the {task} sweep task only")
+        _at_least(self, steps=0, epochs=0)
         _hyperparameters("rbo", self)
         return self
 
@@ -162,10 +167,6 @@ class OffsetConfig:
     grid_step: float = 1e-3
     h: float | None = None
     out: str = "offset.csv"
-
-
-def config_to_json(cfg) -> str:
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def config_from_mapping(cls, data: Mapping[str, Any]):
@@ -376,8 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(TrainConfig, {}, args)
     hyper = _hyperparameters(cfg.optimizer, cfg)
-    if cfg.epochs < 0:
-        raise ConfigError("epochs must be >= 0")
+    _at_least(cfg, epochs=0, batch_size=1, split=1)
     subset = None if cfg.subset_range is None else _parse_range(cfg.subset_range)
 
     train_full, _test = neural.load_mnist(cfg.data_dir)
@@ -454,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "rho", "eta", "sam-rho", "max-iters")
     p.add_argument("--grad-tol", dest="grad_tol", type=float,
                    help="inner projection stop tolerance (rbo only)")
-    p.add_argument("--warm-start", dest="warm_start",
-                   choices=tuple(w.value for w in WarmStart),
-                   help="inner projection starting point (rbo only)")
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(handler=cmd_trajectory)
 

@@ -6,11 +6,10 @@ sphere by projecting the displaced center back to a foot point on the graph
 and re-lifting along the normal. Plain, stochastic, and sharpness-aware
 gradient descent live here too; all four run in one step loop, so every run
 shares one trajectory format, and `run` starts any of them from the one
-table of their hyperparameters, OPTIMIZERS.
+table of their hyperparameters, OPTIMIZERS, whose values RULES bound.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -30,35 +29,48 @@ DAMPING_FACTOR = 4.0
 NOISE_SLACK = math.sqrt(float(np.finfo(float).eps))
 
 
-class WarmStart(str, enum.Enum):
-    PREVIOUS_CONTACT = "previous_contact"
-    CANDIDATE_THETA = "candidate_theta"
+# optimizer -> {hyperparameter: default}: which optimizer takes which setting
+OPTIMIZERS: dict[str, dict[str, Any]] = {
+    "rbo": {"rho": 1.0, "eta": 6.0, "max_iters": 100, "grad_tol": 1e-8},
+    "gd": {"eta": 0.01},
+    "sgd": {"eta": 0.01},
+    "sam": {"sam_rho": 0.05, "eta": 0.01},
+}
+# hyperparameter -> (the values it takes, their wording); every value must
+# also be finite. eta = 0 is valid: the run then stays where it starts
+RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "rho": (lambda v: v > 0, "positive"),
+    "eta": (lambda v: v >= 0, ">= 0"),
+    "sam_rho": (lambda v: v >= 0, ">= 0"),
+    "max_iters": (lambda v: v >= 1, ">= 1"),
+    "grad_tol": (lambda v: v > 0, "positive"),
+}
+
+
+def check_hyperparameters(**values: Any) -> None:
+    """Raise a ValueError naming the first value that breaks its RULES
+    entry; a name without an entry (a run's steps) passes."""
+    for name, value in values.items():
+        if name in RULES:
+            holds, wording = RULES[name]
+            if not (math.isfinite(value) and holds(value)):
+                raise ValueError(f"{name} must be {wording} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Inner foot-point solver settings.
+    """Inner foot-point solver settings, defaulting to rbo's OPTIMIZERS entry.
 
     max_iters caps the trial steps of one projection (one oracle evaluation
     each); grad_tol is the residual norm at which the solve stops, scaled by
-    the candidate's distance from the iterate where that exceeds 1. The warm
-    start policy picks the inner iteration's starting theta: the previous
-    contact (default) or the displaced candidate's own theta block.
+    the candidate's distance from the iterate where that exceeds 1.
     """
 
-    max_iters: int = 100
-    grad_tol: float = 1e-8
-    warm_start: WarmStart = WarmStart.PREVIOUS_CONTACT
+    max_iters: int = OPTIMIZERS["rbo"]["max_iters"]
+    grad_tol: float = OPTIMIZERS["rbo"]["grad_tol"]
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        try:
-            object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
-        except ValueError:
-            raise ValueError(f"unknown warm_start {self.warm_start!r}") from None
+        check_hyperparameters(**vars(self))
 
 
 class Divergence(RuntimeError):
@@ -166,8 +178,7 @@ class Trajectory:
 
 def lift(landscape: Landscape, theta: Array, rho: float) -> BallState:
     """Rest the sphere on the graph at theta: center = contact + rho * normal."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_hyperparameters(rho=rho)
     return _rest(_graph_point(landscape, theta), rho)
 
 
@@ -310,15 +321,13 @@ def rbo_step(landscape: Landscape, state: BallState, eta: float,
     """One rolling-ball update: displace the center against the lifted
     tangent, project to a new foot point, re-lift the center.
 
-    The tangent and the projection's warm start reuse the gradient the
-    contact carries, and the re-lift reuses the one the projection returns.
-    t is the step index stamped into the returned record.
+    The tangent and the projection, which starts from the contact, reuse the
+    gradient the contact carries, and the re-lift reuses the one the
+    projection returns. t is the step index stamped into the returned record.
     """
     contact = _with_grad(landscape, state.contact)
     candidate = state.center - eta * tangent_from_grad(contact.grad)
-    warm = contact if cfg.warm_start == WarmStart.PREVIOUS_CONTACT \
-        else candidate[:landscape.dim]
-    foot, iters, resid = project_footpoint(landscape, candidate, warm, cfg)
+    foot, iters, resid = project_footpoint(landscape, candidate, contact, cfg)
     new_state = _rest(foot, state.rho)
     return new_state, _record(t, foot, new_state.center, iters, resid)
 
@@ -344,7 +353,7 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     evaluates only its final record, on the minibatch of its step. With rho
     (rbo), a record the loop makes carries the center of the ball resting on
     its point. A step that raises Divergence ends the run, which keeps its
-    records and names the failing step.
+    records and names the failing step. RULES check the hyperparameters first.
 
     An explicit seed wins; otherwise the landscape's default seed (meta key
     "default_seed") keeps unseeded runs reproducible. The seed in effect
@@ -355,6 +364,7 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
         raise ValueError(f"theta0 must have shape ({landscape.dim},)")
     if steps < 0:
         raise ValueError("step count must be >= 0")
+    check_hyperparameters(**hyperparameters)
     rng = None
     if minibatches and landscape.is_stochastic:
         if seed is None and landscape.meta is not None:
@@ -403,8 +413,6 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
     """Roll the ball for `steps` updates (see _run for the records, the
     minibatches and aborts). A step's record costs no oracle call, so a lean
     run lifts theta0 on the full data only if no step completes."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     ball = None  # the last step's ball, reused while the loop carries its contact
 
     def step(view: Landscape, point: GraphPoint, t: int):
@@ -416,7 +424,7 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
 
     return _run("rbo", landscape, theta0, steps,
                 {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
-                 "grad_tol": cfg.grad_tol, "warm_start": cfg.warm_start.value},
+                 "grad_tol": cfg.grad_tol},
                 step, seed, keep_records, rho=rho)
 
 
@@ -468,33 +476,15 @@ def run_sam(landscape: Landscape, theta0: Array, eta: float, sam_rho: float,
     """Sharpness-aware descent: gradient taken at the normalized ascent point
     theta + sam_rho * grad/|grad|. sam_rho = 0 reduces to run_gd bitwise.
     keep_records=False keeps only the last record, as in run_sgd."""
-    if sam_rho < 0:
-        raise ValueError("sam_rho must be >= 0")
     return _run("sam", landscape, theta0, steps,
                 {"eta": eta, "sam_rho": sam_rho, "steps": steps},
                 _descent_step(eta, sam_rho), seed, keep_records)
 
 
-# optimizer -> {hyperparameter: default}: which optimizer takes which setting;
-# rbo's projection settings default to ProjectionConfig's
-OPTIMIZERS: dict[str, dict[str, Any]] = {
-    "rbo": {"rho": 1.0, "eta": 6.0, "max_iters": ProjectionConfig.max_iters,
-            "grad_tol": ProjectionConfig.grad_tol,
-            "warm_start": ProjectionConfig.warm_start.value},
-    "gd": {"eta": 0.01},
-    "sgd": {"eta": 0.01},
-    "sam": {"sam_rho": 0.05, "eta": 0.01},
-}
-
-
-def _projection(hyper: dict[str, Any]) -> ProjectionConfig:
-    return ProjectionConfig(hyper["max_iters"], hyper["grad_tol"], hyper["warm_start"])
-
-
 def hyperparameters(optimizer: str, **given: Any) -> dict[str, Any]:
     """The given values laid over the optimizer's OPTIMIZERS defaults, None
     counting as unset. A ValueError names an unknown optimizer, a setting
-    it does not take, or a projection setting ProjectionConfig rejects."""
+    it does not take, or a value its RULES entry rejects."""
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     for name, value in given.items():
@@ -505,8 +495,7 @@ def hyperparameters(optimizer: str, **given: Any) -> dict[str, Any]:
             raise ValueError(f"{name} applies to the {owners[0]} optimizer only")
     hyper = {name: default if given.get(name) is None else given[name]
              for name, default in OPTIMIZERS[optimizer].items()}
-    if optimizer == "rbo":
-        _projection(hyper)
+    check_hyperparameters(**hyper)
     return hyper
 
 
@@ -519,7 +508,8 @@ def run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     hyper = hyperparameters(optimizer, **given)
     if optimizer == "rbo":
         return run_rbo(landscape, theta0, hyper["rho"], hyper["eta"], steps,
-                       _projection(hyper), seed=seed, keep_records=keep_records)
+                       ProjectionConfig(hyper["max_iters"], hyper["grad_tol"]),
+                       seed=seed, keep_records=keep_records)
     if optimizer == "gd":
         return run_gd(landscape, theta0, hyper["eta"], steps, keep_records=keep_records)
     if optimizer == "sgd":

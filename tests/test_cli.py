@@ -1,17 +1,16 @@
 """End-to-end command-line tests: exit codes, file outputs, determinism."""
 import argparse
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from rollball import optimizer, verify
 from rollball.cli import (ConfigError, OffsetConfig, RunConfig, SweepConfig,
-                          TrainConfig, build_parser, config_from_mapping,
-                          config_to_json, main)
+                          TrainConfig, build_parser, config_from_mapping, main)
 from rollball.neural import train_mlp
-from rollball.optimizer import ProjectionConfig, hyperparameters
+from rollball.optimizer import OPTIMIZERS, RULES, ProjectionConfig, hyperparameters
 from test_neural import TINY, seed_mnist_dir, tiny_dataset
 
 TRAJ_HEADER = ("t,theta_0,loss,center_0,center_1,grad_norm,"
@@ -60,12 +59,12 @@ class TestConfigs:
         cfg = RunConfig(landscape="quadratic", landscape_params={"a": [[2.0]]},
                         optimizer="rbo", theta0=[1.0], rho=0.5, eta=2.0,
                         steps=7, seed=3)
-        assert config_from_mapping(RunConfig, json.loads(config_to_json(cfg))) == cfg
+        assert config_from_mapping(RunConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_sweep_config_round_trip(self):
         cfg = SweepConfig(task="landscape", rho_min=0.5, rho_max=2.0,
                           rho_count=2, seed=9)
-        assert config_from_mapping(SweepConfig, json.loads(config_to_json(cfg))) == cfg
+        assert config_from_mapping(SweepConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -80,14 +79,12 @@ class TestConfigs:
             RunConfig(optimizer="adam").validated()
         with pytest.raises(ConfigError, match="format"):
             RunConfig(format="yaml").validated()
-        with pytest.raises(ConfigError, match="warm_start"):
-            RunConfig(warm_start="nearest").validated()
         with pytest.raises(ConfigError, match="steps"):
             RunConfig(steps=-1).validated()
 
     def test_run_config_fill_defaults(self):
         assert hyperparameters("rbo") == {"rho": 1.0, "eta": 6.0, "max_iters": 100,
-                                          "grad_tol": 1e-8, "warm_start": "previous_contact"}
+                                          "grad_tol": 1e-8}
         assert hyperparameters("sam") == {"sam_rho": 0.05, "eta": 0.01}
         assert hyperparameters("gd") == hyperparameters("sgd") == {"eta": 0.01}
         given = hyperparameters("rbo", rho=0.25, eta=3.0, max_iters=None)
@@ -99,20 +96,17 @@ class TestConfigs:
 
     def test_projection_defaults_fill_rbo_only(self):
         rbo = hyperparameters("rbo")
-        assert ProjectionConfig(rbo["max_iters"], rbo["grad_tol"],
-                                rbo["warm_start"]) == ProjectionConfig()
-        unset = dict(rho=None, max_iters=None, grad_tol=None, warm_start=None)
+        assert ProjectionConfig(rbo["max_iters"], rbo["grad_tol"]) == ProjectionConfig()
+        unset = dict(rho=None, max_iters=None, grad_tol=None)
         for name in ("gd", "sgd", "sam"):
             assert hyperparameters(name, **unset) == hyperparameters(name)
-            for key, value in [("rho", 1.0), ("max_iters", 5), ("grad_tol", 1e-3),
-                               ("warm_start", "candidate_theta")]:
+            for key, value in [("rho", 1.0), ("max_iters", 5), ("grad_tol", 1e-3)]:
                 with pytest.raises(ValueError, match=f"{key} applies to the rbo optimizer only"):
                     hyperparameters(name, **{key: value})
         with pytest.raises(ValueError, match="sam_rho applies to the sam optimizer only"):
             hyperparameters("rbo", sam_rho=0.1)
         for key, value, message in [("max_iters", 0, "max_iters must be >= 1"),
-                                    ("grad_tol", -1.0, "grad_tol must be positive"),
-                                    ("warm_start", "nearest", "unknown warm_start")]:
+                                    ("grad_tol", -1.0, "grad_tol must be positive")]:
             with pytest.raises(ValueError, match=message):
                 hyperparameters("rbo", **{key: value})
 
@@ -121,6 +115,10 @@ class TestConfigs:
             SweepConfig(task="cnn").validated()
         with pytest.raises(ConfigError, match="rho_min"):
             SweepConfig(rho_min=2.0, rho_max=1.0).validated()
+        with pytest.raises(ConfigError, match="rho_min"):
+            SweepConfig(rho_min=float("nan")).validated()
+        with pytest.raises(ConfigError, match="eta_scale_min"):
+            SweepConfig(eta_scale_max=float("nan")).validated()
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_mapping(SweepConfig, {"optimizer": "rbo"})
 
@@ -264,8 +262,7 @@ class TestTrajectory:
         assert main(["trajectory", "--config", str(listy)]) == 2
 
     @pytest.mark.parametrize("flag, field, value", [
-        ("--max-iters", "max_iters", "5"), ("--grad-tol", "grad_tol", "1e-3"),
-        ("--warm-start", "warm_start", "candidate_theta")])
+        ("--max-iters", "max_iters", "5"), ("--grad-tol", "grad_tol", "1e-3")])
     def test_projection_flags_are_rbo_only(self, sandbox, capsys, flag, field, value):
         for optimizer in ("gd", "sgd", "sam"):
             assert main(["trajectory", "--optimizer", optimizer, flag, value,
@@ -274,12 +271,16 @@ class TestTrajectory:
         assert not (sandbox / "trajectory.csv").exists()
         assert main(["trajectory", "--optimizer", "rbo", flag, value, "--steps", "2"]) == 0
 
-    @pytest.mark.parametrize("flag, value, message", [
+    @pytest.mark.parametrize("flags, value, message", [
         ("--max-iters", "0", "max_iters must be >= 1"),
-        ("--grad-tol", "-1", "grad_tol must be positive")])
+        ("--grad-tol", "-1", "grad_tol must be positive"),
+        ("--rho", "0", "rho must be positive"),
+        ("--rho", "nan", "rho must be positive and finite, got nan"),
+        ("--optimizer gd --eta", "-1", "eta must be >= 0"),
+        ("--optimizer sam --sam-rho", "-1", "sam_rho must be >= 0")])
     def test_bad_projection_settings_exit_2_before_the_run(self, sandbox, capsys,
-                                                           flag, value, message):
-        assert main(["trajectory", flag, value, "--steps", "2"]) == 2
+                                                           flags, value, message):
+        assert main(["trajectory", *flags.split(), value, "--steps", "2"]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert list(sandbox.iterdir()) == []
@@ -359,6 +360,17 @@ class TestSweep:
         assert main(SWEEP_ARGS + ["--config", str(config), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "max_iters must be >= 1" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--steps", "-1"], "steps"), (["--task", "mlp", "--epochs", "-1"], "epochs")])
+    def test_negative_run_length_exits_2_before_any_cell(self, sandbox, capsys, argv, field):
+        # no data here, so an mlp sweep that got as far as loading it would exit 3
+        out = sandbox / "sweep.csv"
+        assert main(["sweep", "--rho-count", "1", "--eta-count", "2", *argv,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be >= 0" in captured.err and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [
@@ -503,9 +515,13 @@ class TestTrain:
 
     def test_bad_max_iters_exits_2_before_the_data_search(self, sandbox, capsys):
         # no data here, so a run that got as far as loading it would exit 3
-        assert main(["train", "--max-iters", "0"]) == 2
-        captured = capsys.readouterr()
-        assert "max_iters must be >= 1" in captured.err and captured.out == ""
+        for flag, message in [("--max-iters", "max_iters must be >= 1"),
+                              ("--rho", "rho must be positive"),
+                              ("--batch-size", "batch_size must be >= 1"),
+                              ("--split", "split must be >= 1")]:
+            assert main(["train", flag, "0", "--data-dir", str(sandbox / "absent")]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
         assert list(sandbox.iterdir()) == []
 
     def test_max_iters_is_rbo_only(self, sandbox, capsys):
@@ -576,6 +592,14 @@ class TestParser:
 # ---------------------------------------------------------------------------
 # one optimizer table
 # ---------------------------------------------------------------------------
+
+def test_every_hyperparameter_has_a_rule_and_a_trajectory_flag():
+    """A setting added to OPTIMIZERS needs a RULES entry, which bounds its
+    values, and a trajectory flag, which sets it."""
+    names = {name for hyper in OPTIMIZERS.values() for name in hyper}
+    assert names == set(RULES)
+    assert names <= {a.dest for a in _flag_actions("trajectory")}
+
 
 def test_every_entry_point_reaches_the_module_run_functions(sandbox, monkeypatch):
     """optimizer.run looks run_rbo and run_sgd up by name when it is called,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from rollball.landscape import Landscape, affine_plus_bump, quadratic, riemann
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
-                                ProjectionDivergence, StepRecord, WarmStart,
-                                lift, project_footpoint, rbo_step, run_gd,
-                                run_rbo, run_sam, run_sgd)
+                                ProjectionDivergence, StepRecord, lift,
+                                project_footpoint, rbo_step, run_gd, run_rbo,
+                                run_sam, run_sgd)
 
 PARABOLA = quadratic(np.array([[2.0]]))  # f = theta^2
 HALF_SQ = quadratic(np.array([[1.0]]))   # f = theta^2 / 2
@@ -22,8 +22,6 @@ def test_projection_config_validation():
         ProjectionConfig(max_iters=0)
     with pytest.raises(ValueError):
         ProjectionConfig(grad_tol=0.0)
-    cfg = ProjectionConfig(warm_start="candidate_theta")
-    assert cfg.warm_start is WarmStart.CANDIDATE_THETA
 
 
 def test_ball_state_invariant_enforced():
@@ -153,6 +151,25 @@ def test_run_rbo_validates_arguments():
         run_rbo(PARABOLA, np.array([1.0]), rho=1.0, eta=0.1, steps=-1)
     with pytest.raises(ValueError):
         run_rbo(PARABOLA, np.array([1.0]), rho=-1.0, eta=0.1, steps=2)
+
+
+@pytest.mark.parametrize("start, key", [
+    (lambda ls: run_gd(ls, np.array([1.0]), eta=-1.0, steps=1), "eta"),
+    (lambda ls: run_sgd(ls, np.array([1.0]), eta=-1.0, steps=1), "eta"),
+    (lambda ls: run_sam(ls, np.array([1.0]), eta=0.1, sam_rho=-1.0, steps=1), "sam_rho"),
+    (lambda ls: run_rbo(ls, np.array([1.0]), rho=math.nan, eta=0.1, steps=1), "rho")],
+    ids=["gd-eta", "sgd-eta", "sam-sam_rho", "rbo-rho"])
+def test_direct_runs_reject_a_hyperparameter_before_any_oracle_call(start, key):
+    calls = []
+
+    def forward(theta):
+        calls.append(theta)
+        return HALF_SQ.forward(theta)
+
+    counted = dataclasses.replace(HALF_SQ, forward=forward)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        start(counted)
+    assert calls == []
 
 
 def test_rbo_on_affine_landscape_tracks_gd():
