@@ -25,7 +25,7 @@ import numpy as np
 from . import neural, serialize, verify
 from .geometry import offset_profile
 from .landscape import Landscape, catalogue_names, make_landscape
-from .optimizer import OPTIMIZERS, RULES, hyperparameters, run
+from .optimizer import OPTIMIZERS, RULES, check_hyperparameters, hyperparameters, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,16 +89,36 @@ class RunConfig:
         return self
 
 
+@dataclass
+class TrainConfig:
+    """One network training run. The optimizer settings apply and default
+    as for a trajectory (see RunConfig)."""
+
+    optimizer: str = "rbo"
+    rho: float | None = None
+    eta: float | None = None
+    sam_rho: float | None = None
+    max_iters: int | None = None
+    epochs: int = 10
+    batch_size: int = 128
+    split: int = 50_000
+    subset_range: str | None = None
+    data_dir: str | None = None
+    seed: int = 0
+    out: str = "learning_curve.csv"
+
+
 # the sweep fields that only one task reads
 _TASK_FIELDS = {"landscape": ("landscape", "landscape_params", "theta0", "steps"),
-                "mlp": ("epochs", "subset", "data_dir")}
+                "mlp": ("epochs", "subset", "data_dir", "split")}
 
 
 @dataclass
 class SweepConfig:
     """Radius/step-size grid of rbo runs. Radii are log-spaced; per radius the
     step sizes are log-spaced between eta_scale_min*rho and eta_scale_max*rho.
-    Each task's _TASK_FIELDS keep their defaults under the other task."""
+    The mlp task splits the training set at split, as train does. Each
+    task's _TASK_FIELDS keep their defaults under the other task."""
 
     task: str = "landscape"
     landscape: str = "quadratic"
@@ -114,6 +134,7 @@ class SweepConfig:
     epochs: int = 3
     subset: int = 4096
     data_dir: str | None = None
+    split: int = TrainConfig.split
     seed: int = 0
     max_iters: int | None = None
     out: str = "sweep.csv"
@@ -132,28 +153,9 @@ class SweepConfig:
             for name in names:
                 if task != self.task and getattr(self, name) != getattr(default, name):
                     raise ConfigError(f"{name} applies to the {task} sweep task only")
-        _at_least(self, steps=0, epochs=0)
+        _at_least(self, steps=0, epochs=0, split=1)
         _hyperparameters("rbo", self)
         return self
-
-
-@dataclass
-class TrainConfig:
-    """One network training run. The optimizer settings apply and default
-    as for a trajectory (see RunConfig)."""
-
-    optimizer: str = "rbo"
-    rho: float | None = None
-    eta: float | None = None
-    sam_rho: float | None = None
-    max_iters: int | None = None
-    epochs: int = 10
-    batch_size: int = 128
-    split: int = 50_000
-    subset_range: str | None = None
-    data_dir: str | None = None
-    seed: int = 0
-    out: str = "learning_curve.csv"
 
 
 @dataclass
@@ -317,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if cfg.task == "mlp":
         train_full, test = neural.load_mnist(cfg.data_dir)
-        train, val = train_full.split(50_000)
+        train, val = train_full.split(cfg.split)
         if cfg.subset:
             train = train.subset(slice(0, cfg.subset))
     else:  # a bad landscape is a config error before any cell runs
@@ -402,9 +404,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_offset(args: argparse.Namespace) -> int:
     cfg = _merge_config(OffsetConfig, {}, args)
+    if cfg.rho is None:
+        raise ConfigError("--rho must be given")
+    try:
+        check_hyperparameters(rho=cfg.rho)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
-    if cfg.rho is None or cfg.rho <= 0:
-        raise ConfigError("--rho must be given and positive")
     lo, hi = _parse_interval(cfg.interval)
     try:
         samples = offset_profile(landscape, cfg.rho, lo, hi, cfg.grid_step, h=cfg.h)
@@ -472,6 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--subset", type=int, help="training subset size for mlp task")
     p.add_argument("--data-dir", dest="data_dir")
+    p.add_argument("--split", type=int, help="train/validation split point for mlp task "
+                                             f"(default {SweepConfig.split})")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run named checks, write JSON reports")

@@ -212,7 +212,9 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     G test (plus one Hessian per accepted point), and the trials are the
     iteration count. The solve stops when |r| <= grad_tol
     * max(1, |candidate - iterate|): far from the graph the rounding of
-    (f - y_c) grad f grows with the distance.
+    (f - y_c) grad f grows with the distance. A one-dimensional landscape
+    with a Hessian takes the same Newton steps on Python floats
+    (_project_1d), bitwise the result of the general loop (_project_general).
 
     warm_start_theta is the starting theta, or a GraphPoint whose carried
     value and gradient are reused. Returns (foot point with its gradient,
@@ -228,8 +230,17 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     size = float(np.linalg.norm(candidate))
     if not size <= DIVERGENCE_LIMIT:
         raise ProjectionDivergence(0, size, "candidate beyond the limit")
-    theta_c, y_c = candidate[:d], float(candidate[d])
     point = _with_grad(landscape, warm_start_theta)
+    solve = _project_1d if d == 1 and landscape.hessian is not None else _project_general
+    return solve(landscape, candidate, point, cfg)
+
+
+def _project_general(landscape: Landscape, candidate: Array, point: GraphPoint,
+                     cfg: ProjectionConfig) -> tuple[GraphPoint, int, float]:
+    """project_footpoint's solve in any dimension, from the evaluated start
+    point; the candidate has passed its checks."""
+    d = landscape.dim
+    theta_c, y_c = candidate[:d], float(candidate[d])
     theta, v, g = point.theta, point.y, point.grad
     u, e = theta - theta_c, v - y_c
     if not math.isfinite(e):
@@ -288,6 +299,67 @@ def project_footpoint(landscape: Landscape, candidate: Array,
                 continue
         lam = _raise_damping(lam)
     return GraphPoint(theta=theta, y=v, grad=g), iters, resid
+
+
+def _project_1d(landscape: Landscape, candidate: Array, point: GraphPoint,
+                cfg: ProjectionConfig) -> tuple[GraphPoint, int, float]:
+    """_project_general's Newton branch at d = 1, operation for operation on
+    Python floats, so it returns bitwise the same. A 1x1 eigh is exact (w =
+    M, vecs = [[1]]), so the eigenbasis solve is one division. x * x stands
+    for x @ x: unlike x ** 2 it overflows to inf instead of raising. The
+    oracles still take and return shape-(1,) arrays."""
+    theta_c, y_c = float(candidate[0]), float(candidate[1])
+    theta_arr, v, g_arr = point.theta, point.y, point.grad
+    theta, g = float(theta_arr[0]), float(g_arr[0])
+    u, e = theta - theta_c, v - y_c
+    if not math.isfinite(e):
+        raise ProjectionDivergence(0, math.sqrt(theta * theta), "non-finite loss value")
+    objective = 0.5 * (u * u + e * e)
+    r = u + e * g
+    resid = math.sqrt(r * r)
+    _check_gradient(0, theta, resid, g)
+    lam, w, iters = 0.0, None, 0
+    while resid > cfg.grad_tol * max(1.0, math.sqrt(2.0 * objective)) \
+            and iters < cfg.max_iters:
+        if w is None:  # M - lam I, once per accepted point
+            h = np.asarray(landscape.hessian(theta_arr), dtype=float)
+            w = g * g + e * float(h[0, 0])
+            if not math.isfinite(w):
+                raise ProjectionDivergence(iters, math.sqrt(theta * theta),
+                                           "non-finite Hessian")
+        while not 1.0 + lam + w > 0.0:  # damp until M is positive definite
+            lam = _raise_damping(lam)
+        theta_trial = theta - r / (1.0 + lam + w)
+        u_trial = theta_trial - theta_c
+        iters += 1
+        trial_arr = np.array([theta_trial])
+        v_trial, backward = landscape.forward(trial_arr)
+        e_trial = v_trial - y_c
+        if not math.isfinite(e_trial):
+            raise ProjectionDivergence(iters, math.sqrt(theta_trial * theta_trial),
+                                       "non-finite loss value")
+        trial_objective = 0.5 * (u_trial * u_trial + e_trial * e_trial)
+        if trial_objective <= objective * (1.0 + NOISE_SLACK):
+            g_trial_arr = backward()
+            g_trial = float(g_trial_arr[0])
+            r_trial = u_trial + e_trial * g_trial
+            resid_trial = math.sqrt(r_trial * r_trial)
+            if trial_objective < objective or resid_trial < resid:
+                theta_arr, g_arr = trial_arr, g_trial_arr
+                theta, v, g, e, r = theta_trial, v_trial, g_trial, e_trial, r_trial
+                objective, w, resid = trial_objective, None, resid_trial
+                _check_gradient(iters, theta, resid, g)
+                lam /= DAMPING_FACTOR
+                continue
+        lam = _raise_damping(lam)
+    return GraphPoint(theta=theta_arr, y=v, grad=g_arr), iters, resid
+
+
+def _check_gradient(iters: int, theta: float, resid: float, g: float) -> None:
+    """_residual_terms' check at d = 1: a non-finite residual or gradient at
+    an accepted point ends the solve."""
+    if not (math.isfinite(resid) and math.isfinite(g * g)):
+        raise ProjectionDivergence(iters, math.sqrt(theta * theta), "non-finite gradient")
 
 
 def _residual_terms(iters: int, theta: Array, resid: float, g: Array,

@@ -375,7 +375,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv, field", [
         (["--epochs", "7"], "epochs"), (["--subset", "5"], "subset"),
-        (["--data-dir", "/nope"], "data_dir")])
+        (["--data-dir", "/nope"], "data_dir"), (["--split", "5"], "split")])
     def test_mlp_fields_exit_2_under_the_landscape_task(self, sandbox, capsys, argv, field):
         out = sandbox / "sweep.csv"
         assert main(SWEEP_ARGS + argv + ["--out", str(out)]) == 2
@@ -399,6 +399,24 @@ class TestSweep:
     def test_mlp_task_without_data_exits_3(self, sandbox, capsys):
         assert main(["sweep", "--task", "mlp"]) == 3
         assert "RLB_DATA_DIR" in capsys.readouterr().err
+
+    def test_bad_split_exits_2_before_the_data_search(self, sandbox, capsys):
+        # no data here, so a sweep that got as far as loading it would exit 3
+        assert main(["sweep", "--task", "mlp", "--split", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "split must be >= 1" in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
+
+    def test_mlp_task_on_a_small_training_set(self, sandbox, capsys):
+        seed_mnist_dir(sandbox / "digits", rows=2048)
+        out = sandbox / "sweep.csv"
+        argv = ["sweep", "--task", "mlp", "--data-dir", str(sandbox / "digits"),
+                "--epochs", "0", "--rho-count", "1", "--eta-count", "1", "--out", str(out)]
+        assert main(argv) == 3  # the default split point needs 50,000 rows
+        assert "split point" in capsys.readouterr().err and not out.exists()
+        assert main(argv + ["--split", "1536"]) == 0
+        rho, eta, metric, error = out.read_text().splitlines()[1].split(",", 3)
+        assert float(metric) == 0.5 and error == ""  # blank digits labelled 0, 1, 0, ...
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +581,15 @@ class TestOffset:
 
     def test_bad_interval(self, sandbox):
         assert main(["offset", "--rho", "1.0", "--interval", "1:0"]) == 2
+
+    @pytest.mark.parametrize("rho", ["inf", "nan", "0", "-1"])
+    def test_bad_rho_exits_2_naming_rho(self, sandbox, capsys, rho):
+        out = sandbox / "offset.csv"
+        assert main(["offset", "--landscape", "sinusoid", "--rho", rho,
+                     "--interval", "0:1", "--grid-step", "0.25", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "rho must be positive and finite" in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

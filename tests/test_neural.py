@@ -256,14 +256,15 @@ class TestIdx:
             load_idx(*paths)
 
 
-def seed_mnist_dir(root):
+def seed_mnist_dir(root, rows=2):
+    """Blank digit files, rows each, labelled 0, 1, 0, 1, ..."""
     root.mkdir(parents=True, exist_ok=True)
-    images = np.zeros((2, 28, 28), dtype=np.uint8)
-    labels = np.array([0, 1], dtype=np.uint8)
+    images = np.zeros((rows, 28, 28), dtype=np.uint8)
+    labels = (np.arange(rows) % 2).astype(np.uint8)
     for img_name, lab_name in (("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
                                ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
-        img = struct.pack(">IIII", 2051, 2, 28, 28) + images.tobytes()
-        lab = struct.pack(">II", 2049, 2) + labels.tobytes()
+        img = struct.pack(">IIII", 2051, rows, 28, 28) + images.tobytes()
+        lab = struct.pack(">II", 2049, rows) + labels.tobytes()
         (root / img_name).write_bytes(img)
         (root / lab_name).write_bytes(lab)
 

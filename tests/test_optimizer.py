@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rollball.landscape import Landscape, affine_plus_bump, quadratic, riemann
+from rollball.landscape import (Landscape, affine_plus_bump, quadratic, riemann,
+                                sinusoid)
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
-                                ProjectionDivergence, StepRecord, lift,
+                                ProjectionDivergence, StepRecord, _graph_point,
+                                _project_1d, _project_general, lift,
                                 project_footpoint, rbo_step, run_gd, run_rbo,
                                 run_sam, run_sgd)
 
@@ -329,6 +331,109 @@ def test_rbo_makes_one_fused_call_per_trial(landscape):
     assert capped_share(traj) == 0.0
     assert calls["forward"] == sum(r.projection_iters for r in traj.records) + 1
     assert calls["backward"] <= calls["forward"]
+
+
+# ---------------------------------------------------------------------------
+# the one-dimensional Newton loop against the general loop, bit for bit
+# ---------------------------------------------------------------------------
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def both_loops(landscape, candidate, warm, cfg):
+    """What each projection loop returns from the same start, or the
+    ProjectionDivergence it raises."""
+    out = []
+    for solve in (_project_general, _project_1d):
+        point = _graph_point(landscape, np.array([warm]))
+        try:
+            out.append(solve(landscape, np.array(candidate, dtype=float), point, cfg))
+        except ProjectionDivergence as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_projection(general, scalar):
+    if isinstance(general, ProjectionDivergence):
+        assert type(scalar) is type(general)
+        assert (scalar.iteration, bits(scalar.norm), str(scalar)) == \
+            (general.iteration, bits(general.norm), str(general))
+        return
+    (foot, iters, resid), (foot_1d, iters_1d, resid_1d) = general, scalar
+    assert bits(foot_1d.theta) == bits(foot.theta)
+    assert bits(foot_1d.y) == bits(foot.y)
+    assert bits(foot_1d.grad) == bits(foot.grad)
+    assert (iters_1d, bits(resid_1d)) == (iters, bits(resid))
+
+
+ONE_D_LANDSCAPES = st.one_of(
+    st.integers(1, 100).map(riemann),
+    st.just(sinusoid()),
+    st.floats(1e-3, 1e3).map(lambda a: quadratic(np.array([[a]]))),
+    st.builds(affine_plus_bump, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+              st.sampled_from(["sin", "cos", "gaussian"]), st.floats(-2.0, 2.0)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(landscape=ONE_D_LANDSCAPES, theta_c=st.floats(-10.0, 10.0),
+       y_c=st.floats(-10.0, 10.0), warm=st.floats(-10.0, 10.0),
+       max_iters=st.integers(1, 100),
+       grad_tol=st.sampled_from([1e-300, 1e-12, 1e-8, 1e-4, 0.1]))
+# |r| beyond 1.3e154: r * r is inf and the solve stops, where |r| would go on
+@example(landscape=quadratic(np.array([[1e150]])), theta_c=0.0, y_c=0.0, warm=1.0,
+         max_iters=100, grad_tol=1e-8)
+# |r| below 1.5e-154 at the start or at an accepted trial: r * r rounds to 0
+@example(landscape=sinusoid(), theta_c=0.0, y_c=0.0, warm=1e-170, max_iters=100,
+         grad_tol=1e-8)
+@example(landscape=sinusoid(), theta_c=0.0, y_c=0.0, warm=1e-3, max_iters=100,
+         grad_tol=1e-300)
+def test_1d_newton_loop_is_bitwise_the_general_loop(landscape, theta_c, y_c, warm,
+                                                    max_iters, grad_tol):
+    assert_same_projection(*both_loops(landscape, [theta_c, y_c], warm,
+                                       ProjectionConfig(max_iters, grad_tol)))
+
+
+def poisoned(oracle: str) -> Landscape:
+    """f = theta^2 / 2 whose named oracle (loss, gradient or Hessian) is not
+    finite beyond theta = 0.9."""
+    def forward(theta):
+        t = float(theta[0])
+        bad = t > 0.9
+        return (math.inf if bad and oracle == "loss" else 0.5 * t * t,
+                lambda: np.array([math.nan if bad and oracle == "gradient" else t]))
+
+    def hessian(theta):
+        return np.array([[math.inf if theta[0] > 0.9 and oracle == "Hessian" else 1.0]])
+    return Landscape(dim=1, forward=forward, hessian=hessian, name=f"poisoned {oracle}")
+
+
+# from theta = 0 toward (2, 0): trial 1 lands on theta = 2, where G does not
+# fall, and trial 2 on theta = 1, where it does
+@pytest.mark.parametrize("oracle, iteration, norm", [
+    ("loss", 1, 2.0), ("gradient", 2, 1.0), ("Hessian", 2, 1.0)])
+def test_both_loops_diverge_alike(oracle, iteration, norm):
+    general, scalar = both_loops(poisoned(oracle), [2.0, 0.0], 0.0, ProjectionConfig())
+    assert isinstance(general, ProjectionDivergence)
+    assert (general.iteration, general.norm) == (iteration, norm)
+    assert f"non-finite {oracle}" in str(general)
+    assert_same_projection(general, scalar)
+
+
+def test_every_projection_of_a_1d_run_goes_through_the_module_function(monkeypatch):
+    """The benchmark times projections by rebinding
+    optimizer.project_footpoint, so the one-dimensional loop must run
+    inside it, not beside it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return project_footpoint(*args, **kwargs)
+    monkeypatch.setattr("rollball.optimizer.project_footpoint", counted)
+    traj = run_rbo(riemann(100), np.array([2.0]), rho=1.0, eta=0.1, steps=20)
+    assert traj.error is None
+    assert calls == [1] * 20
 
 
 def test_descent_reuses_the_record_gradient():
