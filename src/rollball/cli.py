@@ -5,9 +5,12 @@ sweep (radius/step-size grid to CSV), verify (named geometry checks to
 JSON reports), train (network benchmark with learning-curve CSV), and
 offset (dump offset-profile samples for plotting).
 
-Configuration comes from an optional JSON file (--config) plus flags;
-flags win field by field. Exit codes: 0 success, 1 verify-check failure,
-2 configuration error, 3 run error.
+Each field of a subcommand's config is a flag of the same name with dashes
+for underscores; landscape_params is the repeatable --param KEY=VALUE.
+trajectory, sweep and verify also read a JSON file (--config); flags win
+field by field, --param key by key. The config is checked before any work;
+a non-finite setting is a configuration error naming it. Exit codes: 0
+success, 1 verify-check failure, 2 configuration error, 3 run error.
 """
 from __future__ import annotations
 
@@ -16,16 +19,17 @@ import inspect
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence, get_type_hints
+from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import neural, serialize, verify
 from .geometry import offset_profile
 from .landscape import Landscape, catalogue_names, make_landscape
-from .optimizer import OPTIMIZERS, RULES, check_hyperparameters, hyperparameters, run
+from .optimizer import OPTIMIZERS, RULES, hyperparameters, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,6 +65,22 @@ def _at_least(cfg, **bounds: int) -> None:
             raise ConfigError(f"{name} must be >= {bound}")
 
 
+def _parse_span(text: str, flag: str, number: type) -> tuple[Any, Any]:
+    """The ends A < B of text "A:B", parsed by number (int or float); both
+    must be finite, and an int range must start at 0 or later."""
+    try:
+        a, b = map(number, text.split(":"))
+    except ValueError:  # not two numbers
+        a = b = math.nan
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and (number is float or a >= 0)):
+        raise ConfigError(f"{flag} expects A:B with {'finite' if number is float else '0 <='} "
+                          f"A < B, got {text!r}")
+    return a, b
+
+
+_FORMATS = ("csv", "json")
+
+
 @dataclass
 class RunConfig:
     """One optimizer run. rho and the projection settings (max_iters,
@@ -83,7 +103,7 @@ class RunConfig:
 
     def validated(self) -> "RunConfig":
         _hyperparameters(self.optimizer, self)
-        if self.format not in ("csv", "json"):
+        if self.format not in _FORMATS:
             raise ConfigError(f"unknown output format {self.format!r}")
         _at_least(self, steps=0)
         return self
@@ -106,6 +126,13 @@ class TrainConfig:
     data_dir: str | None = None
     seed: int = 0
     out: str = "learning_curve.csv"
+
+    def validated(self) -> "TrainConfig":
+        _hyperparameters(self.optimizer, self)
+        _at_least(self, epochs=0, batch_size=1, split=1)
+        if self.subset_range is not None:
+            _parse_span(self.subset_range, "range flag", int)
+        return self
 
 
 # the sweep fields that only one task reads
@@ -170,6 +197,15 @@ class OffsetConfig:
     h: float | None = None
     out: str = "offset.csv"
 
+    def validated(self) -> "OffsetConfig":
+        if self.rho is None:
+            raise ConfigError("--rho must be given")
+        _hyperparameters("rbo", self)  # rho, the ball radius, by its RULES entry
+        if not self.grid_step > 0:
+            raise ConfigError(f"grid_step must be positive, got {self.grid_step!r}")
+        _parse_span(self.interval, "--interval", float)
+        return self
+
 
 def config_from_mapping(cls, data: Mapping[str, Any]):
     """cls from the mapping; each key must name a field and fit its annotation."""
@@ -199,66 +235,29 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _merge_config(cls, file_data: Mapping[str, Any], args: argparse.Namespace):
-    """The config file's fields, overridden by every flag given. A flag's
-    dest is the config field it sets, so a flag whose dest is no field fails
-    as an unknown config key instead of being ignored. The namespace's
-    other entries are the subcommand, its handler and --config itself."""
-    merged = dict(file_data)
-    merged.update({k: v for k, v in vars(args).items()
-                   if k not in ("command", "handler", "config") and v is not None})
-    return config_from_mapping(cls, merged)
+def _merge_config(cls, args: argparse.Namespace):
+    """The --config file's fields overridden by each flag given, a file's
+    landscape_params object key by key. A flag's dest is the field it sets;
+    the namespace's other entries are the subcommand and --config. A
+    non-finite float setting fails here unless optimizer.RULES words it."""
+    merged = _load_config_file(getattr(args, "config", None))
+    for key, value in vars(args).items():
+        if key in ("command", "config") or value is None:
+            continue
+        if key == "landscape_params" and isinstance(merged.get(key), dict):
+            value = {**merged[key], **value}
+        merged[key] = value
+    cfg = config_from_mapping(cls, merged)
+    for key, value in merged.items():
+        if key not in RULES and any(isinstance(v, float) and not math.isfinite(v)
+                                    for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# shared flag parsing helpers
+# subcommands; each one but verify gets its config merged and validated
 # ---------------------------------------------------------------------------
-
-def _parse_param(text: str) -> tuple[str, Any]:
-    if "=" not in text:
-        raise ConfigError(f"--param expects KEY=VALUE, got {text!r}")
-    key, raw = text.split("=", 1)
-    try:
-        return key, json.loads(raw)
-    except json.JSONDecodeError:
-        return key, raw
-
-
-class _ParamAction(argparse.Action):
-    """Gathers repeated --param KEY=VALUE pairs into one dict; a repeated
-    key keeps its last value."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        key, value = values
-        setattr(namespace, self.dest,
-                {**(getattr(namespace, self.dest) or {}), key: value})
-
-
-def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"--interval expects A:B, got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"--interval expects numbers, got {text!r}") from None
-    if a >= b:
-        raise ConfigError(f"--interval needs A < B, got {text!r}")
-    return a, b
-
-
-def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"range flag expects A:B, got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"range flag expects integers, got {text!r}") from None
-    if a < 0 or a >= b:
-        raise ConfigError(f"range flag needs 0 <= A < B, got {text!r}")
-    return a, b
-
 
 def _build_landscape(name: str, params: Mapping[str, Any]) -> Landscape:
     try:
@@ -277,12 +276,7 @@ def _resolve_theta0(theta0: list[float] | None, landscape: Landscape) -> np.ndar
     return arr
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_trajectory(args: argparse.Namespace) -> int:
-    cfg = _merge_config(RunConfig, _load_config_file(args.config), args).validated()
+def cmd_trajectory(cfg: RunConfig) -> int:
     landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
     theta0 = _resolve_theta0(cfg.theta0, landscape)
 
@@ -314,9 +308,7 @@ def _sweep_grid(cfg: SweepConfig) -> list[tuple[int, float, float]]:
     return cells
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merge_config(SweepConfig, _load_config_file(args.config), args).validated()
-
+def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.task == "mlp":
         train_full, test = neural.load_mnist(cfg.data_dir)
         train, val = train_full.split(cfg.split)
@@ -376,23 +368,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(TrainConfig, {}, args)
-    hyper = _hyperparameters(cfg.optimizer, cfg)
-    _at_least(cfg, epochs=0, batch_size=1, split=1)
-    subset = None if cfg.subset_range is None else _parse_range(cfg.subset_range)
-
+def cmd_train(cfg: TrainConfig) -> int:
     train_full, _test = neural.load_mnist(cfg.data_dir)
     train, val = train_full.split(cfg.split)
-    if subset is not None:
-        a, b = subset
+    if cfg.subset_range is not None:
+        a, b = _parse_span(cfg.subset_range, "range flag", int)
         if b > train.n:
             raise ConfigError(f"subset range {a}:{b} exceeds the {train.n}-row "
                               "training split")
         train = train.subset(slice(a, b))
 
     _, stats = neural.train_mlp(neural.MlpSpec(), train, val, cfg.optimizer, cfg.epochs,
-                                cfg.batch_size, cfg.seed, **hyper)
+                                cfg.batch_size, cfg.seed,
+                                **_hyperparameters(cfg.optimizer, cfg))
 
     serialize.write_learning_curve_csv(stats, cfg.out)
     last = stats[-1]
@@ -402,16 +390,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_offset(args: argparse.Namespace) -> int:
-    cfg = _merge_config(OffsetConfig, {}, args)
-    if cfg.rho is None:
-        raise ConfigError("--rho must be given")
-    try:
-        check_hyperparameters(rho=cfg.rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def cmd_offset(cfg: OffsetConfig) -> int:
     landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
-    lo, hi = _parse_interval(cfg.interval)
+    lo, hi = _parse_span(cfg.interval, "--interval", float)
     try:
         samples = offset_profile(landscape, cfg.rho, lo, hi, cfg.grid_step, h=cfg.h)
     except ValueError as exc:
@@ -426,25 +407,71 @@ def cmd_offset(args: argparse.Namespace) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-_COMMON_FLAGS = {
-    "config": dict(help="JSON config file; flags override its fields"),
-    "seed": dict(type=int, help="global seed (fans out per component)"),
-    "out": dict(help="output path"),
+class _ParamAction(argparse.Action):
+    """Gathers repeated --param KEY=VALUE pairs into one dict, VALUE read as
+    JSON where it parses; a repeated key keeps its last value."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        key, sep, raw = text.partition("=")
+        if not sep:
+            parser.error(f"--param expects KEY=VALUE, got {text!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        setattr(namespace, self.dest, {**(getattr(namespace, self.dest) or {}), key: value})
+
+
+# what a config field's name and annotation cannot say about its flag
+_FLAGS: dict[str, dict[str, Any]] = {
     "landscape": dict(help=f"one of {', '.join(catalogue_names())}"),
-    "param": dict(dest="landscape_params", action=_ParamAction, type=_parse_param,
-                  metavar="KEY=VALUE", help="landscape parameter (repeatable)"),
+    "landscape_params": dict(flag="--param", action=_ParamAction, type=str,
+                             metavar="KEY=VALUE", help="landscape parameter (repeatable)"),
     "optimizer": dict(choices=tuple(OPTIMIZERS)),
-    "rho": dict(type=float, help="ball radius (rbo only)"),
-    "eta": dict(type=float, help="step size"),
-    "sam-rho": dict(type=float, help="ascent radius (sam only)"),
-    "max-iters": dict(type=int, help="inner projection iteration cap (rbo only)"),
+    "theta0": dict(metavar="X", help="start point"),
+    "rho": dict(help="ball radius"),
+    "eta": dict(help="step size"),
+    "steps": dict(help="number of updates T"),
+    "sam_rho": dict(help="ascent radius (sam only)"),
+    "seed": dict(help="global seed (fans out per component)"),
+    "max_iters": dict(help="inner projection iteration cap (rbo only)"),
+    "grad_tol": dict(help="inner projection stop tolerance (rbo only)"),
+    "out": dict(help="output path"),
+    "format": dict(choices=_FORMATS),
+    "task": dict(choices=tuple(_TASK_FIELDS)),
+    "subset": dict(help="training subset size for mlp task"),
+    "split": dict(help=f"train/validation split point (default {TrainConfig.split})"),
+    "data_dir": dict(help=f"IDX directory (default ${neural.DATA_DIR_ENV} or ./data)"),
+    "subset_range": dict(metavar="A:B", help="train on rows A..B of the training split"),
+    "interval": dict(metavar="A:B", help="theta interval (default 0:2pi)"),
+    "grid_step": dict(help=f"theta sampling step (default {OffsetConfig.grid_step:g})"),
+    "h": dict(help="search lattice step (default min(rho/100, grid step))"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    """Add the shared flags a subcommand honours, and only those."""
-    for name in names:
-        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of cls, named --<field, dashes for underscores>
+    and typed by the field's annotation with None stripped (a list takes
+    one or more values); the field's _FLAGS entry adds the rest."""
+    for name, hint in get_type_hints(cls).items():
+        if isinstance(hint, types.UnionType):  # X | None
+            hint = get_args(hint)[0]
+        kwargs = (dict(type=get_args(hint)[0], nargs="+") if get_origin(hint) is list
+                  else dict(type=hint))
+        kwargs.update(_FLAGS.get(name, {}))
+        parser.add_argument(kwargs.pop("flag", "--" + name.replace("_", "-")),
+                            dest=name, **kwargs)
+
+
+# subcommand -> (the config its flags set, None for verify; whether it reads
+# --config; its handler; its help)
+_SUBCOMMANDS = {
+    "trajectory": (RunConfig, True, cmd_trajectory, "run one optimizer, dump step records"),
+    "sweep": (SweepConfig, True, cmd_sweep, "radius/step-size grid to CSV"),
+    "verify": (None, True, cmd_verify, "run named checks, write JSON reports"),
+    "train": (TrainConfig, False, cmd_train, "train the network, write learning curve"),
+    "offset": (OffsetConfig, False, cmd_offset, "dump offset-profile samples"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,64 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rollball",
         description="Rolling-ball optimization and landscape geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trajectory", help="run one optimizer, dump step records")
-    _add_common(p, "config", "seed", "out", "landscape", "param", "optimizer")
-    p.add_argument("--theta0", type=float, nargs="+", metavar="X")
-    p.add_argument("--steps", type=int, help="number of updates T")
-    _add_common(p, "rho", "eta", "sam-rho", "max-iters")
-    p.add_argument("--grad-tol", dest="grad_tol", type=float,
-                   help="inner projection stop tolerance (rbo only)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(handler=cmd_trajectory)
-
-    p = sub.add_parser("sweep", help="radius/step-size grid to CSV")
-    _add_common(p, "config", "seed", "out")
-    p.add_argument("--task", choices=tuple(_TASK_FIELDS))
-    _add_common(p, "landscape", "param")
-    p.add_argument("--theta0", type=float, nargs="+", metavar="X")
-    p.add_argument("--rho-min", dest="rho_min", type=float)
-    p.add_argument("--rho-max", dest="rho_max", type=float)
-    p.add_argument("--rho-count", dest="rho_count", type=int)
-    p.add_argument("--eta-scale-min", dest="eta_scale_min", type=float)
-    p.add_argument("--eta-scale-max", dest="eta_scale_max", type=float)
-    p.add_argument("--eta-count", dest="eta_count", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--subset", type=int, help="training subset size for mlp task")
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--split", type=int, help="train/validation split point for mlp task "
-                                             f"(default {SweepConfig.split})")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run named checks, write JSON reports")
-    _add_common(p, "config", "out")
-    p.add_argument("checks", nargs="*",
-                   help=f"subset of: {', '.join(verify.available_checks())} "
-                        "(default: all)")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("train", help="train the network, write learning curve")
-    _add_common(p, "seed", "out", "optimizer", "rho", "eta", "sam-rho", "max-iters")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--data-dir", dest="data_dir",
-                   help=f"IDX directory (default ${neural.DATA_DIR_ENV} or ./data)")
-    p.add_argument("--split", type=int,
-                   help=f"train/validation split point (default {TrainConfig.split})")
-    p.add_argument("--subset-range", dest="subset_range", metavar="A:B",
-                   help="train on rows A..B of the training split")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("offset", help="dump offset-profile samples")
-    _add_common(p, "out", "landscape", "param")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--interval", metavar="A:B", help="theta interval (default 0:2pi)")
-    p.add_argument("--grid-step", dest="grid_step", type=float,
-                   help=f"theta sampling step (default {OffsetConfig.grid_step:g})")
-    p.add_argument("--h", type=float, help="search lattice step "
-                                           "(default min(rho/100, grid step))")
-    p.set_defaults(handler=cmd_offset)
+    for command, (cls, reads_file, _, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if reads_file:
+            p.add_argument("--config", help="JSON config file; flags override its fields")
+        if cls is not None:
+            _add_config_flags(p, cls)
+            continue
+        p.add_argument("--out", help="report directory")
+        p.add_argument("checks", nargs="*",
+                       help=f"subset of: {', '.join(verify.available_checks())} "
+                            "(default: all)")
     return parser
 
 
@@ -519,13 +499,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports bad flags itself
         return EXIT_OK if exc.code == EXIT_OK else EXIT_CONFIG
+    cls, _, handler, _ = _SUBCOMMANDS[args.command]
     try:
-        return args.handler(args)
+        if cls is not None:  # every setting is checked before any work
+            args = _merge_config(cls, args).validated()
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, RuntimeError, FloatingPointError, ValueError,
-            KeyError) as exc:
+    except (OSError, RuntimeError, FloatingPointError, ValueError, KeyError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_RUN
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .landscape import Array, Landscape, eval_batch, value_and_grad
 
@@ -76,8 +75,9 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _curve_tree(points: Array) -> cKDTree:
-    """KD-tree over points sampled along a curve.
+def _curve_tree(points: Array):
+    """scipy's cKDTree over points sampled along a curve, imported on first
+    use so that commands which never measure a distance do not load it.
 
     A query point here typically sits at a near-constant distance from a
     near-osculating arc of samples, so the nearest-neighbor search cannot
@@ -85,6 +85,8 @@ def _curve_tree(points: Array) -> cKDTree:
     leaves per query, with 256 it walks a few and returns the same
     distances.
     """
+    from scipy.spatial import cKDTree
+
     return cKDTree(points, leafsize=256)
 
 

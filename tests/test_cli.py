@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, file outputs, determinism."""
 import argparse
 import json
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -128,7 +129,8 @@ class TestConfigs:
         ("trajectory", {"theta0": 2.0}, "theta0"),
         ("trajectory", {"theta0": [0.5, "1"]}, "theta0"),
         ("sweep", {"steps": "3"}, "steps"),
-        ("sweep", {"rho_count": 2.5}, "rho_count")])
+        ("sweep", {"rho_count": 2.5}, "rho_count"),
+        ("trajectory", {"landscape_params": [1.0]}, "landscape_params")])
     def test_config_file_values_are_type_checked(self, sandbox, capsys, command, data, key):
         config = sandbox / "config.json"
         config.write_text(json.dumps(data))
@@ -193,8 +195,19 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("command", CONFIG_OF)
     def test_every_flag_sets_a_config_field(self, command):
-        dests = {a.dest for a in _flag_actions(command)}
-        assert dests <= {f.name for f in fields(CONFIG_OF[command])}
+        """Each flag sets a config field, and each field has exactly one flag."""
+        dests = [a.dest for a in _flag_actions(command)]
+        assert sorted(dests) == sorted(f.name for f in fields(CONFIG_OF[command]))
+
+    def test_param_flag_overrides_the_file_params_key_by_key(self, sandbox, capsys):
+        (sandbox / "cfg.json").write_text(json.dumps({
+            "landscape": "quadratic", "landscape_params": {"a": [[2.0]], "theta_star": [1.0]},
+            "optimizer": "gd", "steps": 1}))
+        assert main(["trajectory", "--config", "cfg.json"]) == 0
+        assert "final loss 0.9603999999999999," in capsys.readouterr().out
+        # a = 3 with the file's theta_star = 1 kept, not a = 3 alone (loss 0.0)
+        assert main(["trajectory", "--config", "cfg.json", "--param", "a=[[3.0]]"]) == 0
+        assert "final loss 1.41135," in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, action", CONFIG_FLAGS,
                              ids=[f"{c}{a.option_strings[0]}" for c, a in CONFIG_FLAGS])
@@ -361,6 +374,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "max_iters must be >= 1" in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_max_iters_flag_exits_2_before_any_cell(self, sandbox, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimizer, "run_rbo", lambda *a, **k: calls.append(a))
+        out = sandbox / "sweep.csv"
+        assert main(SWEEP_ARGS + ["--max-iters", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "max_iters must be >= 1" in captured.err and captured.out == ""
+        assert not out.exists() and calls == []
 
     @pytest.mark.parametrize("argv, field", [
         (["--steps", "-1"], "steps"), (["--task", "mlp", "--epochs", "-1"], "epochs")])
@@ -614,6 +636,30 @@ class TestParser:
     ], ids=["offset-config", "offset-seed", "verify-seed", "train-config"])
     def test_flags_a_subcommand_ignores_are_rejected(self, sandbox, argv):
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        (["offset", "--rho", "1", "--interval", "0:inf"], "--interval expects A:B with finite"),
+        (["offset", "--rho", "1", "--interval", "nan:1"], "--interval expects A:B with finite"),
+        (["offset", "--rho", "1", "--grid-step", "nan"], "grid_step must be finite"),
+        (["offset", "--rho", "1", "--h", "nan"], "h must be finite"),
+        (["offset", "--rho", "1", "--grid-step", "0", "--h", "1e-3"],
+         "grid_step must be positive"),
+        (["sweep", "--rho-max", "inf"], "rho_max must be finite"),
+        (["sweep", "--eta-scale-max", "inf"], "eta_scale_max must be finite"),
+        (["trajectory", "--theta0", "nan"], "theta0 must be finite"),
+        (["train", "--subset-range", "0:inf"], "range flag")])
+    def test_bad_settings_exit_2_naming_them_before_any_work(self, sandbox, capsys,
+                                                             argv, named):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
+
+    def test_non_finite_config_file_value_exits_2_naming_it(self, sandbox, capsys):
+        (sandbox / "cfg.json").write_text(json.dumps({"theta0": [0.5, math.inf]}))
+        assert main(["trajectory", "--landscape", "quadratic", "--config", "cfg.json"]) == 2
+        assert "theta0 must be finite" in capsys.readouterr().err
+        assert [p.name for p in sandbox.iterdir()] == ["cfg.json"]
 
 
 # ---------------------------------------------------------------------------

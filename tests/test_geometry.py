@@ -1,7 +1,10 @@
 """Graph geometry: normals, offsets, distances, unreachability oracle."""
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +509,12 @@ def test_sharpness_quadratic_exact_and_fd():
     from dataclasses import replace
     bare = replace(ls, hessian=None)
     assert sharpness(bare, np.zeros(1)) == pytest.approx(4.0, rel=1e-4)
+
+
+def test_the_package_loads_the_kd_tree_on_first_use():
+    """Importing the package and its command line leaves scipy.spatial out;
+    _curve_tree imports it when a distance is first measured."""
+    src = Path(geometry.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import rollball, rollball.cli; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
