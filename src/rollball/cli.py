@@ -144,8 +144,9 @@ _TASK_FIELDS = {"landscape": ("landscape", "landscape_params", "theta0", "steps"
 class SweepConfig:
     """Radius/step-size grid of rbo runs. Radii are log-spaced; per radius the
     step sizes are log-spaced between eta_scale_min*rho and eta_scale_max*rho.
-    The mlp task splits the training set at split, as train does. Each
-    task's _TASK_FIELDS keep their defaults under the other task."""
+    The mlp task splits the training set at split, as train does, and trains
+    on its first subset rows, at least one batch of train's default size.
+    Each task's _TASK_FIELDS keep their defaults under the other task."""
 
     task: str = "landscape"
     landscape: str = "quadratic"
@@ -180,7 +181,7 @@ class SweepConfig:
             for name in names:
                 if task != self.task and getattr(self, name) != getattr(default, name):
                     raise ConfigError(f"{name} applies to the {task} sweep task only")
-        _at_least(self, steps=0, epochs=0, split=1)
+        _at_least(self, steps=0, epochs=0, split=1, subset=TrainConfig.batch_size)
         _hyperparameters("rbo", self)
         return self
 
@@ -312,8 +313,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     if cfg.task == "mlp":
         train_full, test = neural.load_mnist(cfg.data_dir)
         train, val = train_full.split(cfg.split)
-        if cfg.subset:
-            train = train.subset(slice(0, cfg.subset))
+        train = train.subset(slice(0, cfg.subset))
     else:  # a bad landscape is a config error before any cell runs
         landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
         theta0 = _resolve_theta0(cfg.theta0, landscape)
@@ -326,7 +326,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         try:
             if cfg.task == "mlp":
                 _, stats = neural.train_mlp(neural.MlpSpec(), train, val, "rbo", cfg.epochs,
-                                            seed=seed, **hyper)
+                                            TrainConfig.batch_size, seed, **hyper)
                 return rho, eta, stats[-1].val_accuracy, ""
             traj = run("rbo", landscape, theta0, cfg.steps, seed=seed, **hyper)
             if traj.error is not None:
@@ -353,9 +353,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every check runs before any report is written: a run error leaves none
+    reports = {name: verify.run_check(name, overrides[name]) for name in names}
     all_passed = True
-    for name in names:
-        report = verify.run_check(name, overrides[name])
+    for name, report in reports.items():
         serialize.write_check_report_json(report, out_dir / f"{name}.json")
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({len(report.observations)} observations)")

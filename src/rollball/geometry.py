@@ -8,8 +8,9 @@ and tangents are dimension-free.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -186,19 +187,18 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
     return smax
 
 
-def _can_reach(landscape: Landscape, circ: Array, lower: float) -> Array:
-    """Mask of the window offsets whose candidates f + circ can reach `lower`.
+def _can_reach(landscape: Landscape, circ: float, lower: float) -> bool:
+    """Whether a candidate f + circ of the offset scan can reach `lower`, a
+    candidate value attained in every row and so below no row's maximum.
 
-    `lower` is a candidate value already attained at every anchor of the
-    scan, so it never exceeds any anchor's maximum. A candidate is the float sum
-    fl(f + circ) of a computed f and the scan's own circ value; rounding is
-    monotone, so a computed f <= B' gives fl(f + circ) <= fl(B' + circ), and
-    where that is below `lower` the candidate loses: dropping it leaves every
-    maximum the same float. value_bound B bounds the exact f, and a computed
-    f can overshoot it by accumulated rounding, below n * eps * B for a sum
-    of n terms of size <= B; B' = B * (1 + 1e-12) covers thousands of terms.
-    Comparing against the circ values the scan itself adds needs no margin
-    for the rounding of the kernel sqrt(rho^2 - s^2).
+    A candidate is the float sum fl(f + circ) of a computed f and the scan's
+    own circ value; rounding is monotone, so a computed f <= B' gives
+    fl(f + circ) <= fl(B' + circ), and where that is below `lower` the
+    candidate loses: dropping it leaves every maximum the same float.
+    value_bound B bounds the exact f, and a computed f can overshoot it by
+    accumulated rounding, below n * eps * B for a sum of n terms of size <=
+    B; B' = B * (1 + 1e-12) covers thousands of terms. Comparing against the
+    scan's own circ values needs no margin for the rounding of the arc.
     """
     return landscape.value_bound * (1.0 + 1e-12) + circ >= lower
 
@@ -228,126 +228,134 @@ def _circ(s: Array | float, rho: float) -> Array | float:
     return np.sqrt(np.maximum(rho * rho - s * s, 0.0))
 
 
-def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
-    """First i in [lo, hi) with pred(i), or hi if none; pred must be false
-    then true along [lo, hi). Edges of the pruned offset windows are found
-    this way, one lattice point at a time with the scan's own float
-    operations, instead of over arrays spanning the whole window."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _pivot_stride(rows: int, w: int, k: int) -> int:
+def _pivot_stride(rows: int, w: int, k: float) -> int:
     """Rows from one pivot to the next in the monotone scan of _offset_scan,
-    over `rows` anchors k lattice points apart with w-wide windows; 1, the
-    plain scan, where blocking would not pay.
+    over `rows` anchors k lattice points apart on average with w-wide
+    windows; 1, the plain scan, where blocking would not pay.
 
     Pivots cost about rows / b * (w + _BLOCK_COST) candidate-equivalents,
     the rows between them about b * (rows * k + w); b balances the two.
     """
-    b = math.isqrt(rows * (w + _BLOCK_COST) // (rows * k + w))
+    b = math.isqrt(int(rows * (w + _BLOCK_COST) // (rows * k + w)))
     if b < 2 or rows * (w + _BLOCK_COST) // b + b * (rows * k + w) >= rows * w:
         return 1
     return b
 
 
-def _offset_scan(landscape: Landscape, h: float, anchors: range, nl: int, nr: int,
-                 circ: Callable[[Array | int], Array | float]) -> tuple[Array, Array]:
-    """For each lattice anchor a, the maximum of f((a+m)h) + circ(m) over
-    -nl <= m <= nr, and the lattice index a + m of its leftmost maximizer.
+def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo: Array,
+                 hi: Array, thetas: Array | None = None,
+                 own: Array = np.empty(0)) -> tuple[Array, Array, Array]:
+    """Per row i, the maximum of f(j h) + circ_i(j) over the lattice indices
+    lo[i] <= j <= hi[i] and its leftmost maximizer j; also f at `own`, from
+    the same eval_batch. anchors, lo and hi never decrease, lo <= anchors <=
+    hi. Given thetas, circ_i(j) = _circ(j h - thetas[i], rho); without them
+    every row shares circ_i(j) = _circ((j - anchors[i]) h, rho) over evenly
+    spaced anchors and equal windows. A shared arc or one row reads f strided.
 
-    circ must be concave, rising along m <= 0 and falling along m >= 0.
-    With a value_bound the scan runs in two passes: the band |m| <=
-    max(nl, nr) // _NARROW gives L, the smallest band maximum, which is
-    attained at every anchor; each side then widens only to the m where
-    B + circ(m) can still reach L (see _can_reach), evaluating just the new
-    lattice points. Every excluded candidate loses to L, so each value is
-    the same float as the maximum over the whole window.
+    Every arc is one concave arc shifted right, so the candidates form an
+    inverse Monge matrix: the leftmost maximizer never moves left down the
+    rows (the fact behind SMAWK). Every b-th row (b from _pivot_stride) and
+    the last are pivots, maximized over their whole window; the rows between
+    two pivots only between the pivots' maximizers. NaN and +-inf keep the
+    order; that rounding keeps it at near-ties is tested, not proven.
 
-    For a concave circ the candidates form an inverse Monge matrix over
-    (anchor, lattice point): the leftmost maximizer never moves left as the
-    anchor moves right (the fact behind SMAWK). So every b-th anchor and the
-    last are pivots, maximized over their whole window, and the anchors
-    between two pivots only between the pivots' maximizers (b from
-    _pivot_stride; b = 1 is the plain scan). NaN and +-inf keep the order;
-    that rounding keeps it at near-ties is tested, not proven.
+    f is read once per lattice point of the windows' union; but with a
+    value_bound, where the widest half-window n exceeds the anchors' span, in
+    two passes: the band |j - anchors[i]| <= n // _NARROW gives L, the least
+    band maximum. The first row's window then widens left and the last row's
+    right only while a candidate can reach L (see _can_reach), the others by
+    as much (shared arc) or to the same j: the maxima are the same floats as
+    over the whole windows.
     """
-    k, first, last, rows = anchors.step, anchors[0], anchors[-1], len(anchors)
+    rows, shared = anchors.size, thetas is None
+    strided = shared or rows == 1
 
-    def scan(fv: Array, l: int, r: int) -> tuple[Array, Array]:
-        # best[i] and arg[i]: the maximum over columns 0 <= j <= l + r of
-        # fv[i*k + j] + circ(j - l), and its leftmost j; returns best and
-        # the lattice index first - l + i*k + arg[i]
-        c = circ(np.arange(-l, r + 1))
-        w = c.size
-        sw = np.ndarray((rows, w), buffer=np.ascontiguousarray(fv),
-                        strides=(8 * k, 8))  # a few us cheaper than as_strided
+    def arc(i: int, j: int) -> float:  # circ_i(j), for the edge searches
+        return _circ((j - int(anchors[i])) * h if shared else j * h - float(thetas[i]), rho)
+
+    def scan(fv: Array, pos: Array, start: Array, end: Array) -> tuple[Array, Array]:
+        # row i over start[i] <= j <= end[i], with f(j h) at fv[pos[i] + j - start[i]]
+        w = int((end - start).max()) + 1
+        if strided:  # rows pos[1] apart in fv, the arc of row 0 for all
+            sw = np.ndarray((rows, w), buffer=np.ascontiguousarray(fv),
+                            strides=(8 * int(pos[-1] // max(rows - 1, 1)), 8))
+            c = _circ((start[0] - anchors[0] + np.arange(w)) * h if shared  # no index array kept
+                      else (start[0] + np.arange(w)) * h - thetas[0], rho)
         best, arg = np.empty(rows), np.empty(rows, dtype=np.intp)
 
-        def block(sel: slice, lo: int, hi: int) -> None:
-            # rows sel over columns lo..hi-1, in chunks that keep each
-            # temporary below _WINDOW_CHUNK elements
-            v, bv, av = sw[sel, lo:hi], best[sel], arg[sel]
+        def block(rs: range, lo: int, hi: int) -> None:
+            # rows rs over columns lo..hi-1, in chunks of at most _WINDOW_CHUNK candidates
             n = max(1, _WINDOW_CHUNK // (hi - lo))
-            for i in range(0, len(v), n):
-                t = v[i:i + n] + c[lo:hi]
+            for i in range(0, len(rs), n):
+                part = slice(rs[i], rs[min(i + n, len(rs)) - 1] + 1, rs.step)
+                if strided:
+                    t = sw[part, lo:hi] + c[lo:hi]
+                else:  # past its end a row repeats its last candidate: no maximizer moves
+                    j = np.minimum(start[part, None] + np.arange(lo, hi), end[part, None])
+                    t = fv[j + (pos - start)[part, None]] + _circ(j * h - thetas[part, None], rho)
                 a = t.argmax(axis=1)
-                bv[i:i + n], av[i:i + n] = t[np.arange(a.size), a], a + lo
+                best[part], arg[part] = t[np.arange(a.size), a], a + lo
                 del t  # the next chunk's temporary replaces it instead of joining it
 
-        b = _pivot_stride(rows, w, k)
-        pivots = list(range(0, rows, b))
-        block(slice(0, rows, b), 0, w)
-        if pivots[-1] != rows - 1:
-            pivots.append(rows - 1)
-            block(slice(rows - 1, rows), 0, w)
+        b = _pivot_stride(rows, w, (anchors[-1] - anchors[0]) / max(rows - 1, 1))
+        pivots = [*range(0, rows - 1, b), rows - 1]
+        block(range(0, rows - 1, b), 0, w)
+        block(range(rows - 1, rows), 0, w)
         for p, q in zip(pivots, pivots[1:]):
-            if q > p + 1:  # fv positions of the pivots' maximizers bound the rows between
-                lo, hi = sorted((p * k + int(arg[p]), q * k + int(arg[q])))
-                block(slice(p + 1, q), max(0, lo - (q - 1) * k), min(w, hi - (p + 1) * k + 1))
-        return best, first - l + k * np.arange(rows) + arg
+            if q > p + 1:  # the pivots' maximizers bound the rows between
+                lo, hi = sorted((start[p] + arg[p], start[q] + arg[q]))
+                block(range(p + 1, q), max(0, lo - start[q - 1]), min(w, hi - start[p + 1] + 1))
+        return best, start + arg
 
-    n = max(nl, nr) if landscape.value_bound is None else max(nl, nr) // _NARROW
-    l, r = min(nl, n), min(nr, n)
-    fv = _bounded_batch(landscape, np.arange(first - l, last + r + 1) * h)
-    out, index = scan(fv, l, r)
-    if (l, r) == (nl, nr):
-        return out, index
-    lower = float(out.min())
-    l2 = _first(lambda m: not _can_reach(landscape, circ(-m), lower), l + 1, nl + 1) - 1
-    r2 = _first(lambda m: not _can_reach(landscape, circ(m), lower), r + 1, nr + 1) - 1
-    if (l2, r2) == (l, r):
-        return out, index
+    n = int(max((anchors - lo).max(), (hi - anchors).max()))
+    cut = landscape.value_bound is not None and n > anchors[-1] - anchors[0]
+    if cut:  # pass 1 reads one contiguous range
+        start, end = np.maximum(lo, anchors - n // _NARROW), np.minimum(hi, anchors + n // _NARROW)
+        pts, pos = np.arange(start[0], end[-1] + 1), start - start[0]
+    else:  # the union of the windows, each lattice point once
+        new = np.maximum(lo, np.concatenate([lo[:1], hi[:-1] + 1]))  # row i's first new j
+        count = np.maximum(hi - new + 1, 0)
+        pts = np.arange(count.sum()) + np.repeat(new - (np.cumsum(count) - count), count)
+        start, end, pos = lo, hi, np.searchsorted(pts, lo)
+    fv = _bounded_batch(landscape, np.concatenate([pts * h, own]))
+    fv, own = fv[:pts.size], fv[pts.size:].copy()  # the copy lets pass 1's array go
+    best, index = scan(fv, pos, start, end)
+    lower = float(best.min())
+    # the cut's edges (none without it), one lattice point at a time, the scan's own floats
+    l2 = int(lo[0]) + bisect_left(range(lo[0], start[0]), True, key=lambda j: _can_reach(
+        landscape, arc(0, j), lower))
+    r2 = int(end[-1]) + bisect_left(range(end[-1] + 1, hi[-1] + 1), True, key=lambda j: not
+                                    _can_reach(landscape, arc(rows - 1, j), lower))
+    if (l2, r2) == (start[0], end[-1]):
+        return best, index, own
     ext = _bounded_batch(landscape, np.concatenate(
-        [np.arange(first - l2, first - l) * h, np.arange(last + r + 1, last + r2 + 1) * h]))
-    fv = np.concatenate([ext[:l2 - l], fv, ext[l2 - l:]])
-    del ext, out, index  # no pass-1 array stays alive through the scan's peak
-    return scan(fv, l2, r2)
+        [np.arange(l2, start[0]) * h, np.arange(end[-1] + 1, r2 + 1) * h]))
+    fv = np.concatenate([ext[:start[0] - l2], fv, ext[start[0] - l2:]])
+    del ext, best, index, pts  # no pass-1 array stays alive through the scan's peak
+    d = anchors - anchors[0] if shared else 0 * anchors
+    start, end = np.maximum(lo, l2 + d), np.minimum(hi, r2 + d - d[-1])
+    return (*scan(fv, start - l2, start, end), own)
 
 
 def _offset_values(landscape: Landscape, rho: float, thetas: Array,
                    h: float) -> tuple[Array, Array]:
-    """phi_rho at each theta and its contact: the larger of theta's own
-    candidate f(theta) + rho (contact theta) and the one-anchor scan of
-    theta's window from the lattice point nearest it (contact its lattice
-    maximizer); a tie keeps theta, and a NaN wins as in np.max."""
+    """phi_rho at each of the increasing thetas and its contact: the larger of
+    theta's own candidate f(theta) + rho (contact theta) and the maximum over
+    theta's window (contact its leftmost maximizer), each theta a row of one
+    _offset_scan; a tie keeps theta, and a NaN wins as in np.max."""
     w = _offset_window(landscape, rho)
-    out = eval_batch(landscape, thetas) + _circ(0.0, rho)
-    contacts = thetas.copy()
-    for i, theta in enumerate(thetas.tolist()):
-        j0 = math.ceil((theta - w) / h - 1e-9)
-        j1 = math.floor((theta + w) / h + 1e-9)
-        if j0 <= j1:  # else no lattice point is in the window
-            a = min(max(round(theta / h), j0), j1)
-            v, j = _offset_scan(landscape, h, range(a, a + 1), a - j0, j1 - a,
-                                lambda m: _circ((a + m) * h - theta, rho))
-            if v[0] > out[i] or (math.isnan(v[0]) and not math.isnan(out[i])):
-                out[i], contacts[i] = v[0], j[0] * h
+    lo = np.ceil((thetas - w) / h - 1e-9).astype(np.intp)
+    hi = np.floor((thetas + w) / h + 1e-9).astype(np.intp)
+    live = np.flatnonzero(lo <= hi)  # the other windows hold no lattice point
+    lo, hi, t = lo[live], hi[live], thetas[live]
+    if live.size:
+        anchors = np.clip(np.round(t / h).astype(np.intp), lo, hi)
+        v, index, f = _offset_scan(landscape, h, rho, anchors, lo, hi, t, thetas)
+    else:  # no window holds a lattice point: v and index stay empty
+        v, index, f = t, lo, _bounded_batch(landscape, thetas)
+    out, contacts = f + _circ(0.0, rho), thetas.copy()
+    win = (v > out[live]) | (np.isnan(v) & ~np.isnan(out[live]))
+    out[live[win]], contacts[live[win]] = v[win], index[win] * h
     return out, contacts
 
 
@@ -369,10 +377,8 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     the candidate window, plus theta itself, with |s| clamped to
     rho * (1 - 1e-12). Anchoring the grid in ambient coordinates keeps the
     sampled peaks of f at theta-independent phases, which is what makes
-    sampled offsets of nearby thetas comparable.
-
-    The lattice part is a one-anchor pruned scan (see _offset_scan), the
-    same float as the maximum over the whole window.
+    sampled offsets of nearby thetas comparable. The lattice part is one row
+    of _offset_scan.
     """
     _check_offset_args(landscape, rho, h)
     return float(_offset_values(landscape, rho, np.array([float(theta)]), h)[0][0])
@@ -383,12 +389,12 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     """Sampled offset over [lo, hi] with theta spacing theta_step.
 
     When theta_step is an integer multiple k of h and lo sits on the theta
-    lattice, one strided monotone scan serves every theta (see
-    _offset_scan); otherwise each theta falls back to offset_value
-    semantics. The strided scan takes theta's lattice point (i * k) * h as
-    its s = 0 candidate and never theta = i * theta_step itself, which can
-    differ by rounding, so the two paths agree to about 1e-15, not bit for
-    bit. Either path also returns each value's contact (see OffsetSamples).
+    lattice, one strided scan with one shared arc serves every theta (see
+    _offset_scan); otherwise one scan with an arc per theta gives each theta
+    offset_value's float. The strided scan takes theta's lattice point
+    (i * k) * h as its s = 0 candidate, never theta = i * theta_step itself,
+    so the two paths agree to about 1e-15, not bit for bit. Either path also
+    returns each value's contact (see OffsetSamples).
     """
     if h is None:
         h = min(rho / 100.0, theta_step)
@@ -396,23 +402,17 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     if hi <= lo:
         raise ValueError("need lo < hi")
     n_t = int(round((hi - lo) / theta_step))
-    ratio = theta_step / h
-    aligned = abs(ratio - round(ratio)) < 1e-9
-    lo_aligned = abs(lo / theta_step - round(lo / theta_step)) < 1e-9
-
-    if aligned and lo_aligned:
-        k = int(round(ratio))
-        i0 = int(round(lo / theta_step))
+    k, i0 = int(round(theta_step / h)), int(round(lo / theta_step))
+    if abs(theta_step / h - k) < 1e-9 and abs(lo / theta_step - i0) < 1e-9:
         thetas = np.arange(i0, i0 + n_t + 1) * theta_step
         nw = int(math.floor(_offset_window(landscape, rho) / h + 1e-9))
-        values, index = _offset_scan(landscape, h, range(i0 * k, (i0 + n_t) * k + 1, k),
-                                     nw, nw, lambda m: _circ(m * h, rho))
+        anchors = np.arange(i0, i0 + n_t + 1) * k
+        values, index, _ = _offset_scan(landscape, h, rho, anchors, anchors - nw, anchors + nw)
         contacts = index * h
     else:
         thetas = lo + np.arange(n_t + 1) * theta_step
         values, contacts = _offset_values(landscape, rho, thetas, h)
-    return OffsetSamples(thetas=thetas, values=values, contacts=contacts, rho=rho,
-                         grid_step=h)
+    return OffsetSamples(thetas=thetas, values=values, contacts=contacts, rho=rho, grid_step=h)
 
 
 def count_local_minima(values: Array) -> int:

@@ -429,6 +429,16 @@ class TestSweep:
         assert "split must be >= 1" in captured.err and captured.out == ""
         assert list(sandbox.iterdir()) == []
 
+    @pytest.mark.parametrize("subset", ["-4000", "0", "1", "127"])
+    def test_subset_below_one_batch_exits_2_before_the_data_search(self, sandbox, capsys,
+                                                                   subset):
+        # the sweep trains on 128-row batches; no data here, so a sweep that got
+        # as far as loading it would exit 3
+        assert main(["sweep", "--task", "mlp", "--subset", subset]) == 2
+        captured = capsys.readouterr()
+        assert "subset must be >= 128" in captured.err and captured.out == ""
+        assert list(sandbox.iterdir()) == []
+
     def test_mlp_task_on_a_small_training_set(self, sandbox, capsys):
         seed_mnist_dir(sandbox / "digits", rows=2048)
         out = sandbox / "sweep.csv"
@@ -476,6 +486,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "weak-ironing: FAIL" in captured.out
         assert "exceeds" in captured.err
+
+    def test_run_error_writes_no_report(self, sandbox, capsys):
+        # smoothing's default radii need h <= 1e-4, so it fails at run time
+        # after sharp-minima has passed; neither report is written
+        cfg = sandbox / "overrides.json"
+        cfg.write_text(json.dumps({"smoothing": {"h": 0.001}}))
+        out_dir = sandbox / "reports"
+        assert main(["verify", "sharp-minima", "smoothing", "--config", str(cfg),
+                     "--out", str(out_dir)]) == 3
+        assert "too coarse" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_unknown_check_name(self, sandbox):
         assert main(["verify", "flat-earth"]) == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -254,16 +254,67 @@ def test_offset_scan_rejects_a_value_beyond_the_bound():
 
 
 @given(n=st.integers(1, 60), log_rho=st.floats(-2.0, 2.0), q=st.integers(100, 400),
-       k=st.integers(1, 20), rows=st.integers(2, 300), i0=st.integers(-50, 50))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_offset_profile_contacts_property(n, log_rho, q, k, rows, i0):
-    # riemann(n) at any radius, lattice step h = rho / q and theta step k * h:
-    # the scan's values are the full-window maxima and their contacts' candidates
+       k=st.integers(0, 20), frac=st.sampled_from([0.0, 0.2, 0.61]),
+       shift=st.sampled_from([0.0, 0.37, 0.5]), rows=st.integers(2, 300),
+       i0=st.integers(-50, 50))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_offset_profile_contacts_property(n, log_rho, q, k, frac, shift, rows, i0):
+    # riemann(n) at any radius, lattice step h = rho / q, theta step (k + frac) * h
+    # from (i0 * k + shift) * h: the values are the full-window maxima and
+    # their contacts' candidates, on the shared lattice (frac = shift = 0)
+    # and with an arc per theta, thetas as dense as 0.2 * h included
+    assume(k + frac > 0)
     ls, rho = riemann(n), 10.0 ** log_rho
     h = rho / q
-    prof = offset_profile(ls, rho, i0 * k * h, (i0 + rows - 1) * k * h, theta_step=k * h, h=h)
-    assert np.array_equal(prof.values, full_window_profile(ls, rho, h, prof.thetas, k=k))
-    _assert_contacts(ls, prof, h, k)
+    step, lo = (k + frac) * h, (i0 * k + shift) * h
+    prof = offset_profile(ls, rho, lo, lo + (rows - 1) * step, theta_step=step, h=h)
+    assert prof.thetas.size == rows
+    shared = k if frac == shift == 0.0 else None
+    assert np.array_equal(prof.values, full_window_profile(ls, rho, h, prof.thetas, k=shared))
+    _assert_contacts(ls, prof, h, shared)
+
+
+def test_unaligned_profile_reads_each_lattice_point_once():
+    # 401 thetas a fifth of a lattice step apart on a line (no value_bound):
+    # one f_batch call reads the union of their windows and the thetas
+    base = affine_plus_bump(1.0, 0.0).meta["affine"]
+    rho, h = 100.0, 0.05
+    ls, seen = _counting(base)
+    prof = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 4.0, theta_step=0.01, h=h)
+    assert prof.thetas.size == 401 and len(seen) == 1
+    w = _offset_window(base, rho)
+    union = np.arange(math.ceil((prof.thetas[0] - w) / h - 1e-9),
+                      math.floor((prof.thetas[-1] + w) / h + 1e-9) + 1) * h
+    assert seen[0].size == union.size + 401 == np.unique(seen[0]).size
+    np.testing.assert_array_equal(np.sort(seen[0]), np.sort(np.append(union, prof.thetas)))
+    np.testing.assert_array_equal(prof.values, full_window_profile(base, rho, h, prof.thetas))
+    _assert_contacts(base, prof, h)
+
+
+def test_offset_cut_keeps_each_rows_own_edge():
+    # 0.5 everywhere but 1.0 at -9 = -18 h. The thetas are 1.015 h apart and
+    # their anchors 2 h; the second row attains the band minimum L, and -18 h
+    # is its first lattice point that can still reach L. A pass-2 window moved
+    # with the second row's anchor would start at -17 h and miss the peak
+    def f_batch(t):
+        return np.where(np.asarray(t, dtype=float).reshape(-1) == -9.0, 1.0, 0.5)
+
+    ls = Landscape(dim=1, forward=lambda t: (float(f_batch(t)[0]), None), name="spike",
+                   value_bound=1.0, f_batch=f_batch)
+    h = 0.5
+    prof = offset_profile(ls, 100.0, 0.49 * h, 1.505 * h, theta_step=1.015 * h, h=h)
+    np.testing.assert_array_equal(prof.contacts, [-9.0, -9.0])
+    np.testing.assert_array_equal(prof.values, full_window_profile(ls, 100.0, h, prof.thetas))
+
+
+def test_offset_tie_keeps_theta():
+    # a lattice point 1e-12 from theta has the arc height rho, as theta has:
+    # on a constant landscape the two candidates tie and the contact stays theta
+    ls = affine_plus_bump(0.0, 3.0, "sin", amplitude=0.0)
+    thetas = np.array([0.25, 0.5, 0.75]) + 1e-12
+    values, contacts = geometry._offset_values(ls, 1.0, thetas, 1e-3)
+    np.testing.assert_array_equal(values, 4.0)
+    np.testing.assert_array_equal(contacts, thetas)
 
 
 def test_offset_window_without_lattice_points():
