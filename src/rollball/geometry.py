@@ -396,6 +396,8 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
     so the two paths agree to about 1e-15, not bit for bit. Either path also
     returns each value's contact (see OffsetSamples).
     """
+    if not (math.isfinite(theta_step) and theta_step > 0):
+        raise ValueError(f"theta_step must be positive and finite, got {theta_step!r}")
     if h is None:
         h = min(rho / 100.0, theta_step)
     _check_offset_args(landscape, rho, h)
@@ -476,6 +478,8 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
         raise ValueError("unreachability test is 1D only")
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     h = grid_step
     theta = float(np.asarray(theta, dtype=float).reshape(()))
     y0 = landscape.forward(np.array([theta]))[0]

@@ -351,8 +351,7 @@ def load_mnist(data_dir: str | Path | None = None) -> tuple[Dataset, Dataset]:
 # the training loss as a landscape
 # ---------------------------------------------------------------------------
 
-def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
-                 seed: int | None = None) -> Landscape:
+def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None) -> Landscape:
     """Expose mean training loss over `dataset` as a Landscape in R^d.
 
     batch_size None or equal to the dataset size gives the deterministic
@@ -361,8 +360,7 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
     of row indices, and binding it yields the deterministic view on those
     rows. The base landscape's own forward reads the full dataset, so
     record 0 of a run that keeps its records reports the true objective.
-    `seed` becomes the default minibatch seed for runs that do not pass
-    their own.
+    A run's own seed draws its minibatches.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -384,8 +382,7 @@ def as_landscape(spec: MlpSpec, dataset: Dataset, batch_size: int | None = None,
             return loss_and_backward(spec, theta, images, labels)
 
         return Landscape(dim=d, forward=forward, name=name,
-                         sample_context=sample_context, with_context=with_context,
-                         meta={"default_seed": seed, "batch_size": batch_size})
+                         sample_context=sample_context, with_context=with_context)
 
     if batch_size == dataset.n:
         return _view(dataset.images, dataset.labels, f"mlp-{arch}(full batch)")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .geometry import normal_from_grad, tangent_from_grad
 from .landscape import Array, Landscape, value_and_grad
@@ -258,9 +257,7 @@ def _project_general(landscape: Landscape, candidate: Array, point: GraphPoint,
             # whose squared norm follows from the scalars at hand
             damp = lam / (1.0 + lam)
             coef = (gu - e * (1.0 + lam)) / ((1.0 + lam) * (1.0 + lam + gg))
-            u_trial = coef * g
-            if lam:
-                u_trial = daxpy(u, u_trial, a=damp)  # in place, one pass
+            u_trial = coef * g + damp * u
             uu_trial = damp * damp * uu + 2.0 * damp * coef * gu + coef * coef * gg
             theta_trial = theta_c + u_trial
         else:
@@ -426,10 +423,8 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     (rbo), a record the loop makes carries the center of the ball resting on
     its point. A step that raises Divergence ends the run, which keeps its
     records and names the failing step. RULES check the hyperparameters first.
-
-    An explicit seed wins; otherwise the landscape's default seed (meta key
-    "default_seed") keeps unseeded runs reproducible. The seed in effect
-    goes into the header, so a serialized run replays from its metadata.
+    The seed goes into the header, so a seeded run replays from its metadata;
+    an unseeded stochastic run draws fresh minibatches each time.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (landscape.dim,):
@@ -439,8 +434,6 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     check_hyperparameters(**hyperparameters)
     rng = None
     if minibatches and landscape.is_stochastic:
-        if seed is None and landscape.meta is not None:
-            seed = landscape.meta.get("default_seed")
         rng = np.random.default_rng(seed)
     header = TrajectoryHeader(optimizer, landscape.name, seed, hyperparameters)
 

@@ -21,7 +21,7 @@ from .geometry import (_lattice, _offset_window, count_local_minima,
                        hausdorff_distance, is_unreachable, offset_profile)
 from .landscape import Landscape, affine_plus_bump, eval_batch, make_landscape, \
     quadratic, riemann, sinusoid
-from .optimizer import ProjectionConfig, run_gd, run_rbo
+from .optimizer import run_gd, run_rbo
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ def check_open_unreachables(landscape: Landscape, theta0: float, rho: float,
 
 def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 50,
                    rhos: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4),
-                   eps: float = 1e-2, cfg: ProjectionConfig = ProjectionConfig(),
-                   ) -> CheckReport:
+                   eps: float = 1e-2) -> CheckReport:
     """Rolling-ball trajectories collapse onto plain gradient descent as the
     radius shrinks.
 
@@ -273,7 +272,7 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
     observations: list[Observation] = []
     gaps: list[float] = []
     for rho in rhos:
-        traj = run_rbo(landscape, theta0, rho, eta, steps, cfg)
+        traj = run_rbo(landscape, theta0, rho, eta, steps)
         if traj.error is not None:
             observations.append(_obs(f"rbo_diverged(rho={rho:g})", 1.0, 0.0))
             gaps.append(math.nan)

@@ -498,6 +498,17 @@ class TestVerify:
         assert "too coarse" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("check, setting, value", [
+        ("sharp-minima", "grid_step", 0), ("open-unreachables", "grid_step", -1),
+        ("weak-ironing", "theta_step", 0), ("linear-ironing", "theta_step", 0)])
+    def test_non_positive_step_exits_3_naming_it(self, sandbox, capsys, check, setting,
+                                                 value):
+        path, out_dir = sandbox / "overrides.json", sandbox / "reports"
+        path.write_text(json.dumps({check: {setting: value}}))
+        assert main(["verify", check, "--config", str(path), "--out", str(out_dir)]) == 3
+        assert f"{setting} must be positive and finite, got {value}" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_unknown_check_name(self, sandbox):
         assert main(["verify", "flat-earth"]) == 2
 

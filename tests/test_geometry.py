@@ -120,6 +120,14 @@ def test_offset_argument_validation():
         offset_value(quadratic(np.eye(2)), 1.0, 0.0, h=1e-3)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+def test_sampling_steps_must_be_positive_and_finite(step):
+    with pytest.raises(ValueError, match="theta_step must be positive and finite"):
+        offset_profile(sinusoid(), 1.0, -1.0, 1.0, theta_step=step, h=1e-3)
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        is_unreachable(quadratic(np.array([[4.0]])), 0.0, rho=0.3, grid_step=step)
+
+
 def test_offset_window_pruning_huge_radius():
     # bounded landscape with rho >> sup|f|: the pruned window must still
     # reproduce the full maximum, and the profile flattens to a single dip.
@@ -563,9 +571,9 @@ def test_sharpness_quadratic_exact_and_fd():
 
 
 def test_the_package_loads_the_kd_tree_on_first_use():
-    """Importing the package and its command line leaves scipy.spatial out;
-    _curve_tree imports it when a distance is first measured."""
+    """Importing the package and its command line loads no scipy module;
+    _curve_tree imports scipy.spatial when a distance is first measured."""
     src = Path(geometry.__file__).resolve().parent.parent
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import rollball, rollball.cli; "
-            "sys.exit('scipy.spatial' in sys.modules)")
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0

@@ -341,10 +341,9 @@ class TestAsLandscape:
 
     def test_stochastic_views(self):
         data = tiny_dataset()
-        landscape = as_landscape(TINY, data, batch_size=8, seed=11)
+        landscape = as_landscape(TINY, data, batch_size=8)
         assert landscape.name == "mlp-6-5-3(batch=8)"
         assert landscape.is_stochastic
-        assert landscape.meta["default_seed"] == 11
         params = init_params(TINY, seed=0)
         # the base landscape reads the full dataset
         full_loss = loss_and_grad(TINY, params, data.images, data.labels)[0]
@@ -389,10 +388,10 @@ class TestDeferredBackward:
 
     def run(self, landscape):
         return run_rbo(landscape, init_params(TINY, seed=0), rho=1.0, eta=6.0,
-                       steps=self.STEPS)
+                       steps=self.STEPS, seed=3)
 
     def test_matches_the_fused_path(self):
-        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
+        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8)
         deferred, fused = self.run(landscape), self.run(eager_backward(landscape))
         assert deferred.error == fused.error
         assert len(deferred.records) == len(fused.records) == self.STEPS + 1
@@ -414,7 +413,7 @@ class TestDeferredBackward:
             return loss, counted_backward
 
         monkeypatch.setattr(neural, "loss_and_backward", counted)
-        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8, seed=3)
+        landscape = as_landscape(TINY, tiny_dataset(), batch_size=8)
         seen = {}
         for label, ls in (("deferred", landscape), ("fused", eager_backward(landscape))):
             calls.update(forward=0, backward=0)
