@@ -1,9 +1,9 @@
-"""Brute-force differential geometry of graph surfaces.
+"""Brute-force differential geometry of graph surfaces, in numpy alone.
 
-Everything here is an oracle: grids, sampled spheres, and exhaustive
-minimization, with explicit slack accounting instead of silent guesses.
-Dimensions 1 and 2 only for the grid searches; the formulas for normals
-and tangents are dimension-free.
+Everything here is an oracle: grids, sampled spheres, exhaustive
+minimization and exact nearest distances (no KD-tree), with explicit slack
+accounting instead of silent guesses. Dimensions 1 and 2 only for the grid
+searches; the formulas for normals and tangents are dimension-free.
 """
 from __future__ import annotations
 
@@ -76,28 +76,53 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _curve_tree(points: Array):
-    """scipy's cKDTree over points sampled along a curve, imported on first
-    use so that commands which never measure a distance do not load it.
+# _nearest_sq bounds by every _STRIDE-th sorted cloud point, _PAIR_CHUNK pairs at a time.
+_STRIDE = 16
+_PAIR_CHUNK = 1 << 14
 
-    A query point here typically sits at a near-constant distance from a
-    near-osculating arc of samples, so the nearest-neighbor search cannot
-    prune much; with the default 16 points per leaf it walks hundreds of
-    leaves per query, with 256 it walks a few and returns the same
-    distances.
+
+def _columns(points: Array, cloud: Array) -> tuple[Array, Array]:
+    """Points and cloud as coordinate rows, the cloud sorted by its first coordinate."""
+    points, cloud = np.atleast_2d(points), np.atleast_2d(cloud)
+    if points.ndim != 2 or cloud.ndim != 2 or points.shape[1] != cloud.shape[1]:
+        raise ValueError(f"points {points.shape} do not match cloud {cloud.shape}")
+    if not (np.isfinite(points).all() and np.isfinite(cloud).all()):
+        raise ValueError("points and cloud must be finite")
+    return points.T.copy(), cloud[np.argsort(cloud[:, 0], kind="stable")].T.copy()
+
+
+def _nearest_sq(p: Array, c: Array) -> Array:
+    """Each point's squared distance to its nearest cloud point (p and c from
+    _columns), summed in coordinate order: its root is cKDTree's float.
+
+    The distance to every _STRIDE-th sorted point, found the same way, bounds
+    it, and no distance is below its first coordinate's difference (in floats
+    sqrt(x * x) is |x|), so only cloud points whose first coordinate lies
+    within the bound are measured; the 1e-12 margin covers rounding.
     """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, leafsize=256)
+    bound = (np.sqrt(_nearest_sq(p, c[:, ::_STRIDE].copy())) if c.shape[1] > _STRIDE
+             else np.full(p.shape[1], np.inf))
+    reach = bound + 1e-12 * (bound + np.abs(p[0]))
+    lo = np.searchsorted(c[0], p[0] - reach)
+    count = np.searchsorted(c[0], p[0] + reach, "right") - lo
+    first, total = np.cumsum(count) - count, int(count.sum())  # each point's first pair
+    out = np.full(p.shape[1], np.inf)
+    for a in range(0, total, _PAIR_CHUNK):
+        b = min(a + _PAIR_CHUNK, total)
+        i, j = np.searchsorted(first, a, "right") - 1, np.searchsorted(first, b)
+        seg = np.maximum(first[i:j] - a, 0)  # each point's first pair in the chunk
+        own = np.repeat(np.arange(i, j), np.diff(seg, append=b - a))
+        k = np.arange(a, b) + (lo - first)[own]
+        d2 = sum((c[m][k] - p[m][own]) ** 2 for m in range(p.shape[0]))
+        out[i:j] = np.minimum(out[i:j], np.minimum.reduceat(d2, seg))
+    return out
 
 
 def distances_to_graph(landscape: Landscape, points: Array, grid: GridSpec) -> Array:
     """Exact min distance from each ambient point to the sampled graph."""
     grid_pts = grid.points()
     gp = np.column_stack([grid_pts, eval_batch(landscape, grid_pts)])
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d, _ = _curve_tree(gp).query(pts)
-    return d
+    return np.sqrt(_nearest_sq(*_columns(np.asarray(points, dtype=float), gp)))
 
 
 def distance_to_graph(landscape: Landscape, point: Array, grid: GridSpec) -> float:
@@ -109,33 +134,28 @@ def distance_to_graph(landscape: Landscape, point: Array, grid: GridSpec) -> flo
     return float(distances_to_graph(landscape, np.asarray(point, dtype=float), grid)[0])
 
 
-# The coarse tree of _max_nearest_distance holds every _COARSE-th cloud point.
-_COARSE = 32
-
-
 def _max_nearest_distance(points: Array, cloud: Array) -> float:
     """Largest distance from any of the points to its nearest cloud point.
 
-    The same float as the exact tree's query of every point, maximized, but
-    the exact tree answers only the points that can attain the maximum. A
-    coarse tree over every _COARSE-th cloud point gives each point an upper
-    bound: its points are a subset of the cloud, and the tree computes the
-    same float for the same pair, so no coarse distance is below the exact
-    one. The exact distance of the point with the largest bound is attained,
-    and points whose bound falls below it cannot beat it; the 1e-12 margin
-    is insurance only. At worst the coarse tree is 1/_COARSE extra work.
+    The same float as _nearest_sq over every point, maximized, but only the
+    points that can attain the maximum meet the whole cloud. Every s-th sorted
+    cloud point (s = _STRIDE ** 2, then _STRIDE) bounds the live points'
+    distances from above by the same float formula. The point with the
+    largest bound attains its exact distance; points bounded below the
+    largest one found leave the live set (the 1e-12 margin is insurance only).
     """
-    tree = _curve_tree(cloud)
-    upper = _curve_tree(cloud[::_COARSE]).query(points)[0]
-    best = tree.query(points[int(np.argmax(upper))])[0]
-    live = upper * (1.0 + 1e-12) >= best
-    return float(tree.query(points[live])[0].max())
+    p, c = _columns(points, cloud)
+    best = 0.0
+    for s in (_STRIDE ** 2, _STRIDE):
+        upper = _nearest_sq(p, c[:, ::s].copy())
+        best = max(best, _nearest_sq(p[:, [int(np.argmax(upper))]], c)[0])
+        p = p[:, upper * (1.0 + 1e-12) >= best]
+    return float(np.sqrt(_nearest_sq(p, c).max()))
 
 
 def hausdorff_distance(a: Array, b: Array) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("hausdorff_distance needs non-empty point sets")
     return max(_max_nearest_distance(a, b), _max_nearest_distance(b, a))

@@ -423,8 +423,8 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     (rbo), a record the loop makes carries the center of the ball resting on
     its point. A step that raises Divergence ends the run, which keeps its
     records and names the failing step. RULES check the hyperparameters first.
-    The seed goes into the header, so a seeded run replays from its metadata;
-    an unseeded stochastic run draws fresh minibatches each time.
+    The seed goes into the header, so every stochastic run replays from its
+    metadata: without one, the run draws its seed from fresh entropy.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (landscape.dim,):
@@ -434,6 +434,7 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     check_hyperparameters(**hyperparameters)
     rng = None
     if minibatches and landscape.is_stochastic:
+        seed = np.random.SeedSequence().entropy if seed is None else seed
         rng = np.random.default_rng(seed)
     header = TrajectoryHeader(optimizer, landscape.name, seed, hyperparameters)
 

@@ -80,6 +80,52 @@ def test_hausdorff_distance_hand_case_and_symmetry():
     assert hausdorff_distance(a, a) == 0.0
 
 
+def _measure(name, points, nan_graph=False):
+    """One of the three distance functions: points against the graph of
+    theta^2 on a grid of [-1, 1], with f = NaN at its first point if asked."""
+    ls, grid = quadratic(np.array([[2.0]])), GridSpec(lo=(-1.0,), hi=(1.0,), step=0.1)
+    if nan_graph:
+        ls = replace(ls, f_batch=lambda t: np.where(np.arange(len(t)) == 0, np.nan, t[:, 0] ** 2))
+    if name == "hausdorff_distance":
+        g = grid.points()
+        return hausdorff_distance(points, np.column_stack([g, eval_batch(ls, g)]))
+    return getattr(geometry, name)(ls, points, grid)
+
+
+DISTANCES = ["hausdorff_distance", "distances_to_graph", "distance_to_graph"]
+
+
+@pytest.mark.parametrize("name", DISTANCES)
+def test_distances_reject_non_finite_points_and_graphs(name):
+    for points, nan_graph in ((np.array([0.0, np.nan]), False),
+                              (np.array([np.inf, 1.0]), False), (np.array([0.0, 1.0]), True)):
+        with pytest.raises(ValueError, match="finite"):
+            _measure(name, points, nan_graph)
+
+
+@pytest.mark.parametrize("name", DISTANCES)
+def test_distances_reject_points_of_the_wrong_width(name):
+    # numpy would broadcast a 1-wide point against the 2-wide graph silently
+    assert np.isfinite(_measure(name, np.array([0.0, 1.0]))).all()
+    for points in (np.array([0.5]), np.array([[0.5]]), np.array([0.5, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="do not match"):
+            _measure(name, points)
+
+
+def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
+    # 3-wide points against the graph of a d=2 quadratic on a 2-D grid, whose
+    # points share their first coordinate column by column
+    ls = quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    grid = GridSpec(lo=(-1.0, -1.5), hi=(1.0, 1.5), step=0.02)
+    g = grid.points()
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(-0.5, 3.0, 300)])
+    points[:20] = np.column_stack([g, eval_batch(ls, g)])[rng.choice(len(g), 20)]
+    exact = cKDTree(np.column_stack([g, eval_batch(ls, g)])).query(points)[0]
+    np.testing.assert_array_equal(geometry.distances_to_graph(ls, points, grid), exact)
+    assert distance_to_graph(ls, points[25], grid) == exact[25]
+
+
 def test_offset_value_elementary_bounds():
     ls = sinusoid()
     rho = 2.0
@@ -515,31 +561,28 @@ def test_near_tie_keeps_the_maximiser_live():
     assert hausdorff_distance(points, cloud) == exact
 
 
-class _CountingTree:
-    def __init__(self, tree):
-        self.tree, self.size, self.queried = tree, tree.n, 0
-
-    def query(self, x):
-        self.queried += 1 if np.ndim(x) == 1 else len(x)
-        return self.tree.query(x)
-
-
-def test_unreachable_sends_few_samples_to_the_exact_tree(monkeypatch):
+def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
     # at the vertex of sigma*theta^2/2 with rho = 1.2/sigma every admissible
     # sample's coarse bound sits below the largest exact distance, but one
-    trees = []
-    real = geometry._curve_tree
+    passes, depth = [], [0]
+    real = geometry._nearest_sq
 
-    def counting_tree(points):
-        trees.append(_CountingTree(real(points)))
-        return trees[-1]
-    monkeypatch.setattr(geometry, "_curve_tree", counting_tree)
+    def counting(p, c):  # (cloud size, rows) of each outermost pass
+        if not depth[0]:
+            passes.append((c.shape[1], p.shape[1]))
+        depth[0] += 1
+        try:
+            return real(p, c)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(geometry, "_nearest_sq", counting)
     rep = is_unreachable(quadratic(np.array([[2.0]])), 0.0, rho=1.2, grid_step=1e-4)
     assert rep.verdict == "unreachable"
-    fine, coarse = sorted(trees, key=lambda tr: tr.size, reverse=True)
-    assert coarse.size == math.ceil(fine.size / geometry._COARSE)
-    assert coarse.queried > 1000
-    assert fine.queried <= 0.01 * coarse.queried
+    (coarse, coarse_rows), *_ = passes
+    whole = max(size for size, _ in passes)
+    assert coarse == math.ceil(whole / geometry._STRIDE ** 2)
+    assert coarse_rows > 1000
+    assert sum(rows for size, rows in passes if size == whole) <= 0.01 * coarse_rows
 
 
 def test_unreachable_affine_always_reachable():
@@ -570,10 +613,14 @@ def test_sharpness_quadratic_exact_and_fd():
     assert sharpness(bare, np.zeros(1)) == pytest.approx(4.0, rel=1e-4)
 
 
-def test_the_package_loads_the_kd_tree_on_first_use():
-    """Importing the package and its command line loads no scipy module;
-    _curve_tree imports scipy.spatial when a distance is first measured."""
+def test_no_command_loads_scipy(tmp_path):
+    """Importing the package and running verify, offset and trajectory load
+    no scipy module: every distance is measured with numpy alone."""
     src = Path(geometry.__file__).resolve().parent.parent
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import rollball, rollball.cli; "
+    runs = [["verify", "--out", str(tmp_path / "reports")],
+            ["offset", "--rho", "1", "--interval", "0:1", "--out", str(tmp_path / "offset.csv")],
+            ["trajectory", "--steps", "3", "--out", str(tmp_path / "trajectory.csv")]]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); from rollball.cli import main\n"
+            f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]\n"
             "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
-    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0

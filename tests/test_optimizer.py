@@ -284,6 +284,21 @@ def test_stochastic_runs_are_seed_reproducible():
     assert r1.error is None
 
 
+def test_unseeded_stochastic_runs_record_a_replayable_seed():
+    # without a seed a minibatch run draws one from fresh entropy and records
+    # it, so its own header replays it bit for bit
+    ls, theta0 = tiny_mlp_landscape()
+    runs = [run_sgd(ls, theta0, eta=0.1, steps=6) for _ in range(2)]
+    seeds = [run.header.seed for run in runs]
+    assert all(isinstance(seed, int) for seed in seeds) and seeds[0] != seeds[1]
+    for run in runs:
+        again = run_sgd(ls, theta0, eta=0.1, steps=6, seed=run.header.seed)
+        assert again.header == run.header
+        assert np.array_equal(again.thetas(), run.thetas())
+        assert [r.loss for r in again.records] == [r.loss for r in run.records]
+    assert run_sgd(PARABOLA, np.array([1.0]), eta=0.1, steps=2).header.seed is None
+
+
 def test_rbo_divergence_keeps_partial_trajectory():
     traj = run_rbo(PARABOLA, np.array([1.0]), rho=0.5, eta=1e13, steps=10,
                    cfg=ProjectionConfig(max_iters=50))
