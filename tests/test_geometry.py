@@ -118,10 +118,11 @@ def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
     ls = quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     grid = GridSpec(lo=(-1.0, -1.5), hi=(1.0, 1.5), step=0.02)
     g = grid.points()
+    graph = np.column_stack([g, eval_batch(ls, g)])
     rng = np.random.default_rng(3)
     points = np.column_stack([rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(-0.5, 3.0, 300)])
-    points[:20] = np.column_stack([g, eval_batch(ls, g)])[rng.choice(len(g), 20)]
-    exact = cKDTree(np.column_stack([g, eval_batch(ls, g)])).query(points)[0]
+    points[:20] = graph[rng.choice(len(g), 20)]
+    exact = cKDTree(graph).query(points)[0]
     np.testing.assert_array_equal(geometry.distances_to_graph(ls, points, grid), exact)
     assert distance_to_graph(ls, points[25], grid) == exact[25]
 
@@ -456,7 +457,7 @@ def test_unreachable_sharp_parabola():
 @pytest.mark.parametrize("rho, verdict", [(0.4, "unreachable"), (0.2, "reachable")])
 def test_unreachable_clearance_matches_brute_force(rho, verdict):
     # rebuild the graph lattice and the admissible sphere samples, then take
-    # every sample's exact minimum over all lattice points: the KD-tree's
+    # every sample's exact minimum over all lattice points: the pruned search's
     # clearance must be the same float
     ls = quadratic(np.array([[4.0]]))
     h = 1e-3
@@ -544,7 +545,7 @@ def test_hausdorff_distance_is_the_unpruned_maximum():
 
 
 def test_near_tie_keeps_the_maximiser_live():
-    # p_max's nearest cloud point c is in the coarse tree, so its bound is
+    # p_max's nearest cloud point c is in the coarse subset, so its bound is
     # its exact distance, 1; p2's bound is ~100, and its exact distance is
     # 5e-10 below 1. A coarse bound even 1e-9 below the exact distance would
     # drop p_max. c and q also belong to the points, and the points to the
