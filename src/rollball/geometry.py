@@ -169,6 +169,10 @@ def hausdorff_distance(a: Array, b: Array) -> float:
 _NARROW = 8
 # Elements of one temporary of the offset scan (32 MB).
 _WINDOW_CHUNK = 4_000_000
+# The slope-bound prune reads f at every _SLOPE_BLOCK-th lattice point first, on ranges
+# of at least _SLOPE_MIN points: fewer do not pay for its second f_batch call.
+_SLOPE_BLOCK = 32
+_SLOPE_MIN = 4096
 # One block of the monotone offset scan costs about as much numpy overhead
 # as adding and maximizing this many candidates.
 _BLOCK_COST = 8000
@@ -244,8 +248,10 @@ def _circ(s: Array | float, rho: float) -> Array | float:
     if isinstance(s, float):
         s = min(max(s, -smax), smax)
         return math.sqrt(max(rho * rho - s * s, 0.0))
-    s = np.clip(s, -smax, smax)
-    return np.sqrt(np.maximum(rho * rho - s * s, 0.0))
+    s = np.clip(s, -smax, smax)  # the one new array: the rest works in place
+    np.multiply(s, s, out=s)
+    np.subtract(rho * rho, s, out=s)
+    return np.sqrt(np.maximum(s, 0.0, out=s), out=s)
 
 
 def _pivot_stride(rows: int, w: int, k: float) -> int:
@@ -267,7 +273,7 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
                  own: Array = np.empty(0)) -> tuple[Array, Array, Array]:
     """Per row i, the maximum of f(j h) + circ_i(j) over the lattice indices
     lo[i] <= j <= hi[i] and its leftmost maximizer j; also f at `own`, from
-    the same eval_batch. anchors, lo and hi never decrease, lo <= anchors <=
+    the first eval_batch. anchors, lo and hi never decrease, lo <= anchors <=
     hi. Given thetas, circ_i(j) = _circ(j h - thetas[i], rho); without them
     every row shares circ_i(j) = _circ((j - anchors[i]) h, rho) over evenly
     spaced anchors and equal windows. A shared arc or one row reads f strided.
@@ -286,6 +292,13 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
     right only while a candidate can reach L (see _can_reach), the others by
     as much (shared arc) or to the same j: the maxima are the same floats as
     over the whole windows.
+
+    A slope_bound S prunes each pass (Piyavskii-Shubert): f is read at every
+    _SLOPE_BLOCK-th j of its ranges and their ends first, then between two such
+    knots only where the tent min(B', (f_a + f_b + S (x_b - x_a)) / 2) plus the
+    largest arc over the rows' span reaches the least row maximum over the knots
+    (pass 1) or L (pass 2). Other points enter the scan as -inf: the maxima
+    stay the same floats. Values above their tent, or knots steeper than S, raise.
     """
     rows, shared = anchors.size, thetas is None
     strided = shared or rows == 1
@@ -327,18 +340,52 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
                 block(range(p + 1, q), max(0, lo - start[q - 1]), min(w, hi - start[p + 1] + 1))
         return best, start + arg
 
+    def lattice(runs: list, lower: float | None, extra: Array) -> tuple[Array, Array]:
+        # f over the runs a <= j <= b in turn and at extra, pruned by the slope
+        # bound against lower (None: the least row maximum over the knots)
+        runs = [(a, b) for a, b in runs if a <= b]
+        *first, size = np.cumsum([0] + [b + 1 - a for a, b in runs])  # run starts in fv
+        if slope is None or size < _SLOPE_MIN or slope * _SLOPE_BLOCK * h >= 4.0 * bound:
+            fv = _bounded_batch(landscape, np.concatenate(
+                [*(np.arange(a, b + 1) * h for a, b in runs), extra]))
+            return fv[:size], fv[size:].copy()
+        step = [np.append(np.arange(0, b - a, _SLOPE_BLOCK), b - a) for a, b in runs]
+        knots = np.concatenate([o + m for o, m in zip(first, step)])  # positions in fv
+        kj = np.concatenate([a + m for (a, _), m in zip(runs, step)])  # lattice indices
+        fk = _bounded_batch(landscape, np.concatenate([kj * h, extra]))
+        fk, own, dx = fk[:knots.size], fk[knots.size:].copy(), np.diff(kj * h)
+        u = np.minimum((fk[:-1] + fk[1:]) / 2 + slope * dx / 2 + 1e-12 * bound,
+                       bound * (1.0 + 1e-12))  # the tent over each block
+        fv = np.full(size, -np.inf)
+        fv[knots] = fk
+        xk = kj if shared else kj * h  # each block's least |s| over the rows' span
+        s = np.maximum(np.maximum(centre[0] - xk[1:], xk[:-1] - centre[-1]) * unit, 0.0)
+        live = u + _circ(s, rho) >= (float(scan(fv, pos, start, end)[0].min())
+                                     if lower is None else lower)
+        gaps = np.diff(knots)[live] - 1  # 0 between two runs
+        at = np.arange(gaps.sum()) + np.repeat(knots[:-1][live] + 1 - np.cumsum(gaps) + gaps, gaps)
+        if at.size:
+            fv[at] = _bounded_batch(landscape, (at + np.repeat((kj - knots)[:-1][live], gaps)) * h)
+        if not ((np.abs(np.diff(fk)) <= slope * dx + 1e-12 * bound).all()
+                and (fv[at] <= np.repeat(u[live], gaps)).all()):
+            raise ValueError(f"landscape {landscape.name!r} breaks its slope_bound {slope!r}")
+        return fv, own
+
+    slope, bound = landscape.slope_bound, landscape.value_bound
+    centre, unit = (anchors, h) if shared else (thetas, 1.0)  # arcs circ((x - centre) unit)
     n = int(max((anchors - lo).max(), (hi - anchors).max()))
-    cut = landscape.value_bound is not None and n > anchors[-1] - anchors[0]
+    cut = bound is not None and n > anchors[-1] - anchors[0]
     if cut:  # pass 1 reads one contiguous range
         start, end = np.maximum(lo, anchors - n // _NARROW), np.minimum(hi, anchors + n // _NARROW)
-        pts, pos = np.arange(start[0], end[-1] + 1), start - start[0]
+        pos = start - start[0]
+        fv, own = lattice([(int(start[0]), int(end[-1]))], None, own)
     else:  # the union of the windows, each lattice point once
         new = np.maximum(lo, np.concatenate([lo[:1], hi[:-1] + 1]))  # row i's first new j
         count = np.maximum(hi - new + 1, 0)
         pts = np.arange(count.sum()) + np.repeat(new - (np.cumsum(count) - count), count)
         start, end, pos = lo, hi, np.searchsorted(pts, lo)
-    fv = _bounded_batch(landscape, np.concatenate([pts * h, own]))
-    fv, own = fv[:pts.size], fv[pts.size:].copy()  # the copy lets pass 1's array go
+        fv = _bounded_batch(landscape, np.concatenate([pts * h, own]))
+        fv, own = fv[:pts.size], fv[pts.size:].copy()  # the copy lets pass 1's array go
     best, index = scan(fv, pos, start, end)
     lower = float(best.min())
     # the cut's edges (none without it), one lattice point at a time, the scan's own floats
@@ -348,10 +395,9 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
                                     _can_reach(landscape, arc(rows - 1, j), lower))
     if (l2, r2) == (start[0], end[-1]):
         return best, index, own
-    ext = _bounded_batch(landscape, np.concatenate(
-        [np.arange(l2, start[0]) * h, np.arange(end[-1] + 1, r2 + 1) * h]))
+    ext = lattice([(l2, int(start[0]) - 1), (int(end[-1]) + 1, r2)], lower, np.empty(0))[0]
     fv = np.concatenate([ext[:start[0] - l2], fv, ext[start[0] - l2:]])
-    del ext, best, index, pts  # no pass-1 array stays alive through the scan's peak
+    del ext, best, index  # no pass-1 array stays alive through the scan's peak
     d = anchors - anchors[0] if shared else 0 * anchors
     start, end = np.maximum(lo, l2 + d), np.minimum(hi, r2 + d - d[-1])
     return (*scan(fv, start - l2, start, end), own)

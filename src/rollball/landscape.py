@@ -32,6 +32,11 @@ class Landscape:
     2e-12 at |t| <= 1000.
 
     value_bound, when set, is a finite B with sup |f| <= B over all of R^d.
+    slope_bound, when set, is a finite S with sup |f'| <= S over all of R
+    (1D): |f(x) - f(y)| <= S |x - y|. riemann(N) declares N, since
+    |sum_{n<=N} cos(n^2 t)| <= N, and sinusoid declares 1. The offset scan
+    relies on both bounds to skip lattice points that cannot win, and
+    refuses a value that breaks either.
     value_sup, when set, is the exact global supremum of f.
 
     sample_context/with_context implement stochastic landscapes: drawing a
@@ -45,6 +50,7 @@ class Landscape:
     f_batch: Callable[[Array], Array] | None = None
     name: str = "landscape"
     value_bound: float | None = None
+    slope_bound: float | None = None
     value_sup: float | None = None
     sample_context: Callable[[np.random.Generator], Any] | None = None
     with_context: Callable[[Any], "Landscape"] | None = None
@@ -164,7 +170,8 @@ def riemann(n_terms: int = 100) -> Landscape:
         return out
 
     return Landscape(dim=1, forward=forward, hessian=hessian, f_batch=f_batch,
-                     name=f"riemann({n_terms})", value_bound=bound)
+                     name=f"riemann({n_terms})", value_bound=bound,
+                     slope_bound=float(n_terms))
 
 
 def sinusoid() -> Landscape:
@@ -179,7 +186,7 @@ def sinusoid() -> Landscape:
 
     return Landscape(dim=1, forward=forward, hessian=hessian,
                      f_batch=lambda t: np.sin(np.asarray(t, dtype=float).reshape(-1)),
-                     name="sinusoid", value_bound=1.0, value_sup=1.0)
+                     name="sinusoid", value_bound=1.0, slope_bound=1.0, value_sup=1.0)
 
 
 @dataclass(frozen=True)

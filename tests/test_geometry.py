@@ -178,9 +178,10 @@ def test_sampling_steps_must_be_positive_and_finite(step):
 def test_offset_window_pruning_huge_radius():
     # bounded landscape with rho >> sup|f|: the pruned window must still
     # reproduce the full maximum, and the profile flattens to a single dip.
-    # The candidate window holds 5.1M lattice points; only the third that
-    # is evaluated gets arrays (whole-window ones peaked at 135 MB)
-    ls = riemann(100)
+    # The candidate window holds 5.1M lattice points; only the part that
+    # is evaluated gets arrays (whole-window ones peaked at 135 MB). The value
+    # bound cut leaves 1.8M of them, and the slope bound about 108k
+    ls, seen = _counting(riemann(100))
     tracemalloc.start()
     try:
         prof = offset_profile(ls, 1e4, 0.0, 2 * np.pi, theta_step=0.1, h=1e-4)
@@ -188,6 +189,7 @@ def test_offset_window_pruning_huge_radius():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+    assert sum(p.size for p in seen) < 200_000
     assert count_local_minima(prof.values) <= 1
     assert prof.values.max() - prof.values.min() < 1e-3
     assert abs(prof.values.mean() - 1e4) < 2.0  # sits near rho + O(sup f)
@@ -308,6 +310,71 @@ def test_offset_scan_rejects_a_value_beyond_the_bound():
         offset_profile(replace(sinusoid(), value_bound=0.5), 2.0, 0.0, 1.0, 0.01)
 
 
+def test_offset_scan_rejects_a_slope_beyond_the_bound():
+    # riemann(5) climbs at up to 5, not 0.5: two knots differ by more than
+    # 0.5 times their distance somewhere, and the scan refuses the bound
+    ls = replace(riemann(5), slope_bound=0.5)
+    with pytest.raises(ValueError, match=r"'riemann\(5\)' breaks its slope_bound 0.5"):
+        offset_profile(ls, 1e3, 0.0, 1.0, theta_step=0.1, h=1e-3)
+    with pytest.raises(ValueError, match="slope_bound"):
+        offset_value(ls, 1e3, 0.3, 1e-3)
+    # 0 but 1.5 at one lattice point next to theta's, not a knot: the knots
+    # agree with slope 1, and the spike breaks the tent of its live block
+    def f_batch(t):
+        return np.where(np.asarray(t, dtype=float).reshape(-1) == spike * h, 1.5, 0.0)
+
+    flat = Landscape(dim=1, forward=lambda t: (float(f_batch(t)[0]), None), name="spike",
+                     value_bound=2.0, slope_bound=1.0, f_batch=f_batch)
+    rho, h = 1e3, 1e-3
+    # the band starts on a knot, so one of 1 and 2 is not a knot
+    start = -(int(math.floor(_offset_window(flat, rho) / h + 1e-9)) // geometry._NARROW)
+    spike = next(j for j in (1, 2) if (j - start) % geometry._SLOPE_BLOCK)
+    with pytest.raises(ValueError, match="'spike' breaks its slope_bound 1.0"):
+        offset_value(flat, rho, 0.0, h)
+
+
+def test_small_radius_offsets_keep_two_batch_calls():
+    # at h = rho / 100 the window holds at most 201 lattice points, far too
+    # few to pay for the slope prune's extra f_batch calls (about 1 ms each
+    # for riemann(100)): each theta makes 2 calls and evaluates no more points
+    # than the value-bound cut alone, 201, 197.1 and 85.6 per theta on average
+    calls, base = [], riemann(100)
+    ls = replace(base, f_batch=lambda t: calls.append(len(t)) or base.f_batch(t))
+    rng = np.random.default_rng(0)
+    for rho, points in [(0.1, 201.0), (1.0, 197.065), (10.0, 85.625)]:
+        calls.clear()
+        for theta in rng.uniform(0.0, 2 * np.pi, 200):
+            offset_value(ls, rho, float(theta), rho / 100)
+        assert len(calls) == 400
+        assert sum(calls) <= 200 * points
+
+
+@pytest.mark.parametrize("make", [lambda: riemann(20), sinusoid], ids=["riemann20", "sinusoid"])
+@pytest.mark.parametrize("rho, h", [(10.0, 1e-4), (1e3, 2e-3)])
+def test_slope_pruned_offsets_are_exact(make, rho, h):
+    # where the slope bound prunes both passes, the values and contacts are
+    # the full-window maxima's floats: 41 thetas 10 lattice steps apart and 63
+    # a tenth apart (rows whose maxima differ) on the shared lattice, 3
+    # unaligned ones, and offset_value
+    base = make()
+    ls, seen = _counting(base)
+    prof = offset_profile(ls, rho, 0.0, 40 * 10 * h, theta_step=10 * h, h=h)
+    np.testing.assert_array_equal(prof.values,
+                                  full_window_profile(base, rho, h, prof.thetas, k=10))
+    _assert_contacts(base, prof, h, 10)
+    nw = int(math.floor(_offset_window(base, rho) / h + 1e-9))
+    assert sum(p.size for p in seen) < (400 + 2 * nw + 1) / 2
+    k = round(0.1 / h)
+    wide = offset_profile(base, rho, 0.0, 6.2, theta_step=0.1, h=h)
+    np.testing.assert_array_equal(wide.values,
+                                  full_window_profile(base, rho, h, wide.thetas, k=k))
+    _assert_contacts(base, wide, h, k)
+    rough = offset_profile(base, rho, 0.3 * h, 0.3 * h + 2 * 10.5 * h, theta_step=10.5 * h, h=h)
+    np.testing.assert_array_equal(rough.values, full_window_profile(base, rho, h, rough.thetas))
+    _assert_contacts(base, rough, h)
+    assert offset_value(base, rho, 1.3, h) == full_window_profile(base, rho, h, [1.3])[0]
+
+
 @given(n=st.integers(1, 60), log_rho=st.floats(-2.0, 2.0), q=st.integers(100, 400),
        k=st.integers(0, 20), frac=st.sampled_from([0.0, 0.2, 0.61]),
        shift=st.sampled_from([0.0, 0.37, 0.5]), rows=st.integers(2, 300),
@@ -387,17 +454,48 @@ def test_offset_window_without_lattice_points():
     assert np.array_equal(rough.values, full_window_profile(ls, rho, h, rough.thetas))
 
 
-@pytest.mark.parametrize("rho", [0.05, 1.0, 10.0, 1e3])
-@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid], ids=["riemann5", "sinusoid"])
-def test_offset_value_evaluates_the_band_and_the_live_points(make, rho):
-    # offset_value scans the lattice of theta's window from the lattice
-    # point a nearest theta; the points it evaluates are theta, the band
-    # |m| <= max(nl, nr) // _NARROW of offsets a + m, and the lattice points
-    # whose bound B + sqrt(rho^2 - s^2) reaches the band's maximum, found
-    # here over the whole window
+def _pruned(base, j, h, rho, theta, lower):
+    """The lattice indices of j (runs of consecutive ones) that the slope-bound
+    prune evaluates for a row at theta: all of j below _SLOPE_MIN points,
+    without a slope_bound or where a block's tent cannot fall below B; else
+    the knots, every _SLOPE_BLOCK-th index of each run and its last, and the
+    blocks between two knots whose tent plus the block's largest arc reaches
+    lower, with the scan's float operations."""
+    slope, b = base.slope_bound, base.value_bound
+    if (slope is None or j.size < geometry._SLOPE_MIN
+            or slope * geometry._SLOPE_BLOCK * h >= 4.0 * b):
+        return j
+    keep = []
+    for run in np.split(j, np.flatnonzero(np.diff(j) != 1) + 1):
+        knots = np.unique(np.append(run[::geometry._SLOPE_BLOCK], run[-1]))
+        f = base.f_batch((knots * h)[:, None])
+        keep.append(knots)
+        for ja, jb, fa, fb in zip(knots, knots[1:], f, f[1:]):
+            xa, xb = ja * h, jb * h
+            u = min((fa + fb) / 2 + slope * (xb - xa) / 2 + 1e-12 * b, b * (1.0 + 1e-12))
+            s = 0.0 if xa <= theta <= xb else min(abs(xa - theta), abs(xb - theta))
+            if u + geometry._circ(s, rho) >= lower:
+                keep.append(np.arange(ja + 1, jb))
+    return np.concatenate(keep)
+
+
+@pytest.mark.parametrize("rho, h", [(0.05, 2.5e-4), (1.0, 5e-3), (10.0, 0.05), (1e3, 0.05),
+                                    (10.0, 1e-4), (1e3, 1e-3), (1e5, 0.04)],
+                         ids=["0.05", "1.0", "10.0", "1000.0", "10.0-h1e-4", "1000.0-h1e-3",
+                              "1e5-h0.04"])  # h = min(rho / 200, 0.05) unless named
+@pytest.mark.parametrize("make", [lambda: riemann(5), sinusoid,
+                                  lambda: replace(riemann(5), slope_bound=None)],
+                         ids=["riemann5", "sinusoid", "riemann5_no_slope"])
+def test_offset_value_evaluates_the_band_and_the_live_points(make, rho, h):
+    # offset_value scans the lattice of theta's window from the lattice point
+    # a nearest theta. It evaluates theta, and in two passes: the band |m| <=
+    # max(nl, nr) // _NARROW of offsets a + m, pruned by the slope bound
+    # against the least maximum over its knots; then the lattice points past
+    # the band whose bound B + sqrt(rho^2 - s^2) reaches the band's maximum,
+    # pruned against that maximum (see _pruned). Only (10, 1e-4) and (1e3,
+    # 1e-3) prune, and not without a slope_bound. At (1e5, 0.04) sinusoid's
+    # ranges are too short, and riemann(5)'s blocks too wide for a tent below B
     base = make()
-    h = min(rho / 200, 0.05)
-    smax = rho * (1.0 - 1e-12)
     w = _offset_window(base, rho)
     for theta in (0.0, 0.37 * h, 1.3, -2.0 + 0.5 * h):
         ls, seen = _counting(base)
@@ -405,17 +503,24 @@ def test_offset_value_evaluates_the_band_and_the_live_points(make, rho):
         j0 = math.ceil((theta - w) / h - 1e-9)
         j1 = math.floor((theta + w) / h + 1e-9)
         a = round(theta / h)
-        m = np.arange(j0 - a, j1 - a + 1)
-        tp = (a + m) * h
-        s = np.clip(tp - theta, -smax, smax)
-        circ = np.sqrt(np.maximum(rho * rho - s * s, 0.0))
-        band = np.abs(m) <= max(a - j0, j1 - a) // geometry._NARROW
-        best = np.max(base.f_batch(tp[band][:, None]) + circ[band])
-        live = base.value_bound * (1.0 + 1e-12) + circ >= best
-        want = np.unique(np.append(tp[band | live], theta))
-        np.testing.assert_array_equal(np.unique(np.concatenate(seen)), want)
-        assert got == np.max(base.f_batch(want[:, None]) +
-                             np.sqrt(np.maximum(rho * rho - np.clip(want - theta, -smax, smax) ** 2, 0.0)))
+        j = np.arange(j0, j1 + 1)
+        fv = base.f_batch((j * h)[:, None])
+        circ = geometry._circ(j * h - theta, rho)
+        band = np.abs(j - a) <= max(a - j0, j1 - a) // geometry._NARROW
+        knots = np.unique(np.append(j[band][::geometry._SLOPE_BLOCK], j[band][-1]))
+        coarse = np.max((fv + circ)[np.isin(j, knots)])
+        best = np.max((fv + circ)[band])
+        live = ~band & (base.value_bound * (1.0 + 1e-12) + circ >= best)
+        want = np.concatenate([[theta], _pruned(base, j[band], h, rho, theta, coarse) * h,
+                               _pruned(base, j[live], h, rho, theta, best) * h])
+        # each point once, theta as well when it is a lattice point
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.sort(want))
+        if base.slope_bound is None or (rho, h) not in [(10.0, 1e-4), (1e3, 1e-3)]:
+            assert want.size == 1 + np.count_nonzero(band | live)  # the band and live points
+        else:
+            assert want.size < 0.75 * np.count_nonzero(band | live)
+        assert got == np.max(np.append(fv + circ, base.f_batch(np.array([[theta]])) +
+                                     geometry._circ(0.0, rho)))
 
 
 def test_offset_profile_memory_is_bounded():

@@ -106,6 +106,23 @@ def test_sinusoid_oracles():
     assert ls.value_sup == 1.0 and ls.value_bound == 1.0
 
 
+@pytest.mark.parametrize("ls", [riemann(1), riemann(5), riemann(20), riemann(100), sinusoid()],
+                         ids=lambda ls: ls.name)
+def test_catalogue_slope_bounds_hold(ls):
+    # |f(x) - f(y)| <= S |x - y| on the batch values the offset scan reads,
+    # with the scan's 1e-12 B margin for rounding. Pairs from 0 and 2 pi,
+    # where every cos(n^2 t) is 1 and riemann(N)'s slope attains N, and
+    # seeded pairs at gaps from 1e-9 to 10
+    rng = np.random.default_rng(12)
+    x = np.concatenate([[0.0] * 10, [2 * np.pi] * 10, rng.uniform(-500.0, 500.0, 2000)])
+    y = x + np.concatenate([10.0 ** -np.arange(1, 11), -10.0 ** -np.arange(1, 11),
+                            rng.choice([-1, 1], 2000) * 10.0 ** rng.uniform(-9, 1, 2000)])
+    gap = np.abs(ls.f_batch(x[:, None]) - ls.f_batch(y[:, None]))
+    assert (gap <= ls.slope_bound * np.abs(x - y) + 1e-12 * ls.value_bound).all()
+    tight = gap[:20] / np.abs(x - y)[:20]  # the bound is the slope at 0, not just above it
+    assert tight.max() >= ls.slope_bound * (1 - 1e-3)
+
+
 def test_quadratic_value_grad_hessian():
     a = np.array([[2.0, 0.5], [0.5, 1.0]])
     star = np.array([1.0, -1.0])
