@@ -167,8 +167,9 @@ def hausdorff_distance(a: Array, b: Array) -> float:
 
 # Pass 1 of a pruned offset search covers 1/_NARROW of the candidate window.
 _NARROW = 8
-# Elements of one temporary of the offset scan (32 MB).
-_WINDOW_CHUNK = 4_000_000
+# Candidates per chunk of the offset scan: each scan reuses one buffer of at most
+# 4 MB (12 MB with per-row arcs) across its chunks, or of one row if wider.
+_WINDOW_CHUNK = 1 << 19
 # The slope-bound prune reads f at every _SLOPE_BLOCK-th lattice point first, on ranges
 # of at least _SLOPE_MIN points: fewer do not pay for its second f_batch call.
 _SLOPE_BLOCK = 32
@@ -236,9 +237,9 @@ def _bounded_batch(landscape: Landscape, thetas: Array) -> Array:
     return fv
 
 
-def _circ(s: Array | float, rho: float) -> Array | float:
+def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | float:
     """Height sqrt(rho^2 - s^2) of the ball's upper arc over the offsets s,
-    with |s| clamped to rho * (1 - 1e-12).
+    with |s| clamped to rho * (1 - 1e-12), written into out if given.
 
     s is an array, or one float for the edge searches of the pruned scan.
     Both run the same IEEE operations, so they give the same float at the
@@ -248,7 +249,7 @@ def _circ(s: Array | float, rho: float) -> Array | float:
     if isinstance(s, float):
         s = min(max(s, -smax), smax)
         return math.sqrt(max(rho * rho - s * s, 0.0))
-    s = np.clip(s, -smax, smax)  # the one new array: the rest works in place
+    s = np.clip(s, -smax, smax, out=out)  # the one new array: the rest works in place
     np.multiply(s, s, out=s)
     np.subtract(rho * rho, s, out=s)
     return np.sqrt(np.maximum(s, 0.0, out=s), out=s)
@@ -283,7 +284,9 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
     rows (the fact behind SMAWK). Every b-th row (b from _pivot_stride) and
     the last are pivots, maximized over their whole window; the rows between
     two pivots only between the pivots' maximizers. NaN and +-inf keep the
-    order; that rounding keeps it at near-ties is tested, not proven.
+    order; that rounding keeps it at near-ties is tested, not proven. Each
+    scan writes its chunks of candidates (see _WINDOW_CHUNK) with out= into
+    one buffer, grown only for a larger chunk: each candidate is the same float.
 
     f is read once per lattice point of the windows' union; but with a
     value_bound, where the widest half-window n exceeds the anchors' span, in
@@ -315,20 +318,30 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
             c = _circ((start[0] - anchors[0] + np.arange(w)) * h if shared  # no index array kept
                       else (start[0] + np.arange(w)) * h - thetas[0], rho)
         best, arg = np.empty(rows), np.empty(rows, dtype=np.intp)
+        bufs = [np.empty(0, k) for k in (float, float, np.intp)[:1 if strided else 3]]
 
         def block(rs: range, lo: int, hi: int) -> None:
             # rows rs over columns lo..hi-1, in chunks of at most _WINDOW_CHUNK candidates
+            # (or one row), each written into a prefix of the scan's candidate buffers
             n = max(1, _WINDOW_CHUNK // (hi - lo))
             for i in range(0, len(rs), n):
                 part = slice(rs[i], rs[min(i + n, len(rs)) - 1] + 1, rs.step)
+                m = min(n, len(rs) - i)
+                if bufs[0].size < m * (hi - lo):  # sized by the chunks used, never the cap
+                    bufs[:] = [np.empty(m * (hi - lo), b.dtype) for b in bufs]
+                t, *arcs = (b[:m * (hi - lo)].reshape(m, hi - lo) for b in bufs)
                 if strided:
-                    t = sw[part, lo:hi] + c[lo:hi]
+                    np.add(sw[part, lo:hi], c[lo:hi], out=t)
                 else:  # past its end a row repeats its last candidate: no maximizer moves
-                    j = np.minimum(start[part, None] + np.arange(lo, hi), end[part, None])
-                    t = fv[j + (pos - start)[part, None]] + _circ(j * h - thetas[part, None], rho)
+                    s, j = arcs
+                    np.minimum(np.add(start[part, None], np.arange(lo, hi), out=j),
+                               end[part, None], out=j)
+                    _circ(np.subtract(np.multiply(j, h, out=s), thetas[part, None], out=s),
+                          rho, out=s)
+                    np.take(fv, np.add(j, (pos - start)[part, None], out=j), out=t, mode="clip")
+                    np.add(t, s, out=t)
                 a = t.argmax(axis=1)
                 best[part], arg[part] = t[np.arange(a.size), a], a + lo
-                del t  # the next chunk's temporary replaces it instead of joining it
 
         b = _pivot_stride(rows, w, (anchors[-1] - anchors[0]) / max(rows - 1, 1))
         pivots = [*range(0, rows - 1, b), rows - 1]

@@ -180,7 +180,8 @@ def test_offset_window_pruning_huge_radius():
     # reproduce the full maximum, and the profile flattens to a single dip.
     # The candidate window holds 5.1M lattice points; only the part that
     # is evaluated gets arrays (whole-window ones peaked at 135 MB). The value
-    # bound cut leaves 1.8M of them, and the slope bound about 108k
+    # bound cut leaves 1.8M of them, and the slope bound about 108k. The peak
+    # is 42 MB; a fresh temporary per scan chunk peaks at 56 MB
     ls, seen = _counting(riemann(100))
     tracemalloc.start()
     try:
@@ -188,7 +189,7 @@ def test_offset_window_pruning_huge_radius():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 48e6
     assert sum(p.size for p in seen) < 200_000
     assert count_local_minima(prof.values) <= 1
     assert prof.values.max() - prof.values.min() < 1e-3
@@ -523,17 +524,57 @@ def test_offset_value_evaluates_the_band_and_the_live_points(make, rho, h):
                                      geometry._circ(0.0, rho)))
 
 
-def test_offset_profile_memory_is_bounded():
-    # 629 thetas x a 161k-wide candidate window: the scan's temporaries
-    # stay in fixed-size chunks instead of one 200 MB block
-    ls = riemann(100)
+def _peak(call) -> int:
+    """tracemalloc's peak of the bytes allocated while call() runs."""
     tracemalloc.start()
     try:
-        offset_profile(ls, 1e3, 0.0, 2 * np.pi, theta_step=0.01, h=1e-3)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+
+
+def test_offset_profile_memory_is_bounded():
+    # 629 thetas x a 161k-wide candidate window: the scan's candidates stay
+    # in one buffer of fixed-size chunks instead of one 200 MB block. The
+    # peak is 5 MB; a fresh temporary per chunk peaks at 13 MB
+    ls = riemann(100)
+    assert _peak(lambda: offset_profile(ls, 1e3, 0.0, 2 * np.pi, theta_step=0.01, h=1e-3)) < 8e6
+
+
+@pytest.mark.parametrize("rho, bound", [(1e3, 20e6), (100.0, 17e6)])
+def test_per_row_offset_scan_memory_is_bounded(rho, bound):
+    # 459 thetas off the lattice, an arc per theta: candidates, arcs and
+    # lattice indices each get one buffer per scan. Peaks 13 MB at both radii;
+    # fresh temporaries per chunk peak at 44 MB (rho=1e3) and 17 MB
+    ls = riemann(100)
+    assert _peak(lambda: offset_profile(ls, rho, 0.0, 2 * np.pi, 0.0137, h=1e-3)) < bound
+
+
+@pytest.mark.parametrize("chunk", [300, 4096])
+@pytest.mark.parametrize("rho", [1.0, 1e3])
+def test_offsets_do_not_depend_on_the_scan_chunk(rho, chunk, monkeypatch):
+    # chunks of a few hundred or thousand candidates: blocks of many chunks,
+    # buffers that grow when a later chunk of a scan holds more, and rows
+    # wider than a chunk, each a chunk of its own. At rho=1 riemann(100)
+    # declares no bounds, so no scan is cut; rho=1e3 takes the value-bound
+    # cut and the slope prune. The values and contacts are the default
+    # chunk's floats on the shared arc, with an arc per theta, and for one
+    # row (offset_value's scan)
+    ls, h = riemann(100), 1e-3
+    if rho == 1.0:
+        ls = replace(ls, value_bound=None, slope_bound=None)
+
+    def outputs():
+        shared = offset_profile(ls, rho, 0.0, 1.0, theta_step=10 * h, h=h)
+        rows = offset_profile(ls, rho, 0.003, 1.0, theta_step=1.37 * h, h=h)
+        one = geometry._offset_values(ls, rho, np.array([0.3]), h)
+        return [shared.values, shared.contacts, rows.values, rows.contacts, *one]
+
+    want = outputs()
+    monkeypatch.setattr(geometry, "_WINDOW_CHUNK", chunk)
+    for a, b in zip(want, outputs(), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_count_local_minima_conventions():
