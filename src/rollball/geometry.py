@@ -168,8 +168,12 @@ def hausdorff_distance(a: Array, b: Array) -> float:
 # Pass 1 of a pruned offset search covers 1/_NARROW of the candidate window.
 _NARROW = 8
 # Candidates per chunk of the offset scan: each scan reuses one buffer of at most
-# 4 MB (12 MB with per-row arcs) across its chunks, or of one row if wider.
+# 4 MB across its chunks (three of 1 MB, a quarter chunk each, where rows gather
+# their lattice points), or of one row if wider.
 _WINDOW_CHUNK = 1 << 19
+# A shared-arc or one-row scan fills a gapped lattice back with -inf and reads
+# it strided where it spans at most _DENSE_SPAN times its points.
+_DENSE_SPAN = 6
 # The slope-bound prune reads f at every _SLOPE_BLOCK-th lattice point first, on ranges
 # of at least _SLOPE_MIN points: fewer do not pay for its second f_batch call.
 _SLOPE_BLOCK = 32
@@ -257,8 +261,8 @@ def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | flo
 
 def _pivot_stride(rows: int, w: int, k: float) -> int:
     """Rows from one pivot to the next in the monotone scan of _offset_scan,
-    over `rows` anchors k lattice points apart on average with w-wide
-    windows; 1, the plain scan, where blocking would not pay.
+    over `rows` rows starting k columns apart on average, each at most w
+    wide; 1, the plain scan, where blocking would not pay.
 
     Pivots cost about rows / b * (w + _BLOCK_COST) candidate-equivalents,
     the rows between them about b * (rows * k + w); b balances the two.
@@ -277,7 +281,11 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
     the first eval_batch. anchors, lo and hi never decrease, lo <= anchors <=
     hi. Given thetas, circ_i(j) = _circ(j h - thetas[i], rho); without them
     every row shares circ_i(j) = _circ((j - anchors[i]) h, rho) over evenly
-    spaced anchors and equal windows. A shared arc or one row reads f strided.
+    spaced anchors and equal windows. A pass holds the points it reads as
+    increasing lattice indices J (floats, exact below 2^53) and values F, and
+    rows find their columns by searchsorted. A shared arc or one row reads F
+    strided where J spans at most _DENSE_SPAN times its points, gaps filled
+    with -inf; other rows gather F and their arcs, the same floats, from J.
 
     Every arc is one concave arc shifted right, so the candidates form an
     inverse Monge matrix: the leftmost maximizer never moves left down the
@@ -300,89 +308,96 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
     _SLOPE_BLOCK-th j of its ranges and their ends first, then between two such
     knots only where the tent min(B', (f_a + f_b + S (x_b - x_a)) / 2) plus the
     largest arc over the rows' span reaches the least row maximum over the knots
-    (pass 1) or L (pass 2). Other points enter the scan as -inf: the maxima
-    stay the same floats. Values above their tent, or knots steeper than S, raise.
+    (pass 1) or L (pass 2). Skipping the others leaves the maxima the same
+    floats. Values above their tent, or knots steeper than S, raise.
     """
     rows, shared = anchors.size, thetas is None
-    strided = shared or rows == 1
 
     def arc(i: int, j: int) -> float:  # circ_i(j), for the edge searches
         return _circ((j - int(anchors[i])) * h if shared else j * h - float(thetas[i]), rho)
 
-    def scan(fv: Array, pos: Array, start: Array, end: Array) -> tuple[Array, Array]:
-        # row i over start[i] <= j <= end[i], with f(j h) at fv[pos[i] + j - start[i]]
-        w = int((end - start).max()) + 1
-        if strided:  # rows pos[1] apart in fv, the arc of row 0 for all
-            sw = np.ndarray((rows, w), buffer=np.ascontiguousarray(fv),
-                            strides=(8 * int(pos[-1] // max(rows - 1, 1)), 8))
+    def scan(J: Array, F: Array, start: Array, end: Array) -> tuple[Array, Array]:
+        # row i over the increasing lattice indices start[i] <= J[k] <= end[i], f(J[k] h) at F[k]
+        j0, span = int(J[0]), int(J[-1] - J[0]) + 1
+        dense = (shared or rows == 1) and span <= _DENSE_SPAN * J.size
+        if dense and span > J.size:  # the gaps filled back with -inf
+            fill, F = F, np.full(span, -np.inf)
+            F[(J - j0).astype(np.intp)] = fill
+        k0, k1 = ((start - j0, end + 1 - j0) if dense  # row i's columns k0[i] <= k < k1[i]
+                  else (np.searchsorted(J, start), np.searchsorted(J, end, "right")))
+        w = int((k1 - k0).max())
+        if dense:  # rows k0[1] apart in F, the arc of row 0 for all
+            sw = np.ndarray((rows, w), buffer=np.ascontiguousarray(F),
+                            strides=(8 * int(k0[-1] // max(rows - 1, 1)), 8))
             c = _circ((start[0] - anchors[0] + np.arange(w)) * h if shared  # no index array kept
                       else (start[0] + np.arange(w)) * h - thetas[0], rho)
         best, arg = np.empty(rows), np.empty(rows, dtype=np.intp)
-        bufs = [np.empty(0, k) for k in (float, float, np.intp)[:1 if strided else 3]]
+        bufs = [np.empty(0, k) for k in (float, float, np.intp)[:1 if dense else 3]]
+        cap = _WINDOW_CHUNK if dense else _WINDOW_CHUNK // 4
 
         def block(rs: range, lo: int, hi: int) -> None:
-            # rows rs over columns lo..hi-1, in chunks of at most _WINDOW_CHUNK candidates
+            # rows rs over columns lo..hi-1, in chunks of at most cap candidates
             # (or one row), each written into a prefix of the scan's candidate buffers
-            n = max(1, _WINDOW_CHUNK // (hi - lo))
+            n = max(1, cap // (hi - lo))
             for i in range(0, len(rs), n):
                 part = slice(rs[i], rs[min(i + n, len(rs)) - 1] + 1, rs.step)
                 m = min(n, len(rs) - i)
                 if bufs[0].size < m * (hi - lo):  # sized by the chunks used, never the cap
                     bufs[:] = [np.empty(m * (hi - lo), b.dtype) for b in bufs]
                 t, *arcs = (b[:m * (hi - lo)].reshape(m, hi - lo) for b in bufs)
-                if strided:
+                if dense:
                     np.add(sw[part, lo:hi], c[lo:hi], out=t)
                 else:  # past its end a row repeats its last candidate: no maximizer moves
-                    s, j = arcs
-                    np.minimum(np.add(start[part, None], np.arange(lo, hi), out=j),
-                               end[part, None], out=j)
-                    _circ(np.subtract(np.multiply(j, h, out=s), thetas[part, None], out=s),
-                          rho, out=s)
-                    np.take(fv, np.add(j, (pos - start)[part, None], out=j), out=t, mode="clip")
-                    np.add(t, s, out=t)
+                    s, k = arcs
+                    np.minimum(np.add(k0[part, None], np.arange(lo, hi), out=k),
+                               k1[part, None] - 1, out=k)
+                    np.take(J, k, out=s, mode="clip")  # exact integers: the dense path's arcs
+                    _circ(np.multiply(np.subtract(s, anchors[part, None], out=s), h, out=s)
+                          if shared else np.subtract(np.multiply(s, h, out=s),
+                                                     thetas[part, None], out=s), rho, out=s)
+                    np.add(np.take(F, k, out=t, mode="clip"), s, out=t)
                 a = t.argmax(axis=1)
                 best[part], arg[part] = t[np.arange(a.size), a], a + lo
 
-        b = _pivot_stride(rows, w, (anchors[-1] - anchors[0]) / max(rows - 1, 1))
+        b = _pivot_stride(rows, w, (k0[-1] - k0[0]) / max(rows - 1, 1))
         pivots = [*range(0, rows - 1, b), rows - 1]
         block(range(0, rows - 1, b), 0, w)
         block(range(rows - 1, rows), 0, w)
         for p, q in zip(pivots, pivots[1:]):
             if q > p + 1:  # the pivots' maximizers bound the rows between
-                lo, hi = sorted((start[p] + arg[p], start[q] + arg[q]))
-                block(range(p + 1, q), max(0, lo - start[q - 1]), min(w, hi - start[p + 1] + 1))
-        return best, start + arg
+                lo, hi = sorted((k0[p] + arg[p], k0[q] + arg[q]))
+                block(range(p + 1, q), max(0, lo - k0[q - 1]), min(w, hi - k0[p + 1] + 1))
+        return best, start + arg if dense else J[k0 + arg]
 
-    def lattice(runs: list, lower: float | None, extra: Array) -> tuple[Array, Array]:
-        # f over the runs a <= j <= b in turn and at extra, pruned by the slope
-        # bound against lower (None: the least row maximum over the knots)
+    def lattice(runs: list, lower: float | None, extra: Array) -> tuple[Array, Array, Array]:
+        # f over the runs a <= j <= b and at extra, pruned by the slope bound against
+        # lower (None: the least row maximum over the knots): the increasing lattice
+        # indices read, as floats, their values, and f at extra
         runs = [(a, b) for a, b in runs if a <= b]
-        *first, size = np.cumsum([0] + [b + 1 - a for a, b in runs])  # run starts in fv
+        *first, size = np.cumsum([0] + [b + 1 - a for a, b in runs])  # run starts
         if slope is None or size < _SLOPE_MIN or slope * _SLOPE_BLOCK * h >= 4.0 * bound:
-            fv = _bounded_batch(landscape, np.concatenate(
-                [*(np.arange(a, b + 1) * h for a, b in runs), extra]))
-            return fv[:size], fv[size:].copy()
+            J = np.concatenate([np.arange(a, b + 1.0) for a, b in runs])
+            fv = _bounded_batch(landscape, np.concatenate([J * h, extra]))
+            return J, fv[:size], fv[size:].copy()
         step = [np.append(np.arange(0, b - a, _SLOPE_BLOCK), b - a) for a, b in runs]
-        knots = np.concatenate([o + m for o, m in zip(first, step)])  # positions in fv
-        kj = np.concatenate([a + m for (a, _), m in zip(runs, step)])  # lattice indices
+        knots = np.concatenate([o + m for o, m in zip(first, step)])  # positions in the runs
+        kj = np.concatenate([a + m for (a, _), m in zip(runs, step)]).astype(float)
         fk = _bounded_batch(landscape, np.concatenate([kj * h, extra]))
         fk, own, dx = fk[:knots.size], fk[knots.size:].copy(), np.diff(kj * h)
         u = np.minimum((fk[:-1] + fk[1:]) / 2 + slope * dx / 2 + 1e-12 * bound,
                        bound * (1.0 + 1e-12))  # the tent over each block
-        fv = np.full(size, -np.inf)
-        fv[knots] = fk
         xk = kj if shared else kj * h  # each block's least |s| over the rows' span
         s = np.maximum(np.maximum(centre[0] - xk[1:], xk[:-1] - centre[-1]) * unit, 0.0)
-        live = u + _circ(s, rho) >= (float(scan(fv, pos, start, end)[0].min())
+        live = u + _circ(s, rho) >= (float(scan(kj, fk, start, end)[0].min())
                                      if lower is None else lower)
-        gaps = np.diff(knots)[live] - 1  # 0 between two runs
-        at = np.arange(gaps.sum()) + np.repeat(knots[:-1][live] + 1 - np.cumsum(gaps) + gaps, gaps)
-        if at.size:
-            fv[at] = _bounded_batch(landscape, (at + np.repeat((kj - knots)[:-1][live], gaps)) * h)
+        gaps = np.where(live, np.diff(knots) - 1, 0)  # 0 between two runs
+        new = np.arange(gaps.sum()) + np.repeat(kj[:-1] + 1 - np.cumsum(gaps) + gaps, gaps)
+        fn = _bounded_batch(landscape, new * h) if new.size else new
         if not ((np.abs(np.diff(fk)) <= slope * dx + 1e-12 * bound).all()
-                and (fv[at] <= np.repeat(u[live], gaps)).all()):
+                and (fn <= np.repeat(u, gaps)).all()):
             raise ValueError(f"landscape {landscape.name!r} breaks its slope_bound {slope!r}")
-        return fv, own
+        at = np.repeat(np.arange(1, kj.size), gaps)  # each new point before its block's end
+        return np.insert(kj, at, new), np.insert(fk, at, fn), own
 
     slope, bound = landscape.slope_bound, landscape.value_bound
     centre, unit = (anchors, h) if shared else (thetas, 1.0)  # arcs circ((x - centre) unit)
@@ -390,16 +405,15 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
     cut = bound is not None and n > anchors[-1] - anchors[0]
     if cut:  # pass 1 reads one contiguous range
         start, end = np.maximum(lo, anchors - n // _NARROW), np.minimum(hi, anchors + n // _NARROW)
-        pos = start - start[0]
-        fv, own = lattice([(int(start[0]), int(end[-1]))], None, own)
+        J, F, own = lattice([(int(start[0]), int(end[-1]))], None, own)
     else:  # the union of the windows, each lattice point once
         new = np.maximum(lo, np.concatenate([lo[:1], hi[:-1] + 1]))  # row i's first new j
         count = np.maximum(hi - new + 1, 0)
-        pts = np.arange(count.sum()) + np.repeat(new - (np.cumsum(count) - count), count)
-        start, end, pos = lo, hi, np.searchsorted(pts, lo)
-        fv = _bounded_batch(landscape, np.concatenate([pts * h, own]))
-        fv, own = fv[:pts.size], fv[pts.size:].copy()  # the copy lets pass 1's array go
-    best, index = scan(fv, pos, start, end)
+        J = np.arange(count.sum(), dtype=float) + np.repeat(new - (np.cumsum(count) - count), count)
+        start, end = lo, hi
+        F = _bounded_batch(landscape, np.concatenate([J * h, own]))
+        F, own = F[:J.size], F[J.size:].copy()  # the copy lets pass 1's array go
+    best, index = scan(J, F, start, end)
     lower = float(best.min())
     # the cut's edges (none without it), one lattice point at a time, the scan's own floats
     l2 = int(lo[0]) + bisect_left(range(lo[0], start[0]), True, key=lambda j: _can_reach(
@@ -408,12 +422,13 @@ def _offset_scan(landscape: Landscape, h: float, rho: float, anchors: Array, lo:
                                     _can_reach(landscape, arc(rows - 1, j), lower))
     if (l2, r2) == (start[0], end[-1]):
         return best, index, own
-    ext = lattice([(l2, int(start[0]) - 1), (int(end[-1]) + 1, r2)], lower, np.empty(0))[0]
-    fv = np.concatenate([ext[:start[0] - l2], fv, ext[start[0] - l2:]])
-    del ext, best, index  # no pass-1 array stays alive through the scan's peak
+    JE, FE, _ = lattice([(l2, int(start[0]) - 1), (int(end[-1]) + 1, r2)], lower, np.empty(0))
+    m = np.searchsorted(JE, J[0])  # the left extension's size
+    J, F = (np.concatenate([e[:m], x, e[m:]]) for e, x in ((JE, J), (FE, F)))
+    del JE, FE, best, index  # no pass-1 array stays alive through the scan's peak
     d = anchors - anchors[0] if shared else 0 * anchors
     start, end = np.maximum(lo, l2 + d), np.minimum(hi, r2 + d - d[-1])
-    return (*scan(fv, start - l2, start, end), own)
+    return (*scan(J, F, start, end), own)
 
 
 def _offset_values(landscape: Landscape, rho: float, thetas: Array,
@@ -438,15 +453,18 @@ def _offset_values(landscape: Landscape, rho: float, thetas: Array,
     return out, contacts
 
 
-def _check_offset_args(landscape: Landscape, rho: float, h: float) -> None:
+def _check_offset_args(landscape: Landscape, rho: float, h: float, **thetas: float) -> None:
     if landscape.dim != 1:
         raise ValueError("offset evaluation is 1D only")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if h <= 0:
-        raise ValueError("grid step must be positive")
+    for name, x in {"rho": rho, "grid step h": h, **thetas}.items():
+        if not math.isfinite(x) or (x <= 0 and name not in thetas):
+            kind = "finite" if name in thetas else "positive and finite"
+            raise ValueError(f"{name} must be {kind}, got {x!r}")
     if h > rho / 100 * (1 + 1e-9):
         raise ValueError(f"grid step {h} too coarse: need h <= rho/100 = {rho/100}")
+    name, x = max(thetas.items(), key=lambda item: abs(item[1]))
+    if abs(x) + _offset_window(landscape, rho) >= 2.0 ** 53 * h:  # the scan's float indices
+        raise ValueError(f"{name} {x!r} too far out: its window's lattice indices reach 2^53")
 
 
 def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> float:
@@ -459,7 +477,7 @@ def offset_value(landscape: Landscape, rho: float, theta: float, h: float) -> fl
     sampled offsets of nearby thetas comparable. The lattice part is one row
     of _offset_scan.
     """
-    _check_offset_args(landscape, rho, h)
+    _check_offset_args(landscape, rho, h, theta=float(theta))
     return float(_offset_values(landscape, rho, np.array([float(theta)]), h)[0][0])
 
 
@@ -479,7 +497,7 @@ def offset_profile(landscape: Landscape, rho: float, lo: float, hi: float,
         raise ValueError(f"theta_step must be positive and finite, got {theta_step!r}")
     if h is None:
         h = min(rho / 100.0, theta_step)
-    _check_offset_args(landscape, rho, h)
+    _check_offset_args(landscape, rho, h, lo=lo, hi=hi)
     if hi <= lo:
         raise ValueError("need lo < hi")
     n_t = int(round((hi - lo) / theta_step))

@@ -167,6 +167,23 @@ def test_offset_argument_validation():
         offset_value(quadratic(np.eye(2)), 1.0, 0.0, h=1e-3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ls: offset_value(ls, math.nan, 0.3, 1e-2), "rho must be positive and finite, got nan"),
+    (lambda ls: offset_value(ls, 1.0, math.nan, 1e-2), "theta must be finite, got nan"),
+    (lambda ls: offset_value(ls, 1.0, 0.3, math.nan),
+     "grid step h must be positive and finite, got nan"),
+    (lambda ls: offset_value(ls, 1.0, 1e300, 1e-2), r"theta 1e\+300 too far out"),
+    (lambda ls: offset_profile(ls, 1.0, math.nan, 1.0, 0.1), "lo must be finite, got nan"),
+    (lambda ls: offset_profile(ls, 1.0, 0.0, math.inf, 0.1), "hi must be finite, got inf")],
+    ids=["rho", "theta", "h", "theta-beyond-2^53-h", "lo", "hi"])
+def test_offset_arguments_must_be_finite(call, message):
+    # each once returned NaN, raised a misleading value_bound error or an
+    # OverflowError, or (theta=1e300) read overflowed lattice indices and
+    # returned -0.0251; the scan's lattice indices are floats, exact below 2^53
+    with pytest.raises(ValueError, match=message):
+        call(riemann(100))
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
 def test_sampling_steps_must_be_positive_and_finite(step):
     with pytest.raises(ValueError, match="theta_step must be positive and finite"):
@@ -180,8 +197,9 @@ def test_offset_window_pruning_huge_radius():
     # reproduce the full maximum, and the profile flattens to a single dip.
     # The candidate window holds 5.1M lattice points; only the part that
     # is evaluated gets arrays (whole-window ones peaked at 135 MB). The value
-    # bound cut leaves 1.8M of them, and the slope bound about 108k. The peak
-    # is 42 MB; a fresh temporary per scan chunk peaks at 56 MB
+    # bound cut leaves 1.8M of them, and the slope bound about 108k. The scans
+    # hold only those 108k points: the peak is 6.0 MB, where a dense array
+    # over the cut's 1.8M, -inf at each skipped point, peaked at 43 MB
     ls, seen = _counting(riemann(100))
     tracemalloc.start()
     try:
@@ -189,7 +207,7 @@ def test_offset_window_pruning_huge_radius():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 9e6
     assert sum(p.size for p in seen) < 200_000
     assert count_local_minima(prof.values) <= 1
     assert prof.values.max() - prof.values.min() < 1e-3
@@ -537,33 +555,49 @@ def _peak(call) -> int:
 def test_offset_profile_memory_is_bounded():
     # 629 thetas x a 161k-wide candidate window: the scan's candidates stay
     # in one buffer of fixed-size chunks instead of one 200 MB block. The
-    # peak is 5 MB; a fresh temporary per chunk peaks at 13 MB
+    # peak is 5.7 MB (5.1 MB when the knots' scan was dense and strided); a
+    # fresh temporary per chunk peaks at 13 MB
     ls = riemann(100)
     assert _peak(lambda: offset_profile(ls, 1e3, 0.0, 2 * np.pi, theta_step=0.01, h=1e-3)) < 8e6
 
 
-@pytest.mark.parametrize("rho, bound", [(1e3, 20e6), (100.0, 17e6)])
-def test_per_row_offset_scan_memory_is_bounded(rho, bound):
+@pytest.mark.parametrize("rho", [1e3, 100.0])
+def test_per_row_offset_scan_memory_is_bounded(rho):
     # 459 thetas off the lattice, an arc per theta: candidates, arcs and
-    # lattice indices each get one buffer per scan. Peaks 13 MB at both radii;
-    # fresh temporaries per chunk peak at 44 MB (rho=1e3) and 17 MB
+    # column indices each get one buffer of a quarter chunk per scan. Peaks
+    # 3.6 MB (rho=1e3) and 4.4 MB; buffers of a whole chunk each peaked at
+    # 13 MB, fresh temporaries per chunk at 44 MB and 17 MB
     ls = riemann(100)
-    assert _peak(lambda: offset_profile(ls, rho, 0.0, 2 * np.pi, 0.0137, h=1e-3)) < bound
+    assert _peak(lambda: offset_profile(ls, rho, 0.0, 2 * np.pi, 0.0137, h=1e-3)) < 6e6
+
+
+def test_one_theta_offset_memory_follows_the_points_read():
+    # one theta at rho=1e5: its last pass spans 5.5M lattice points, of which
+    # the slope prune reads 319k. The peak is 15 MB; a dense array over the
+    # 5.5M, -inf at each skipped point, and its arc peaked at 131 MB
+    assert _peak(lambda: offset_value(riemann(100), 1e5, 0.3, 1e-4)) < 24e6
+
+
+# riemann(100) at rho=1 without its bounds: no cut. rho=10: the cut leaves most
+# points live. rho=1e3: the cut and the slope prune, gapped lattices; without
+# the slope bound, a contiguous lattice whose rows are wider than a chunk
+SCAN_CASES = {"1.0": (1.0, {"value_bound": None, "slope_bound": None}), "10.0": (10.0, {}),
+              "1000.0": (1e3, {}), "1000.0-no-slope": (1e3, {"slope_bound": None})}
 
 
 @pytest.mark.parametrize("chunk", [300, 4096])
-@pytest.mark.parametrize("rho", [1.0, 1e3])
-def test_offsets_do_not_depend_on_the_scan_chunk(rho, chunk, monkeypatch):
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_offsets_do_not_depend_on_the_scan_chunk(case, chunk, monkeypatch):
     # chunks of a few hundred or thousand candidates: blocks of many chunks,
     # buffers that grow when a later chunk of a scan holds more, and rows
-    # wider than a chunk, each a chunk of its own. At rho=1 riemann(100)
-    # declares no bounds, so no scan is cut; rho=1e3 takes the value-bound
-    # cut and the slope prune. The values and contacts are the default
-    # chunk's floats on the shared arc, with an arc per theta, and for one
+    # wider than a chunk, each a chunk of its own. Each chunk is also run
+    # with every shared-arc and one-row scan strided over a lattice filled
+    # back to dense (_DENSE_SPAN inf) and with every scan gathering its
+    # points row by row (_DENSE_SPAN 0). The values and contacts are the
+    # default's floats on the shared arc, with an arc per theta, and for one
     # row (offset_value's scan)
-    ls, h = riemann(100), 1e-3
-    if rho == 1.0:
-        ls = replace(ls, value_bound=None, slope_bound=None)
+    rho, fields = SCAN_CASES[case]
+    ls, h = replace(riemann(100), **fields), 1e-3
 
     def outputs():
         shared = offset_profile(ls, rho, 0.0, 1.0, theta_step=10 * h, h=h)
@@ -573,8 +607,10 @@ def test_offsets_do_not_depend_on_the_scan_chunk(rho, chunk, monkeypatch):
 
     want = outputs()
     monkeypatch.setattr(geometry, "_WINDOW_CHUNK", chunk)
-    for a, b in zip(want, outputs(), strict=True):
-        assert a.tobytes() == b.tobytes()
+    for dense_span in (geometry._DENSE_SPAN, 0, math.inf):
+        monkeypatch.setattr(geometry, "_DENSE_SPAN", dense_span)
+        for a, b in zip(want, outputs(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_count_local_minima_conventions():

@@ -9,8 +9,8 @@ through PYTHONPATH) and writes their outputs under DIR:
 
 - the six `verify` reports;
 - offset dumps of riemann(100): aligned at rho=1e3 (two intervals, as the
-  geometry benchmark draws them), rho=1e4, and unaligned at rho=100 with
-  grid step 0.0137;
+  geometry benchmark draws them), rho=1e4, one theta at rho=1e5, and
+  unaligned at rho=100 with grid step 0.0137;
 - the offsets of README's quick start and Experiments section;
 - each optimizer's trajectory on each catalogue landscape, as CSV and JSON;
 - a 4x4 radius/step-size sweep on riemann(100), as the ball1d benchmark runs it;
@@ -57,6 +57,8 @@ def commands() -> dict[str, list[str]]:
                               "--interval", "0:6.2832"],
         "offset/rho100-unaligned.csv": ["--rho", "100", "--h", "1e-3", "--grid-step", "0.0137",
                                         "--interval", "0:6.2832"],
+        "offset/rho1e5-one-theta.csv": ["--rho", "1e5", "--h", "1e-4", "--grid-step", "0.1",
+                                        "--interval", "0.3:0.31"],
         "offset/readme-quickstart.csv": ["--rho", "1.0", "--interval", "0:6.2832"],
         **{f"offset/readme-rho{rho}.csv": ["--rho", rho] for rho in ("0.01", "0.1", "1", "10")},
     }
