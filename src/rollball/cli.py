@@ -435,8 +435,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "steps": dict(help="number of updates T"),
     "sam_rho": dict(help="ascent radius (sam only)"),
     "seed": dict(help="global seed (fans out per component)"),
-    "max_iters": dict(help="inner projection iteration cap (rbo only)"),
-    "grad_tol": dict(help="inner projection stop tolerance (rbo only)"),
+    "max_iters": dict(help="inner iteration cap per step (rbo only)"),
+    "grad_tol": dict(help="inner stop tolerance (rbo only)"),
     "out": dict(help="output path"),
     "format": dict(choices=_FORMATS),
     "task": dict(choices=tuple(_TASK_FIELDS)),

@@ -181,6 +181,9 @@ _SLOPE_MIN = 4096
 # One block of the monotone offset scan costs about as much numpy overhead
 # as adding and maximizing this many candidates.
 _BLOCK_COST = 8000
+# _Lattice reads f in blocks of _CACHE_BLOCK lattice points, at most _CACHE_BLOCKS held.
+_CACHE_BLOCK = 2048
+_CACHE_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -257,6 +260,42 @@ def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | flo
     np.multiply(s, s, out=s)
     np.subtract(rho * rho, s, out=s)
     return np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+
+
+class _Lattice:
+    """phi_rho's lattice part at the nearby centers of one roll, from f held over
+    one range of lattice indices that grows by whole blocks, one _bounded_batch
+    call each; a window a block beyond it, or a range past _CACHE_BLOCKS blocks,
+    re-centres it on the window."""
+
+    def __init__(self, landscape: Landscape, rho: float, h: float):
+        self.landscape, self.rho, self.h = landscape, rho, h
+        self.w = _offset_window(landscape, rho)
+        if 2.0 * self.w < h:
+            raise ValueError(f"rho {rho!r} too large: its window misses multiples of h = {h!r}")
+        self.first, self.f, self.finite = 0, np.empty(0), True  # f at first, first + 1, ...
+
+    def phi(self, x: float) -> tuple[float, float, float]:
+        """(phi, t, f(t)): the max of f(j h) + _circ(j h - x, rho) over x's window
+        (_offset_values' floats) at its leftmost maximizer t = j h; NaNs if f
+        is not finite in the window."""
+        h, n, first, end = self.h, _CACHE_BLOCK, self.first, self.first + self.f.size
+        lo, hi = math.ceil((x - self.w) / h - 1e-9), math.floor((x + self.w) / h + 1e-9)
+        if not first <= lo <= hi < end:
+            a, b = min(first, lo // n * n), max(end, (hi // n + 1) * n)
+            if self.f.size and first - n <= a and b <= end + n and b - a <= _CACHE_BLOCKS * n:
+                fv = _bounded_batch(self.landscape, np.r_[a:first, end:b] * h)
+                self.f = np.concatenate([fv[:first - a], self.f, fv[first - a:]])
+            else:
+                a = lo // n * n
+                self.f = _bounded_batch(self.landscape, np.arange(a, (hi // n + 1) * n) * h)
+            self.first, self.finite = a, bool(np.isfinite(self.f).all())
+        f = self.f[lo - self.first:hi + 1 - self.first]
+        if not (self.finite or np.isfinite(f).all()):
+            return math.nan, math.nan, math.nan
+        c = f + _circ(np.arange(lo, hi + 1) * h - x, self.rho)
+        k = int(c.argmax())
+        return float(c[k]), (lo + k) * h, float(f[k])
 
 
 def _pivot_stride(rows: int, w: int, k: float) -> int:

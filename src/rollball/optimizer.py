@@ -1,12 +1,13 @@
 """Rolling-ball descent and the baselines it is measured against.
 
-The rolling-ball step displaces the center of a rigid sphere resting on the
-loss surface along the lifted steepest-ascent tangent, then re-attaches the
-sphere by projecting the displaced center back to a foot point on the graph
-and re-lifting along the normal. Plain, stochastic, and sharpness-aware
-gradient descent live here too; all four run in one step loop, so every run
-shares one trajectory format, and `run` starts any of them from the one
-table of their hyperparameters, OPTIMIZERS, whose values RULES bound.
+On a deterministic 1D landscape the center of a rigid sphere resting on the
+loss surface rolls on the sampled upper offset; otherwise the step displaces
+it along the lifted steepest-ascent tangent, projects it back to a foot
+point on the graph and re-lifts it along the normal. Plain, stochastic and
+sharpness-aware gradient descent live here too; all four run in one step
+loop, so every run shares one trajectory format, and `run` starts any of
+them from the one table of their hyperparameters, OPTIMIZERS, whose values
+RULES bound.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .geometry import normal_from_grad, tangent_from_grad
+from .geometry import _check_offset_args, _circ, _Lattice, normal_from_grad, tangent_from_grad
 from .landscape import Array, Landscape, value_and_grad
 
 DIVERGENCE_LIMIT = 1e12
@@ -26,6 +27,9 @@ DAMPING_FACTOR = 4.0
 # relative change of G within which evaluation noise in f can hide a real
 # decrease; a trial inside it is accepted if it lowers the residual
 NOISE_SLACK = math.sqrt(float(np.finfo(float).eps))
+# the 1D roll's sufficient decrease, and its null move in lattice steps
+ARMIJO = 1e-4
+SETTLE_TOL = 1e-9
 
 
 # optimizer -> {hyperparameter: default}: which optimizer takes which setting
@@ -153,8 +157,8 @@ class TrajectoryHeader:
 
 @dataclass
 class Trajectory:
-    """Header plus T+1 step records (records[0] is the initial state), or
-    only the final one when the run was made with keep_records=False.
+    """Header plus T+1 step records (records[0] is the initial state, fewer if
+    a 1D roll settled), or only the final one with keep_records=False.
 
     A run that aborted mid-way carries the partial records (or the last
     good one) and a non-None error string naming the failing step.
@@ -211,9 +215,7 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     G test (plus one Hessian per accepted point), and the trials are the
     iteration count. The solve stops when |r| <= grad_tol
     * max(1, |candidate - iterate|): far from the graph the rounding of
-    (f - y_c) grad f grows with the distance. A one-dimensional landscape
-    with a Hessian takes the same Newton steps on Python floats
-    (_project_1d), bitwise the result of the general loop (_project_general).
+    (f - y_c) grad f grows with the distance.
 
     warm_start_theta is the starting theta, or a GraphPoint whose carried
     value and gradient are reused. Returns (foot point with its gradient,
@@ -229,9 +231,7 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     size = float(np.linalg.norm(candidate))
     if not size <= DIVERGENCE_LIMIT:
         raise ProjectionDivergence(0, size, "candidate beyond the limit")
-    point = _with_grad(landscape, warm_start_theta)
-    solve = _project_1d if d == 1 and landscape.hessian is not None else _project_general
-    return solve(landscape, candidate, point, cfg)
+    return _project_general(landscape, candidate, _with_grad(landscape, warm_start_theta), cfg)
 
 
 def _project_general(landscape: Landscape, candidate: Array, point: GraphPoint,
@@ -298,67 +298,6 @@ def _project_general(landscape: Landscape, candidate: Array, point: GraphPoint,
     return GraphPoint(theta=theta, y=v, grad=g), iters, resid
 
 
-def _project_1d(landscape: Landscape, candidate: Array, point: GraphPoint,
-                cfg: ProjectionConfig) -> tuple[GraphPoint, int, float]:
-    """_project_general's Newton branch at d = 1, operation for operation on
-    Python floats, so it returns bitwise the same. A 1x1 eigh is exact (w =
-    M, vecs = [[1]]), so the eigenbasis solve is one division. x * x stands
-    for x @ x: unlike x ** 2 it overflows to inf instead of raising. The
-    oracles still take and return shape-(1,) arrays."""
-    theta_c, y_c = float(candidate[0]), float(candidate[1])
-    theta_arr, v, g_arr = point.theta, point.y, point.grad
-    theta, g = float(theta_arr[0]), float(g_arr[0])
-    u, e = theta - theta_c, v - y_c
-    if not math.isfinite(e):
-        raise ProjectionDivergence(0, math.sqrt(theta * theta), "non-finite loss value")
-    objective = 0.5 * (u * u + e * e)
-    r = u + e * g
-    resid = math.sqrt(r * r)
-    _check_gradient(0, theta, resid, g)
-    lam, w, iters = 0.0, None, 0
-    while resid > cfg.grad_tol * max(1.0, math.sqrt(2.0 * objective)) \
-            and iters < cfg.max_iters:
-        if w is None:  # M - lam I, once per accepted point
-            h = np.asarray(landscape.hessian(theta_arr), dtype=float)
-            w = g * g + e * float(h[0, 0])
-            if not math.isfinite(w):
-                raise ProjectionDivergence(iters, math.sqrt(theta * theta),
-                                           "non-finite Hessian")
-        while not 1.0 + lam + w > 0.0:  # damp until M is positive definite
-            lam = _raise_damping(lam)
-        theta_trial = theta - r / (1.0 + lam + w)
-        u_trial = theta_trial - theta_c
-        iters += 1
-        trial_arr = np.array([theta_trial])
-        v_trial, backward = landscape.forward(trial_arr)
-        e_trial = v_trial - y_c
-        if not math.isfinite(e_trial):
-            raise ProjectionDivergence(iters, math.sqrt(theta_trial * theta_trial),
-                                       "non-finite loss value")
-        trial_objective = 0.5 * (u_trial * u_trial + e_trial * e_trial)
-        if trial_objective <= objective * (1.0 + NOISE_SLACK):
-            g_trial_arr = backward()
-            g_trial = float(g_trial_arr[0])
-            r_trial = u_trial + e_trial * g_trial
-            resid_trial = math.sqrt(r_trial * r_trial)
-            if trial_objective < objective or resid_trial < resid:
-                theta_arr, g_arr = trial_arr, g_trial_arr
-                theta, v, g, e, r = theta_trial, v_trial, g_trial, e_trial, r_trial
-                objective, w, resid = trial_objective, None, resid_trial
-                _check_gradient(iters, theta, resid, g)
-                lam /= DAMPING_FACTOR
-                continue
-        lam = _raise_damping(lam)
-    return GraphPoint(theta=theta_arr, y=v, grad=g_arr), iters, resid
-
-
-def _check_gradient(iters: int, theta: float, resid: float, g: float) -> None:
-    """_residual_terms' check at d = 1: a non-finite residual or gradient at
-    an accepted point ends the solve."""
-    if not (math.isfinite(resid) and math.isfinite(g * g)):
-        raise ProjectionDivergence(iters, math.sqrt(theta * theta), "non-finite gradient")
-
-
 def _residual_terms(iters: int, theta: Array, resid: float, g: Array,
                     u: Array) -> tuple[float, float]:
     """g.g and g.u at an accepted point with residual norm resid; a
@@ -408,7 +347,7 @@ def rbo_step(landscape: Landscape, state: BallState, eta: float,
 def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
          hyperparameters: dict[str, Any], step: Callable, seed: int | None = None,
          keep_records: bool = True, rho: float | None = None,
-         minibatches: bool = True) -> Trajectory:
+         minibatches: bool = True, start: Callable | None = None) -> Trajectory:
     """The step loop of every optimizer: steps+1 records, or with
     keep_records=False only the last.
 
@@ -421,10 +360,12 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     record then serves only the record, so a lean run (keep_records=False)
     evaluates only its final record, on the minibatch of its step. With rho
     (rbo), a record the loop makes carries the center of the ball resting on
-    its point. A step that raises Divergence ends the run, which keeps its
-    records and names the failing step. RULES check the hyperparameters first.
-    The seed goes into the header, so every stochastic run replays from its
-    metadata: without one, the run draws its seed from fresh entropy.
+    its point; start(theta0), if given, makes the first point and record 0,
+    and a step returning no next point settles the run (the 1D roll). A
+    step that raises Divergence ends the run, which keeps its records and
+    names the failing step. RULES check the hyperparameters first. The seed
+    goes into the header, so every stochastic run replays from its metadata:
+    without one, the run draws its seed from fresh entropy.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (landscape.dim,):
@@ -443,8 +384,12 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
 
     lean = rng is not None and not keep_records
     theta, view, done = theta0, landscape, 0  # view: the oracle of record `done`
-    point = None if lean else _graph_point(landscape, theta0)
-    records = [] if lean else [record(0, point)]
+    if start is not None:
+        point, rec = start(theta0)
+    else:
+        point = None if lean else _graph_point(landscape, theta0)
+        rec = None if lean else record(0, point)
+    records = [] if lean else [rec]
     error = None
     for t in range(1, steps + 1):
         step_view = landscape
@@ -463,22 +408,91 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
                 continue
             nxt = _graph_point(view, theta)
             rec = record(t, nxt)
-        point, theta = nxt, nxt.theta
+        point, theta = nxt, rec.theta
         if keep_records or not records:
             records.append(rec)
         else:
             records[-1] = rec
+        if nxt is None:  # the step settled the run
+            break
     if not records:  # a lean run whose steps made no record
         records = [record(done, _graph_point(view, theta))]
     return Trajectory(header=header, records=records, error=error)
+
+
+def _roll(landscape: Landscape, rho: float, eta: float,
+          cfg: ProjectionConfig) -> tuple[Callable, Callable]:
+    """start and step (see _run) of a deterministic 1D run: the center rolls
+    on the sampled upper offset phi_rho at h = rho / 100 (geometry._Lattice).
+    A ball (x, phi, t, f(t), g) is the center over x, its contact and the
+    slope g = (t - x) / circ(t - x) of the winning arc, f'(t) at an exact
+    interior contact. A step tries x - a g from a = eta, halving a until phi
+    falls by ARMIJO |x' - x| |g|, and after a trial whose slope has the other
+    sign the center resting on both contacts. It settles the run in place if
+    that center is x (within SETTLE_TOL * h), if a |g| <= SETTLE_TOL * h or
+    |g| <= grad_tol, or after max_iters phi evaluations (projection_iters)."""
+    h, lattice = rho / 100.0, None
+
+    def ball(x: float, checked: bool = True) -> tuple:
+        if checked and not (abs(x) <= DIVERGENCE_LIMIT and abs(x) + lattice.w < 2.0 ** 53 * h):
+            raise Divergence(f"center diverged, |theta| = {abs(x):.3e}")
+        v, c, fc = lattice.phi(x)
+        if checked and not math.isfinite(v):
+            raise Divergence(f"non-finite loss value in the window of theta = {x!r}")
+        return x, v, c, fc, (c - x) / _circ(c - x, rho)
+
+    def record(t: int, b: tuple, evals: int) -> StepRecord:
+        x, v, c, fc, g = b
+        return _record(t, GraphPoint(np.array([c]), fc, np.array([g])), np.array([x, v]), evals)
+
+    def start(theta0: Array) -> tuple[tuple, StepRecord]:
+        nonlocal lattice
+        _check_offset_args(landscape, rho, h, theta0=float(theta0[0]))
+        lattice = _Lattice(landscape, rho, h)
+        b = ball(float(theta0[0]), checked=False)
+        return b, record(0, b, 0)
+
+    def step(view: Landscape, cur: tuple, t: int) -> tuple[tuple | None, StepRecord]:
+        x, v, c, fc, g = cur
+        if not math.isfinite(v):  # record 0's ball: the others are checked
+            raise Divergence(f"non-finite loss value in the window of theta = {x!r}")
+        a, evals, kink = eta, 0, None
+        while abs(g) > cfg.grad_tol and a * abs(g) > SETTLE_TOL * h and evals < cfg.max_iters:
+            xt = x - a * g if kink is None else kink
+            new = ball(xt)
+            _, vt, ct, ft, gt = new
+            evals += 1
+            if vt <= v - ARMIJO * abs(xt - x) * abs(g):
+                return new, record(t, new, evals)
+            d2 = (ct - c) ** 2 + (ft - fc) ** 2
+            if kink is None and gt * g < 0.0 and 0.0 < d2 < 4.0 * rho * rho:
+                # the upper intersection of the radius-rho circles around both contacts
+                kink = (c + ct) / 2 - math.copysign(math.sqrt(rho * rho / d2 - 0.25), ct - c) \
+                    * (ft - fc)
+                if abs(kink - x) <= SETTLE_TOL * h:
+                    break
+            else:
+                a, kink = a / 2.0, None
+        return None, record(t, cur, evals)
+
+    return start, step
 
 
 def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
             steps: int, cfg: ProjectionConfig = ProjectionConfig(),
             seed: int | None = None, keep_records: bool = True) -> Trajectory:
     """Roll the ball for `steps` updates (see _run for the records, the
-    minibatches and aborts). A step's record costs no oracle call, so a lean
-    run lifts theta0 on the full data only if no step completes."""
+    minibatches and aborts). On a deterministic 1D landscape the center
+    rolls on the offset (_roll), and the run ends at the step that settles
+    it. Otherwise each step is rbo_step, and a step's record costs no oracle
+    call, so a lean run lifts theta0 on the full data only if no step
+    completes."""
+    hyper = {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
+             "grad_tol": cfg.grad_tol}
+    if landscape.dim == 1 and not landscape.is_stochastic:
+        start, step = _roll(landscape, rho, eta, cfg)
+        return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records,
+                    start=start)
     ball = None  # the last step's ball, reused while the loop carries its contact
 
     def step(view: Landscape, point: GraphPoint, t: int):
@@ -488,10 +502,7 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
         ball, rec = rbo_step(view, ball, eta, cfg, t=t)
         return ball.contact, rec
 
-    return _run("rbo", landscape, theta0, steps,
-                {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
-                 "grad_tol": cfg.grad_tol},
-                step, seed, keep_records, rho=rho)
+    return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records, rho=rho)
 
 
 def _descent_step(eta: float, sam_rho: float | None = None) -> Callable:

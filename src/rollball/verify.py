@@ -257,9 +257,10 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
     """Rolling-ball trajectories collapse onto plain gradient descent as the
     radius shrinks.
 
-    gap(rho) = max over t of |theta_rbo(t) - theta_gd(t)|. Passes iff the
-    gaps are non-increasing along the (strictly decreasing) radii and the
-    last gap is below eps. A diverged rolling-ball run fails the check.
+    gap(rho) = max over t of |theta_rbo(t) - theta_gd(t)|, where a settled
+    rolling-ball run holds still after its last record. Passes iff the gaps
+    are non-increasing along the (strictly decreasing) radii and the last
+    gap is below eps. A diverged rolling-ball run fails the check.
     """
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])) or len(rhos) < 1:
         raise ValueError("rhos must be strictly decreasing")
@@ -270,22 +271,21 @@ def check_gd_limit(landscape: Landscape, theta0, eta: float = 0.1, steps: int = 
     gd_thetas = gd.thetas()
 
     observations: list[Observation] = []
-    gaps: list[float] = []
+    keys, gaps = [], []
     for rho in rhos:
         traj = run_rbo(landscape, theta0, rho, eta, steps)
         if traj.error is not None:
             observations.append(_obs(f"rbo_diverged(rho={rho:g})", 1.0, 0.0))
-            gaps.append(math.nan)
             continue
-        gap = float(np.max(np.linalg.norm(traj.thetas() - gd_thetas, axis=1)))
-        gaps.append(gap)
+        thetas = traj.thetas()
+        keys.append(rho)
+        gaps.append(float(np.max(np.linalg.norm(gd_thetas - np.concatenate(
+            [thetas, thetas[-1:].repeat(len(gd_thetas) - len(thetas), 0)]), axis=1))))
 
-    valid = [g for g in gaps if not math.isnan(g)]
-    keys = [r for r, g in zip(rhos, gaps) if not math.isnan(g)]
-    observations += [_obs(f"gap(rho={r:g})", g, None) for r, g in zip(keys[:-1], valid[:-1])]
-    observations += _monotone_obs("gap", valid, keys)
-    if valid:
-        observations.append(_obs(f"gap(rho={keys[-1]:g})", valid[-1], eps))
+    observations += [_obs(f"gap(rho={r:g})", g, None) for r, g in zip(keys[:-1], gaps[:-1])]
+    observations += _monotone_obs("gap", gaps, keys)
+    if gaps:
+        observations.append(_obs(f"gap(rho={keys[-1]:g})", gaps[-1], eps))
     return _report("gd-limit", observations, f"final gap bound eps = {eps:g}")
 
 

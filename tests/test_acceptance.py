@@ -51,7 +51,7 @@ def test_criterion_01_distance_invariant():
         for r in traj.records)
     ok = drift <= 1e-9 * rho and elapsed < 10.0
     assert verdict(1, ok, f"max |dist(center, contact) - rho| = {drift:.3e} "
-                          f"<= 1e-9*rho over 501 records in {elapsed:.2f}s")
+                          f"<= 1e-9*rho over {len(traj.records)} records in {elapsed:.2f}s")
 
 
 def test_criterion_02_gd_limit():

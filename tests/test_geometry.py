@@ -448,6 +448,35 @@ def test_offset_cut_keeps_each_rows_own_edge():
     np.testing.assert_array_equal(prof.values, full_window_profile(ls, 100.0, h, prof.thetas))
 
 
+def _spike(c, width):
+    """A unit spike on a floor at -1: f = -1 + 2 max(0, 1 - |t - c| / width),
+    with value_bound 1 and slope_bound 2 / width. Each row maximum sits low,
+    so a candidate the scan must not read can win."""
+    def f_batch(t):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        return -1.0 + 2.0 * np.maximum(0.0, 1.0 - np.abs(t - c) / width)
+
+    return Landscape(dim=1, forward=lambda t: (float(f_batch(t)[0]), None), name="spike",
+                     value_bound=1.0, slope_bound=2.0 / width, f_batch=f_batch)
+
+
+def test_offset_scan_reads_no_gap_and_no_point_past_a_row():
+    # rho=10: the spike's candidate 1 + sqrt(100 - 4.7^2) = 9.83 is each row's
+    # maximum, and pass 2 skips the floor's blocks near the anchors, whose arcs
+    # reach 10: a gap filled with 0 instead of -inf would win there
+    ls, h = _spike(4.7, 0.5), 1e-3
+    assert offset_value(ls, 10.0, 0.0, h) == full_window_profile(ls, 10.0, h, [0.0])[0]
+    prof = offset_profile(ls, 10.0, 0.0, 20 * h, theta_step=5 * h, h=h)
+    np.testing.assert_array_equal(prof.values, full_window_profile(ls, 10.0, h, prof.thetas, k=5))
+    # rho=1: theta 0 on the lattice has 201 window points, the others 200. The
+    # window of 1.37 h ends at 101 h, and the spike's top is the next point, its
+    # arc clamped near 0: read past that row's end, 1 would beat its maximum 0
+    ls, h = _spike(1.02, 0.01), 0.01
+    prof = offset_profile(ls, 1.0, 0.0, 4.11 * h, theta_step=1.37 * h, h=h)
+    np.testing.assert_array_equal(prof.values, full_window_profile(ls, 1.0, h, prof.thetas))
+    assert prof.values[1] < 1.0
+
+
 def test_offset_tie_keeps_theta():
     # a lattice point 1e-12 from theta has the arc height rho, as theta has:
     # on a constant landscape the two candidates tie and the contact stays theta

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollball.landscape import (Landscape, affine_plus_bump, quadratic, riemann,
-                                sinusoid)
+from rollball.landscape import Landscape, affine_plus_bump, quadratic, riemann
+from rollball import geometry
+from rollball.geometry import GridSpec, distances_to_graph, offset_value
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, _graph_point,
-                                _project_1d, _project_general, lift,
-                                project_footpoint, rbo_step, run_gd, run_rbo,
-                                run_sam, run_sgd)
+                                _project_general, lift, project_footpoint, rbo_step,
+                                run_gd, run_rbo, run_sam, run_sgd)
 
 PARABOLA = quadratic(np.array([[2.0]]))  # f = theta^2
 HALF_SQ = quadratic(np.array([[1.0]]))   # f = theta^2 / 2
@@ -141,11 +141,24 @@ def test_rbo_step_fixed_at_critical_point():
 @given(st.floats(min_value=0.05, max_value=2.0))
 @settings(max_examples=20, deadline=None)
 def test_rbo_eta_zero_never_moves(rho):
+    # a zero step moves nothing, so the first step settles the run where it starts
     traj = run_rbo(PARABOLA, np.array([0.8]), rho=rho, eta=0.0, steps=5,
                    cfg=ProjectionConfig())
-    assert traj.error is None
+    assert traj.error is None and len(traj.records) == 2
     for rec in traj.records:
-        np.testing.assert_allclose(rec.theta, [0.8], atol=1e-10)
+        assert rec.center[0] == 0.8
+        assert np.array_equal(rec.theta, traj.records[0].theta)
+
+
+def brute_offset(f, rho, x):
+    """(phi, contact) of the center over x, by brute force: the maximum of
+    f(j h) + sqrt(rho^2 - (j h - x)^2) over every lattice point within rho
+    of x, h = rho / 100, and the lattice point that attains it."""
+    h = rho / 100.0
+    t = np.arange(math.ceil((x - rho) / h), math.floor((x + rho) / h) + 1) * h
+    t = t[np.abs(t - x) < rho]
+    c = f(t) + np.sqrt(rho * rho - (t - x) ** 2)
+    return float(c.max()), float(t[np.argmax(c)])
 
 
 def test_run_rbo_record_shape_and_initial_row():
@@ -154,10 +167,13 @@ def test_run_rbo_record_shape_and_initial_row():
     assert traj.error is None
     assert len(traj.records) == 8  # T updates -> T+1 records
     r0 = traj.records[0]
-    assert r0.t == 0 and r0.loss == 1.0 and r0.grad_norm == 2.0
+    phi, t = brute_offset(lambda t: t * t, 0.5, 1.0)
+    # the ball starts over theta0 and records its contact as theta
+    assert r0.t == 0 and r0.center[0] == 1.0
+    assert r0.center[1] == pytest.approx(phi, abs=1e-14)
+    assert r0.theta[0] == pytest.approx(t, abs=1e-14) and r0.loss == pytest.approx(t * t)
+    assert r0.grad_norm == pytest.approx((t - 1.0) / math.sqrt(0.25 - (t - 1.0) ** 2))
     assert r0.projection_iters == 0 and r0.projection_residual == 0.0
-    np.testing.assert_allclose(
-        r0.center, lift(PARABOLA, np.array([1.0]), 0.5).center, atol=1e-15)
     assert [r.t for r in traj.records] == list(range(8))
     assert traj.header.optimizer == "rbo"
     assert traj.header.hyperparameters["rho"] == 0.5
@@ -171,6 +187,8 @@ def test_run_rbo_validates_arguments():
         run_rbo(PARABOLA, np.array([1.0]), rho=1.0, eta=0.1, steps=-1)
     with pytest.raises(ValueError):
         run_rbo(PARABOLA, np.array([1.0]), rho=-1.0, eta=0.1, steps=2)
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        run_rbo(PARABOLA, np.array([math.nan]), rho=1.0, eta=0.1, steps=2)
 
 
 @pytest.mark.parametrize("start, key", [
@@ -193,15 +211,22 @@ def test_direct_runs_reject_a_hyperparameter_before_any_oracle_call(start, key):
 
 
 def test_rbo_on_affine_landscape_tracks_gd():
-    # constant gradient: rolling and re-projecting reduces to a plain
-    # gradient step, so the two trajectories coincide
-    ls = affine_plus_bump(0.7, 0.3, "sin", amplitude=0.0)
+    # constant gradient a: the offset of a line is the line lifted, its
+    # contact s* = rho a / sqrt(1 + a^2) ahead of the center, so the center
+    # takes plain gradient steps. The lattice contact lies within h of s*,
+    # and its arc's slope within h rho^2 / circ^3 of a, per step
+    a, rho, eta, steps = 0.7, 1.0, 0.05, 20
+    ls = affine_plus_bump(a, 0.3, "sin", amplitude=0.0)
     theta0 = np.array([2.0])
-    rbo = run_rbo(ls, theta0, rho=1.0, eta=0.05, steps=20,
+    rbo = run_rbo(ls, theta0, rho=rho, eta=eta, steps=steps,
                   cfg=ProjectionConfig(grad_tol=1e-14, max_iters=400))
-    gd = run_gd(ls, theta0, eta=0.05, steps=20)
-    assert rbo.error is None and gd.error is None
-    np.testing.assert_allclose(rbo.thetas(), gd.thetas(), atol=1e-9)
+    gd = run_gd(ls, theta0, eta=eta, steps=steps)
+    assert rbo.error is None and gd.error is None and len(rbo.records) == steps + 1
+    h, s = rho / 100, rho * a / math.hypot(1.0, a)
+    centers = np.array([r.center[0] for r in rbo.records])
+    np.testing.assert_allclose(rbo.thetas()[:, 0] - centers, s, atol=h)
+    slack = steps * eta * h * rho ** 2 / (rho * rho - (s + h) ** 2) ** 1.5
+    np.testing.assert_allclose(centers, gd.thetas()[:, 0], atol=slack)
 
 
 def test_gd_closed_form_on_quadratic():
@@ -349,11 +374,14 @@ def counting(landscape):
     return dataclasses.replace(landscape, forward=counting_forward(landscape, calls)), calls
 
 
-@pytest.mark.parametrize("landscape", [PARABOLA, dataclasses.replace(PARABOLA, hessian=None)],
+BOWL = quadratic(np.diag([2.0, 1.0]))  # a 2D bowl: its rbo steps project
+
+
+@pytest.mark.parametrize("landscape", [BOWL, dataclasses.replace(BOWL, hessian=None)],
                          ids=["newton", "gauss-newton"])
 def test_rbo_makes_one_fused_call_per_trial(landscape):
     ls, calls = counting(landscape)
-    traj = run_rbo(ls, np.array([1.0]), rho=0.2, eta=0.1, steps=30)
+    traj = run_rbo(ls, np.array([1.0, -0.5]), rho=0.2, eta=0.1, steps=30)
     assert traj.error is None
     assert capped_share(traj) == 0.0
     assert calls["forward"] == sum(r.projection_iters for r in traj.records) + 1
@@ -361,70 +389,12 @@ def test_rbo_makes_one_fused_call_per_trial(landscape):
 
 
 # ---------------------------------------------------------------------------
-# the one-dimensional Newton loop against the general loop, bit for bit
+# divergence inside the projection
 # ---------------------------------------------------------------------------
-
-def bits(x) -> bytes:
-    return np.asarray(x, dtype=float).tobytes()
-
-
-def both_loops(landscape, candidate, warm, cfg):
-    """What each projection loop returns from the same start, or the
-    ProjectionDivergence it raises."""
-    out = []
-    for solve in (_project_general, _project_1d):
-        point = _graph_point(landscape, np.array([warm]))
-        try:
-            out.append(solve(landscape, np.array(candidate, dtype=float), point, cfg))
-        except ProjectionDivergence as exc:
-            out.append(exc)
-    return out
-
-
-def assert_same_projection(general, scalar):
-    if isinstance(general, ProjectionDivergence):
-        assert type(scalar) is type(general)
-        assert (scalar.iteration, bits(scalar.norm), str(scalar)) == \
-            (general.iteration, bits(general.norm), str(general))
-        return
-    (foot, iters, resid), (foot_1d, iters_1d, resid_1d) = general, scalar
-    assert bits(foot_1d.theta) == bits(foot.theta)
-    assert bits(foot_1d.y) == bits(foot.y)
-    assert bits(foot_1d.grad) == bits(foot.grad)
-    assert (iters_1d, bits(resid_1d)) == (iters, bits(resid))
-
-
-ONE_D_LANDSCAPES = st.one_of(
-    st.integers(1, 100).map(riemann),
-    st.just(sinusoid()),
-    st.floats(1e-3, 1e3).map(lambda a: quadratic(np.array([[a]]))),
-    st.builds(affine_plus_bump, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-              st.sampled_from(["sin", "cos", "gaussian"]), st.floats(-2.0, 2.0)))
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(landscape=ONE_D_LANDSCAPES, theta_c=st.floats(-10.0, 10.0),
-       y_c=st.floats(-10.0, 10.0), warm=st.floats(-10.0, 10.0),
-       max_iters=st.integers(1, 100),
-       grad_tol=st.sampled_from([1e-300, 1e-12, 1e-8, 1e-4, 0.1]))
-# |r| beyond 1.3e154: r * r is inf and the solve stops, where |r| would go on
-@example(landscape=quadratic(np.array([[1e150]])), theta_c=0.0, y_c=0.0, warm=1.0,
-         max_iters=100, grad_tol=1e-8)
-# |r| below 1.5e-154 at the start or at an accepted trial: r * r rounds to 0
-@example(landscape=sinusoid(), theta_c=0.0, y_c=0.0, warm=1e-170, max_iters=100,
-         grad_tol=1e-8)
-@example(landscape=sinusoid(), theta_c=0.0, y_c=0.0, warm=1e-3, max_iters=100,
-         grad_tol=1e-300)
-def test_1d_newton_loop_is_bitwise_the_general_loop(landscape, theta_c, y_c, warm,
-                                                    max_iters, grad_tol):
-    assert_same_projection(*both_loops(landscape, [theta_c, y_c], warm,
-                                       ProjectionConfig(max_iters, grad_tol)))
-
 
 def poisoned(oracle: str) -> Landscape:
     """f = theta^2 / 2 whose named oracle (loss, gradient or Hessian) is not
-    finite beyond theta = 0.9."""
+    finite beyond theta = 0.9; its f_batch is the loss oracle's."""
     def forward(theta):
         t = float(theta[0])
         bad = t > 0.9
@@ -433,7 +403,12 @@ def poisoned(oracle: str) -> Landscape:
 
     def hessian(theta):
         return np.array([[math.inf if theta[0] > 0.9 and oracle == "Hessian" else 1.0]])
-    return Landscape(dim=1, forward=forward, hessian=hessian, name=f"poisoned {oracle}")
+
+    def f_batch(thetas):
+        t = np.asarray(thetas, dtype=float).reshape(-1)
+        return np.where((t > 0.9) & (oracle == "loss"), math.inf, 0.5 * t * t)
+    return Landscape(dim=1, forward=forward, hessian=hessian, f_batch=f_batch,
+                     name=f"poisoned {oracle}")
 
 
 # from theta = 0 toward (2, 0): trial 1 lands on theta = 2, where G does not
@@ -441,26 +416,12 @@ def poisoned(oracle: str) -> Landscape:
 @pytest.mark.parametrize("oracle, iteration, norm", [
     ("loss", 1, 2.0), ("gradient", 2, 1.0), ("Hessian", 2, 1.0)])
 def test_both_loops_diverge_alike(oracle, iteration, norm):
-    general, scalar = both_loops(poisoned(oracle), [2.0, 0.0], 0.0, ProjectionConfig())
-    assert isinstance(general, ProjectionDivergence)
-    assert (general.iteration, general.norm) == (iteration, norm)
-    assert f"non-finite {oracle}" in str(general)
-    assert_same_projection(general, scalar)
-
-
-def test_every_projection_of_a_1d_run_goes_through_the_module_function(monkeypatch):
-    """The benchmark times projections by rebinding
-    optimizer.project_footpoint, so the one-dimensional loop must run
-    inside it, not beside it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].dim)
-        return project_footpoint(*args, **kwargs)
-    monkeypatch.setattr("rollball.optimizer.project_footpoint", counted)
-    traj = run_rbo(riemann(100), np.array([2.0]), rho=1.0, eta=0.1, steps=20)
-    assert traj.error is None
-    assert calls == [1] * 20
+    landscape = poisoned(oracle)
+    with pytest.raises(ProjectionDivergence) as exc:
+        _project_general(landscape, np.array([2.0, 0.0]),
+                         _graph_point(landscape, np.array([0.0])), ProjectionConfig())
+    assert (exc.value.iteration, exc.value.norm) == (iteration, norm)
+    assert f"non-finite {oracle}" in str(exc.value)
 
 
 def test_descent_reuses_the_record_gradient():
@@ -510,13 +471,16 @@ def stretched_parabola():
 
 def capped_parabola():
     """f = -theta^2 / 2, not finite beyond |theta| = 3: the ball rolls
-    outward and its projection fails a few steps later."""
+    outward and meets the non-finite values a few steps later."""
     cap = quadratic(np.array([[-1.0]]))
 
     def forward(theta):
         v, backward = cap.forward(theta)
         return (v if abs(theta[0]) < 3.0 else math.nan), backward
-    return dataclasses.replace(cap, forward=forward), np.array([0.5])
+
+    def f_batch(thetas):
+        return np.where(np.abs(thetas[:, 0]) < 3.0, cap.f_batch(thetas), math.nan)
+    return dataclasses.replace(cap, forward=forward, f_batch=f_batch), np.array([0.5])
 
 
 def assert_final_record_only(lean, full):
@@ -534,7 +498,11 @@ def assert_final_record_only(lean, full):
 def test_keep_records_false_keeps_the_final_record(make, optimizer):
     landscape, theta0 = make()
     full = lean_run(optimizer, landscape, theta0)
-    assert full.error is None and len(full.records) == 13
+    assert full.error is None
+    # a deterministic 1D rbo run ends early at the step that settles it
+    settled = (optimizer == "rbo" and not landscape.is_stochastic
+               and np.array_equal(full.records[-1].center, full.records[-2].center))
+    assert len(full.records) == 13 or settled and len(full.records) < 13
     assert_final_record_only(lean_run(optimizer, landscape, theta0, keep_records=False), full)
 
 
@@ -619,3 +587,104 @@ def test_minibatch_and_full_data_calls_per_run(optimizer, view_calls, full_calls
         ls, calls = counting_views(landscape, counting_forward(landscape, full_data))
         assert lean_run(optimizer, ls, theta0, keep_records=keep_records).error is None
         assert (calls["forward"], full_data["forward"]) == (views, full)
+
+
+# ---------------------------------------------------------------------------
+# the 1D roll on the sampled offset
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta0", [1.7, -0.4, 0.0, 2.5])
+@pytest.mark.parametrize("a", [2.0, 4.0], ids=["theta^2", "2theta^2"])
+def test_the_roll_settles_on_both_walls_of_a_sharp_parabola(a, theta0):
+    # f = a theta^2 / 2 with a > 1 / rho: the ball rests on both walls, at the
+    # contacts +-t whose normals meet on the axis, sqrt(1 + a^2 t^2) = rho a,
+    # at height a t^2 / 2 + 1 / a (1.25 and 2.125 at rho = 1)
+    rho, h = 1.0, 0.01
+    t = math.sqrt(rho * rho * a * a - 1.0) / a
+    traj = run_rbo(quadratic(np.array([[a]])), np.array([theta0]), rho, 0.1, 500)
+    assert traj.error is None and len(traj.records) < 501
+    last, before = traj.records[-1], traj.records[-2]
+    assert np.array_equal(last.center, before.center)  # the settled state, recorded again
+    assert np.array_equal(last.theta, before.theta)
+    assert abs(last.center[0]) <= h
+    assert last.center[1] == pytest.approx(a * t * t / 2 + 1.0 / a, abs=h)
+    assert abs(abs(last.theta[0]) - t) <= h
+
+
+@pytest.mark.parametrize("rho, penetration", [(0.1, 0.005), (1.0, 0.05)])
+def test_every_center_of_a_riemann_roll_is_on_the_offset(rho, penetration):
+    # each center against offset_value, which adds theta's own candidate to the
+    # lattice, and against the graph sampled 100 times finer than the lattice
+    ls = riemann(100)
+    traj = run_rbo(ls, np.array([2.0]), rho, rho / 10, 500)
+    assert traj.error is None
+    centers = np.array([r.center for r in traj.records])
+    gaps = [offset_value(ls, rho, float(x), rho / 100) - y for x, y in centers]
+    assert max(gaps) <= 1e-12
+    grid = GridSpec((centers[:, 0].min() - 2 * rho,), (centers[:, 0].max() + 2 * rho,), 1e-4)
+    assert rho - distances_to_graph(ls, centers, grid).min() <= penetration
+    for r in traj.records:
+        contact = np.array([r.theta[0], r.loss])
+        assert abs(np.linalg.norm(r.center - contact) - rho) <= 1e-9 * rho
+
+
+def test_a_second_phi_near_the_first_reads_no_new_points():
+    calls, base = [], riemann(100)
+
+    def f_batch(thetas):
+        calls.append(len(thetas))
+        return base.f_batch(thetas)
+    lattice = geometry._Lattice(dataclasses.replace(base, f_batch=f_batch), 1.0, 0.01)
+    for x in (2.0, 2.3, 1.95):
+        phi, t = brute_offset(lambda t: base.f_batch(t[:, None]), 1.0, x)
+        assert lattice.phi(x)[:2] == (pytest.approx(phi, abs=1e-14), t)
+    assert calls == [geometry._CACHE_BLOCK]
+
+
+def test_a_roll_scans_one_window_per_phi_evaluation(monkeypatch):
+    scans, phi = [], geometry._Lattice.phi
+    monkeypatch.setattr(geometry._Lattice, "phi", lambda self, x: scans.append(x) or phi(self, x))
+    ls, calls = counting(dataclasses.replace(riemann(100), hessian=forbidden))
+    traj = run_rbo(ls, np.array([2.0]), rho=1.0, eta=0.1, steps=500)
+    assert traj.error is None
+    assert len(scans) == sum(r.projection_iters for r in traj.records) + 1
+    assert calls == {"forward": 0, "backward": 0}
+
+
+def test_a_small_radius_roll_holds_at_most_the_cache_blocks(monkeypatch):
+    # gd-limit's smallest radius: h = 1e-6, and the run crosses 10^6 lattice points
+    held, phi = [], geometry._Lattice.phi
+
+    def counted(self, x):
+        out = phi(self, x)
+        held.append(self.f.size)
+        return out
+    monkeypatch.setattr(geometry._Lattice, "phi", counted)
+    traj = run_rbo(HALF_SQ, np.array([1.0]), rho=1e-4, eta=0.1, steps=50)
+    assert traj.error is None
+    assert max(held) <= geometry._CACHE_BLOCKS * geometry._CACHE_BLOCK
+
+
+@pytest.mark.parametrize("theta0", [1e17, -1e300])
+def test_a_far_out_1d_start_is_a_value_error_naming_theta0(theta0):
+    ls = dataclasses.replace(riemann(100), forward=forbidden, f_batch=forbidden)
+    with pytest.raises(ValueError, match="^theta0 .* too far out"):
+        run_rbo(ls, np.array([theta0]), 1.0, 0.1, 2)
+
+
+# f = -theta rolls the ball right by about eta per step; at rho = 1e-4 the
+# lattice index 2^53 lies at 9.007e9, below DIVERGENCE_LIMIT, at rho = 1 beyond it
+@pytest.mark.parametrize("theta0, rho, eta", [(2.0 ** 53 * 1e-6 - 10.0, 1e-4, 100.0),
+                                              (5e11, 1.0, 1e12)], ids=["2^53", "limit"])
+def test_a_step_out_of_range_ends_the_run(theta0, rho, eta):
+    ls = affine_plus_bump(-1.0, 0.0, "sin", amplitude=0.0)
+    traj = run_rbo(ls, np.array([theta0]), rho, eta, 5)
+    assert traj.error.startswith("step 1:") and "center diverged" in traj.error
+    assert len(traj.records) == 1
+
+
+@pytest.mark.parametrize("theta0, eta", [(2.0, 0.1), (-0.5, 3.0)], ids=["start", "step"])
+def test_a_non_finite_loss_in_a_window_ends_the_run(theta0, eta):
+    traj = run_rbo(poisoned("loss"), np.array([theta0]), 0.1, eta, 10)
+    assert traj.error.startswith("step 1:") and "non-finite loss" in traj.error
+    assert len(traj.records) == 1

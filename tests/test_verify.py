@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rollball.landscape import quadratic, riemann, sinusoid
+from rollball.optimizer import run_rbo
 from rollball.serialize import check_report_to_dict, write_check_report_json
 from rollball.verify import (CheckReport, Observation, available_checks,
                              check_gd_limit, check_linear_ironing,
@@ -180,35 +181,38 @@ class TestOpenUnreachables:
 # gradient-descent limit
 # ---------------------------------------------------------------------------
 
-def exact_half_square_rbo(theta0: float, rho: float, eta: float,
-                          steps: int) -> np.ndarray:
-    """Rolling-ball thetas on f = theta^2 / 2 with exact foot points: the foot
-    of a candidate (x, y) is the real root of theta^3 / 2 + (1 - y) theta - x
-    = 0 closest to it."""
-    thetas = [theta0]
-    for _ in range(steps):
-        th = thetas[-1]
-        center = np.array([th, th * th / 2]) + rho * np.array([-th, 1.0]) / math.hypot(1.0, th)
-        x, y = center - eta * np.array([th, th * th])
-        roots = np.roots([0.5, 0.0, 1.0 - y, -x])
-        real = roots[np.abs(roots.imag) < 1e-12].real
-        thetas.append(float(real[np.argmin((real - x) ** 2 + (real * real / 2 - y) ** 2)]))
-    return np.array(thetas)
+def exact_half_square_offset(x: float, rho: float) -> tuple[float, float]:
+    """(phi, contact) of the exact upper offset of f = theta^2 / 2 over x, rho
+    < 1: the contact t solves x = t - rho t / sqrt(1 + t^2), which increases
+    with t, found by bisection, and phi = t^2 / 2 + rho / sqrt(1 + t^2)."""
+    lo, hi = x - rho, x + rho
+    for _ in range(100):
+        t = (lo + hi) / 2
+        lo, hi = (t, hi) if t - rho * t / math.hypot(1.0, t) < x else (lo, t)
+    return t * t / 2 + rho / math.hypot(1.0, t), t
 
 
 class TestGdLimit:
     def test_frozen_gaps(self):
-        report = check_gd_limit(quadratic(np.array([[1.0]])), 1.0)
+        landscape = quadratic(np.array([[1.0]]))
+        report = check_gd_limit(landscape, 1.0)
         assert report.passed
         obs = by_parameter(report)
         gd = 0.9 ** np.arange(51)
-        expected = {0.1: 0.0312850, 0.01: 0.0083795, 0.001: 0.0065709, 0.0001: 0.0063993}
-        for rho, approx in expected.items():
-            gap = float(np.max(np.abs(exact_half_square_rbo(1.0, rho, 0.1, 50) - gd)))
-            assert gap == pytest.approx(approx, rel=1e-5)
-            # each foot point is solved to 1e-8; the descent map contracts by
-            # 0.9 per step, so the errors add up to at most 1e-8 / (1 - 0.9)
-            assert obs[f"gap(rho={rho:g})"].value == pytest.approx(gap, abs=1e-7)
+        for rho in (0.1, 0.01, 0.001, 0.0001):
+            traj = run_rbo(landscape, np.array([1.0]), rho, 0.1, 50)
+            h = rho / 100
+            for r in traj.records:
+                # the lattice offset is the maximum over a subset of the exact
+                # one's candidates: below it by at most h^2 / rho at the nearest
+                # lattice point, its contact a lattice neighbour of the exact one
+                phi, t = exact_half_square_offset(float(r.center[0]), rho)
+                assert -1e-12 <= phi - r.center[1] <= h * h / rho
+                assert abs(r.theta[0] - t) <= h
+            thetas = traj.thetas()[:, 0]  # held at the last record once settled
+            thetas = np.append(thetas, np.full(51 - thetas.size, thetas[-1]))
+            assert obs[f"gap(rho={rho:g})"].value == pytest.approx(
+                float(np.max(np.abs(thetas - gd))), abs=1e-12)  # gd's rounding
         assert obs["gap(rho=0.0001)"].bound == 1e-2
 
     def test_diverged_reference_raises(self):
