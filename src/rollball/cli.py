@@ -286,7 +286,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         serialize.write_trajectory_csv(traj, cfg.out)
     else:
-        serialize.write_trajectory_json(traj, cfg.out)
+        serialize.write_json(serialize.trajectory_to_dict(traj), cfg.out)
     last = traj.records[-1]
     print(f"{cfg.optimizer} on {landscape.name}: {len(traj.records)} records, "
           f"final loss {last.loss!r}, |theta| {float(np.linalg.norm(last.theta))!r} "
@@ -357,7 +357,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = {name: verify.run_check(name, overrides[name]) for name in names}
     all_passed = True
     for name, report in reports.items():
-        serialize.write_check_report_json(report, out_dir / f"{name}.json")
+        serialize.write_json(serialize.check_report_to_dict(report), out_dir / f"{name}.json")
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({len(report.observations)} observations)")
         if not report.passed:

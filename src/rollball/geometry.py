@@ -44,6 +44,21 @@ def _lattice(a: float, b: float, h: float) -> Array:
     return np.arange(math.ceil(a / h - 1e-9), math.floor(b / h + 1e-9) + 1) * h
 
 
+def _grid_slack(fv: Array, h: float) -> float:
+    """The slack 2 h (1 + max |diff(fv)| / h) of a graph sampled h apart as fv."""
+    lip = float(np.max(np.abs(np.diff(fv)))) / h if fv.size > 1 else 0.0
+    return 2.0 * h * (1.0 + lip)
+
+
+def _check_args(positive: dict[str, float], finite: dict[str, float]) -> None:
+    """A ValueError naming the first value that is not finite, or not above 0
+    where it is one of the positive ones."""
+    for name, x in [*positive.items(), *finite.items()]:
+        if not math.isfinite(x) or (x <= 0 and name in positive):
+            kind = "positive and finite" if name in positive else "finite"
+            raise ValueError(f"{name} must be {kind}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned search box with uniform step, anchored at multiples of step."""
@@ -53,8 +68,9 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        _check_args({"grid step": self.step},
+                    {f"{name}[{i}]": x for name, xs in (("lo", self.lo), ("hi", self.hi))
+                     for i, x in enumerate(xs)})
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same dimension")
         if any(l >= h for l, h in zip(self.lo, self.hi)):
@@ -495,10 +511,7 @@ def _offset_values(landscape: Landscape, rho: float, thetas: Array,
 def _check_offset_args(landscape: Landscape, rho: float, h: float, **thetas: float) -> None:
     if landscape.dim != 1:
         raise ValueError("offset evaluation is 1D only")
-    for name, x in {"rho": rho, "grid step h": h, **thetas}.items():
-        if not math.isfinite(x) or (x <= 0 and name not in thetas):
-            kind = "finite" if name in thetas else "positive and finite"
-            raise ValueError(f"{name} must be {kind}, got {x!r}")
+    _check_args({"rho": rho, "grid step h": h}, thetas)
     if h > rho / 100 * (1 + 1e-9):
         raise ValueError(f"grid step {h} too coarse: need h <= rho/100 = {rho/100}")
     name, x = max(thetas.items(), key=lambda item: abs(item[1]))
@@ -608,24 +621,20 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     graph; the sub-graph half of the sphere trivially touches Gamma at the
     base point itself), and measures their brute-force distance to the
     sampled graph. Unreachable iff every admissible sample sits strictly
-    deeper than the grid slack 2 * grid_step * (1 + local Lipschitz).
+    deeper than the grid slack (_grid_slack of the sampled graph).
     """
     if landscape.dim != 1:
         raise ValueError("unreachability test is 1D only")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
-    h = grid_step
     theta = float(np.asarray(theta, dtype=float).reshape(()))
+    _check_args({"rho": rho, "grid_step": grid_step}, {"theta": theta})
+    h = grid_step
     y0 = landscape.forward(np.array([theta]))[0]
 
     # graph box wide enough to contain the true nearest point of any sphere sample
     half = 2.0 * rho + 10.0 * h
     tg = _lattice(theta - half, theta + half, h)
     fg = eval_batch(landscape, tg)
-    lip = float(np.max(np.abs(np.diff(fg)))) / h if tg.size > 1 else 0.0
-    slack = 2.0 * h * (1.0 + lip)
+    slack = _grid_slack(fg, h)
 
     # fine enough that a genuine tangent direction is missed by < slack/2
     n_sphere = max(4096, 4 * math.ceil(2.0 * math.pi * rho / slack / 4.0))

@@ -219,8 +219,9 @@ def affine_plus_bump(a: float | Array, b: float,
     """f(theta) = <a, theta> + b + amplitude * profile(theta_0).
 
     The profile must be bounded; unbounded perturbations are rejected. The
-    returned landscape exposes the unperturbed affine part and the bump
-    supremum through meta, so verification code can compare the two graphs.
+    returned landscape exposes the bump supremum through meta, so
+    verification code can compare its graph with the affine part's, the same
+    call at amplitude 0.
     """
     if isinstance(profile, str):
         try:
@@ -233,15 +234,6 @@ def affine_plus_bump(a: float | Array, b: float,
     a_vec = np.atleast_1d(np.asarray(a, dtype=float))
     d = a_vec.size
     amp = float(amplitude)
-
-    def affine_forward(theta: Array) -> tuple[float, Callable[[], Array]]:
-        return float(a_vec @ np.asarray(theta, dtype=float) + b), a_vec.copy
-
-    affine = Landscape(
-        dim=d, forward=affine_forward,
-        hessian=lambda theta: np.zeros((d, d)),
-        f_batch=lambda ts: np.asarray(ts, dtype=float) @ a_vec + b,
-        name=f"affine(a={a_vec.tolist()})")
 
     def forward(theta: Array) -> tuple[float, Callable[[], Array]]:
         theta = np.asarray(theta, dtype=float)
@@ -267,7 +259,7 @@ def affine_plus_bump(a: float | Array, b: float,
     return Landscape(
         dim=d, forward=forward, hessian=hessian, f_batch=f_batch,
         name=f"affine_bump(a={a_vec.tolist()},amp={amp},profile={profile.name})",
-        meta={"affine": affine, "bump_sup": abs(amp) * profile.sup,
+        meta={"bump_sup": abs(amp) * profile.sup,
               "profile": profile.name, "amplitude": amp})
 
 

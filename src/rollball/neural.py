@@ -7,7 +7,6 @@ big-endian IDX format that the standard digit benchmark ships in.
 """
 from __future__ import annotations
 
-import enum
 import gzip
 import math
 import os
@@ -31,14 +30,9 @@ MNIST_FILES = {
 }
 
 
-class Activation(str, enum.Enum):
-    RELU = "relu"
-    TANH = "tanh"
-
-
 @dataclass(frozen=True)
 class MlpSpec:
-    """Fully-connected architecture: inputs -> hidden... -> outputs.
+    """Fully-connected ReLU architecture: inputs -> hidden... -> outputs.
 
     The init seed is deliberately not part of the spec; it is an argument
     of init_params, so one architecture can be initialized many ways.
@@ -47,11 +41,9 @@ class MlpSpec:
     inputs: int = 784
     hidden: tuple[int, ...] = (256, 256)
     outputs: int = 10
-    activation: Activation = Activation.RELU
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        object.__setattr__(self, "activation", Activation(self.activation))
         if len(self.hidden) < 1:
             raise ValueError("at least one hidden layer is required")
         if self.inputs < 1 or self.outputs < 2 or any(h < 1 for h in self.hidden):
@@ -118,13 +110,13 @@ def flatten(spec: MlpSpec, layers: list[tuple[Array, Array]]) -> Array:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward(spec: MlpSpec, layers, x: Array) -> tuple[Array, list[Array]]:
-    """Logits plus the post-activation of every hidden layer."""
+def _forward(layers, x: Array) -> tuple[Array, list[Array]]:
+    """Logits plus the ReLU output of every hidden layer."""
     acts = []
     h = x
     for w, b in layers[:-1]:
         z = h @ w + b
-        h = np.maximum(z, 0.0) if spec.activation is Activation.RELU else np.tanh(z)
+        h = np.maximum(z, 0.0)
         acts.append(h)
     w, b = layers[-1]
     return h @ w + b, acts
@@ -151,7 +143,7 @@ def loss_and_backward(spec: MlpSpec, params: Array, images: Array, labels: Array
     if images.ndim != 2 or images.shape[0] == 0:
         raise ValueError("batch must be a non-empty (n, inputs) matrix")
     layers = unflatten(spec, np.asarray(params, dtype=float))
-    logits, acts = _forward(spec, layers, images)
+    logits, acts = _forward(layers, images)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite activations in forward pass")
     loss, dlogits = _softmax_ce(logits, labels)
@@ -169,9 +161,7 @@ def loss_and_backward(spec: MlpSpec, params: Array, images: Array, labels: Array
             delta.sum(axis=0, out=gb)
             if k > 0:
                 delta = delta @ layers[k][0].T
-                a = acts[k - 1]
-                delta = delta * (a > 0.0) if spec.activation is Activation.RELU \
-                    else delta * (1.0 - a * a)
+                delta = delta * (acts[k - 1] > 0.0)
         return grad
 
     return loss, backward
@@ -193,7 +183,7 @@ def evaluate(spec: MlpSpec, params: Array, dataset: "Dataset",
     n = dataset.n
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        logits, _ = _forward(spec, layers, dataset.images[a:b])
+        logits, _ = _forward(layers, dataset.images[a:b])
         loss, _ = _softmax_ce(logits, dataset.labels[a:b])
         total_loss += loss * (b - a)
         correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[a:b]))
@@ -271,8 +261,17 @@ def _read_exact(fh: BinaryIO, count: int, path, what: str) -> bytes:
     return data
 
 
-def _read_u32(fh: BinaryIO, path, what: str) -> int:
-    return int.from_bytes(_read_exact(fh, 4, path, what), "big")
+def _read_idx(path: str | Path, magic: int, dims: tuple[str, ...], body: str,
+              ) -> tuple[list[int], bytes]:
+    """The dimensions and the raw bytes of one IDX file, whose magic number
+    must be `magic`; dims and body name the header fields and the data in
+    error messages."""
+    with _open_binary(path) as fh:
+        got = int.from_bytes(_read_exact(fh, 4, path, "magic"), "big")
+        if got != magic:
+            raise IdxMagicError(f"{path}: wrong magic {got}, expected {magic}")
+        shape = [int.from_bytes(_read_exact(fh, 4, path, what), "big") for what in dims]
+        return shape, _read_exact(fh, math.prod(shape), path, body)
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
@@ -282,24 +281,12 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     2049 with dimension (n,). Pixels are scaled by 1/255. Wrong magic,
     truncation, and image/label count disagreement raise distinct errors.
     """
-    with _open_binary(images_path) as fh:
-        magic = _read_u32(fh, images_path, "magic")
-        if magic != 2051:
-            raise IdxMagicError(f"{images_path}: wrong magic {magic}, expected 2051")
-        n = _read_u32(fh, images_path, "image count")
-        rows = _read_u32(fh, images_path, "row count")
-        cols = _read_u32(fh, images_path, "column count")
-        raw = _read_exact(fh, n * rows * cols, images_path, "pixel data")
+    (n, rows, cols), raw = _read_idx(images_path, 2051,
+                                     ("image count", "row count", "column count"),
+                                     "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-
-    with _open_binary(labels_path) as fh:
-        magic = _read_u32(fh, labels_path, "magic")
-        if magic != 2049:
-            raise IdxMagicError(f"{labels_path}: wrong magic {magic}, expected 2049")
-        n_labels = _read_u32(fh, labels_path, "label count")
-        raw = _read_exact(fh, n_labels, labels_path, "label data")
+    (n_labels,), raw = _read_idx(labels_path, 2049, ("label count",), "label data")
     labels = np.frombuffer(raw, dtype=np.uint8)
-
     if n_labels != n:
         raise IdxCountMismatchError(
             f"{labels_path}: {n_labels} labels for {n} images in {images_path}")

@@ -231,14 +231,7 @@ def project_footpoint(landscape: Landscape, candidate: Array,
     size = float(np.linalg.norm(candidate))
     if not size <= DIVERGENCE_LIMIT:
         raise ProjectionDivergence(0, size, "candidate beyond the limit")
-    return _project_general(landscape, candidate, _with_grad(landscape, warm_start_theta), cfg)
-
-
-def _project_general(landscape: Landscape, candidate: Array, point: GraphPoint,
-                     cfg: ProjectionConfig) -> tuple[GraphPoint, int, float]:
-    """project_footpoint's solve in any dimension, from the evaluated start
-    point; the candidate has passed its checks."""
-    d = landscape.dim
+    point = _with_grad(landscape, warm_start_theta)
     theta_c, y_c = candidate[:d], float(candidate[d])
     theta, v, g = point.theta, point.y, point.grad
     u, e = theta - theta_c, v - y_c
@@ -493,13 +486,9 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
         start, step = _roll(landscape, rho, eta, cfg)
         return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records,
                     start=start)
-    ball = None  # the last step's ball, reused while the loop carries its contact
 
     def step(view: Landscape, point: GraphPoint, t: int):
-        nonlocal ball
-        if ball is None or ball.contact is not point:
-            ball = _rest(point, rho)
-        ball, rec = rbo_step(view, ball, eta, cfg, t=t)
+        ball, rec = rbo_step(view, _rest(point, rho), eta, cfg, t=t)
         return ball.contact, rec
 
     return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records, rho=rho)

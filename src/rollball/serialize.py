@@ -3,8 +3,9 @@
 All CSV files share one dialect: comma separator, '.' decimal point, one
 header row, LF line endings. Floats are written with repr, which is
 shortest-round-trip exact, so identical runs produce byte-identical files.
-JSON output is strict (no NaN/Infinity literals); non-finite measurements
-serialize as null.
+JSON output is strict (no NaN/Infinity literals): write_json writes the
+dicts of trajectory_to_dict and check_report_to_dict, whose non-finite
+numbers are null.
 """
 from __future__ import annotations
 
@@ -28,6 +29,12 @@ def _num(x) -> str:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     return repr(float(x))
+
+
+def _finite_or_none(x: float | None) -> float | None:
+    if x is None or not math.isfinite(x):
+        return None
+    return float(x)
 
 
 def _write_csv(path: str | Path, header: Sequence[str],
@@ -63,11 +70,11 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def _json_number(x):
-    """A record value as JSON: ints bare, other numbers as floats, arrays as
-    lists of floats."""
+    """A record value as JSON: ints bare, other numbers as finite floats or
+    null, arrays as lists of those."""
     if np.ndim(x):
-        return [float(v) for v in x]
-    return int(x) if isinstance(x, (int, np.integer)) else float(x)
+        return [_finite_or_none(v) for v in x]
+    return int(x) if isinstance(x, (int, np.integer)) else _finite_or_none(x)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
@@ -76,9 +83,9 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
                         for r in traj.records]}
 
 
-def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
+def write_json(data: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory_to_dict(traj), fh, indent=2)
+        json.dump(data, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -96,12 +103,6 @@ def write_offset_csv(samples: OffsetSamples, path: str | Path) -> None:
 # check reports
 # ---------------------------------------------------------------------------
 
-def _finite_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
-
-
 def _report_fields(items: list[tuple[str, Any]]) -> dict:
     """asdict factory: numbers as finite floats or null, the rest as is."""
     return {k: _finite_or_none(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -110,12 +111,6 @@ def _report_fields(items: list[tuple[str, Any]]) -> dict:
 
 def check_report_to_dict(report: CheckReport) -> dict:
     return asdict(report, dict_factory=_report_fields)
-
-
-def write_check_report_json(report: CheckReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(check_report_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Union, get_args, get_origin
 
 import numpy as np
 
-from .geometry import (_lattice, _offset_window, count_local_minima,
+from .geometry import (_grid_slack, _lattice, _offset_window, count_local_minima,
                        hausdorff_distance, is_unreachable, offset_profile)
 from .landscape import Landscape, affine_plus_bump, eval_batch, make_landscape, \
     quadratic, riemann, sinusoid
@@ -97,8 +97,7 @@ def check_weak_ironing(landscape: Landscape, radii: tuple[float, ...] = (10.0, 1
         lattice = _lattice(lo - width, hi + width, h)
         fv = eval_batch(landscape, lattice)
         ref_max = max(ref_max, float(np.max(fv)))
-        lip = float(np.max(np.abs(np.diff(fv)))) / h if lattice.size > 1 else 0.0
-        slacks.append(2.0 * h * (1.0 + lip))
+        slacks.append(_grid_slack(fv, h))
 
     sup_ref = landscape.value_sup if landscape.value_sup is not None else ref_max
     e_vals = [float(np.max(np.abs(p.values - rho - sup_ref)))
@@ -132,7 +131,7 @@ def check_linear_ironing(a: float = 1.0, b: float = 0.0, profile: str = "sin",
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])) or len(radii) < 1:
         raise ValueError("radii must be strictly increasing")
     bumped = affine_plus_bump(a, b, profile, amplitude)
-    flat = bumped.meta["affine"]
+    flat = affine_plus_bump(a, b, profile, 0.0)
     bump_sup = bumped.meta["bump_sup"]
 
     dists = []
@@ -174,10 +173,10 @@ def check_sharp_minima(sigmas: tuple[float, ...] = (1.0, 2.0, 4.0),
     inside the band are skipped. rhos=None tests 1.2/sigma and 0.8/sigma
     per sigma with the default margin. An indeterminate verdict fails.
     """
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("sigma values must be positive")
-    if margin <= 0 or margin >= 1:
-        raise ValueError("margin must lie in (0, 1)")
+    if not all(0 < s < math.inf for s in sigmas):
+        raise ValueError(f"sigma values must be positive and finite, got {sigmas!r}")
+    if not 0 < margin < 1:
+        raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
     observations: list[Observation] = []
     details = []
     for sigma in sigmas:
@@ -185,8 +184,6 @@ def check_sharp_minima(sigmas: tuple[float, ...] = (1.0, 2.0, 4.0),
         pair_rhos = rhos if rhos is not None else ((1.0 + 2 * margin) * crit,
                                                    (1.0 - 2 * margin) * crit)
         for rho in pair_rhos:
-            if rho <= 0:
-                raise ValueError("rho values must be positive")
             if crit * (1.0 - margin) < rho < crit * (1.0 + margin):
                 details.append(f"sigma={sigma:g} rho={rho:g}: inside margin band, skipped")
                 continue

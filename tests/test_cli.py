@@ -175,6 +175,20 @@ class TestTrajectory:
         assert len(data["records"]) == 5
         assert data["records"][0]["t"] == 0
 
+    def test_json_writes_a_non_finite_value_as_null(self, sandbox):
+        # the loss overflows to inf on every record; strict JSON has no literal for it
+        out = sandbox / "run.json"
+        with np.errstate(over="ignore"):
+            assert main(["trajectory", "--landscape", "quadratic", "--param", "a=[[1e300]]",
+                         "--optimizer", "gd", "--eta", "1e-310", "--theta0", "1e5",
+                         "--steps", "2", "--format", "json", "--out", str(out)]) == 0
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+        data = json.loads(out.read_text(), parse_constant=reject)
+        assert [r["loss"] for r in data["records"]] == [None, None, None]
+        assert all(None not in r["theta"] for r in data["records"])
+
     def test_repeat_runs_byte_identical(self, sandbox):
         a, b = sandbox / "a.csv", sandbox / "b.csv"
         args = ["trajectory", "--steps", "20", "--out"]
@@ -507,6 +521,14 @@ class TestVerify:
         path.write_text(json.dumps({check: {setting: value}}))
         assert main(["verify", check, "--config", str(path), "--out", str(out_dir)]) == 3
         assert f"{setting} must be positive and finite, got {value}" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_non_finite_radius_exits_3_naming_it(self, sandbox, capsys):
+        # Python's json reads NaN; the check once failed converting it to an integer
+        path, out_dir = sandbox / "overrides.json", sandbox / "reports"
+        path.write_text('{"sharp-minima": {"rhos": [NaN]}}')
+        assert main(["verify", "sharp-minima", "--config", str(path), "--out", str(out_dir)]) == 3
+        assert "rho must be positive and finite, got nan" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
     def test_unknown_check_name(self, sandbox):

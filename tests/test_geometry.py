@@ -184,6 +184,26 @@ def test_offset_arguments_must_be_finite(call, message):
         call(riemann(100))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ls: is_unreachable(ls, 0.0, math.nan), "rho must be positive and finite, got nan"),
+    (lambda ls: is_unreachable(ls, 0.0, math.inf), "rho must be positive and finite, got inf"),
+    (lambda ls: is_unreachable(ls, math.nan, 0.3), "theta must be finite, got nan"),
+    (lambda ls: GridSpec((0.0,), (1.0,), math.nan),
+     "grid step must be positive and finite, got nan"),
+    (lambda ls: GridSpec((0.0,), (1.0,), math.inf),
+     "grid step must be positive and finite, got inf"),
+    (lambda ls: GridSpec((math.nan,), (1.0,), 0.1), r"lo\[0\] must be finite, got nan"),
+    (lambda ls: GridSpec((0.0, 0.0), (1.0, math.nan), 0.1), r"hi\[1\] must be finite, got nan")],
+    ids=["unreachable-rho-nan", "unreachable-rho-inf", "unreachable-theta", "grid-step-nan",
+         "grid-step-inf", "grid-lo", "grid-hi"])
+def test_unreachability_and_grid_arguments_must_be_finite(call, message):
+    # each once failed later: NaN with "cannot convert float NaN to integer",
+    # an infinite rho with an OverflowError, an infinite step with "points and
+    # cloud must be finite"
+    with pytest.raises(ValueError, match=message):
+        call(quadratic(np.array([[4.0]])))
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
 def test_sampling_steps_must_be_positive_and_finite(step):
     with pytest.raises(ValueError, match="theta_step must be positive and finite"):
@@ -418,7 +438,7 @@ def test_offset_profile_contacts_property(n, log_rho, q, k, frac, shift, rows, i
 def test_unaligned_profile_reads_each_lattice_point_once():
     # 401 thetas a fifth of a lattice step apart on a line (no value_bound):
     # one f_batch call reads the union of their windows and the thetas
-    base = affine_plus_bump(1.0, 0.0).meta["affine"]
+    base = affine_plus_bump(1.0, 0.0, amplitude=0.0)
     rho, h = 100.0, 0.05
     ls, seen = _counting(base)
     prof = offset_profile(ls, rho, 0.3 * h, 0.3 * h + 4.0, theta_step=0.01, h=h)

@@ -160,16 +160,17 @@ def test_affine_plus_bump_decomposition():
     assert value(ls, th) == pytest.approx(0.7 * 1.1 + 0.3 + 2.0 * np.sin(1.1), abs=1e-15)
     assert grad(ls, th)[0] == pytest.approx(0.7 + 2.0 * np.cos(1.1), abs=1e-15)
     assert ls.meta["bump_sup"] == 2.0
-    flat = ls.meta["affine"]
+    flat = affine_plus_bump(0.7, 0.3, "sin", amplitude=0.0)
     assert value(flat, th) == pytest.approx(0.7 * 1.1 + 0.3, abs=1e-15)
     np.testing.assert_array_equal(grad(flat, th), [0.7])
 
 
 def test_affine_plus_bump_zero_amplitude_is_affine():
-    ls = affine_plus_bump(1.0, 0.0, "sin", amplitude=0.0)
-    ts = np.linspace(-2, 2, 9)
-    np.testing.assert_array_equal(eval_batch(ls, ts),
-                                  eval_batch(ls.meta["affine"], ts))
+    # bitwise the bare line's batch, as verify's linear-ironing check compares them
+    for profile in ("sin", "cos", "gaussian"):
+        ls = affine_plus_bump(0.7, 0.3, profile, amplitude=0.0)
+        ts = np.linspace(-2, 2, 9)
+        np.testing.assert_array_equal(eval_batch(ls, ts), ts[:, None] @ np.array([0.7]) + 0.3)
 
 
 def test_affine_plus_bump_rejects_unknown_profile():

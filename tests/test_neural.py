@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rollball import neural
 from rollball.landscape import value_and_grad
-from rollball.neural import (Activation, Dataset, EpochStats,
+from rollball.neural import (Dataset, EpochStats,
                              IdxCountMismatchError, IdxMagicError,
                              IdxTruncatedError, MlpSpec, as_landscape,
                              evaluate, find_mnist, flatten, init_params,
@@ -50,9 +50,6 @@ class TestSpec:
             MlpSpec(hidden=())
         with pytest.raises(ValueError, match="outputs"):
             MlpSpec(outputs=1)
-        with pytest.raises(ValueError):
-            MlpSpec(activation="selu")
-        assert MlpSpec(activation="tanh").activation is Activation.TANH
 
     def test_init_deterministic_and_scaled(self):
         p1 = init_params(MlpSpec(), seed=3)
@@ -129,20 +126,17 @@ class TestLossAndGrad:
             loss_and_grad(TINY, params, np.zeros(6), np.zeros(1, dtype=int))
 
     @pytest.mark.parametrize("hidden", [(5,), (5, 4)])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_flat_gradient_matches_per_layer_products(self, activation, hidden):
+    def test_flat_gradient_matches_per_layer_products(self, hidden):
         # the gradient written in place into one flat vector equals the
         # per-layer products joined by flatten
-        spec = MlpSpec(inputs=6, hidden=hidden, outputs=3, activation=activation)
+        spec = MlpSpec(inputs=6, hidden=hidden, outputs=3)
         rng = np.random.default_rng(4)
         params = init_params(spec, seed=4) + 0.1 * rng.standard_normal(param_count(spec))
         data = tiny_dataset()
         layers = unflatten(spec, params)
-        relu = activation == "relu"
         inputs = [data.images]
         for w, b in layers[:-1]:
-            z = inputs[-1] @ w + b
-            inputs.append(np.maximum(z, 0.0) if relu else np.tanh(z))
+            inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
         logits = inputs[-1] @ layers[-1][0] + layers[-1][1]
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
@@ -155,17 +149,9 @@ class TestLossAndGrad:
             if k > 0:
                 a = inputs[k]
                 delta = delta @ layers[k][0].T
-                delta = delta * (a > 0.0) if relu else delta * (1.0 - a * a)
+                delta = delta * (a > 0.0)
         _, grad = loss_and_grad(spec, params, data.images, data.labels)
         assert np.array_equal(grad, flatten(spec, grads))
-
-    def test_tanh_backprop_matches_fd(self):
-        spec = MlpSpec(inputs=6, hidden=(5,), outputs=3, activation="tanh")
-        params = init_params(spec, seed=2)
-        landscape = as_landscape(spec, tiny_dataset())
-        fd = finite_difference_grad(landscape, params)
-        g = value_and_grad(landscape, params)[1]
-        assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
     def test_evaluate_ties_pick_lowest_class(self):
         # zero params leave all logits equal, so argmax resolves to class 0

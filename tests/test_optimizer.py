@@ -12,7 +12,7 @@ from rollball import geometry
 from rollball.geometry import GridSpec, distances_to_graph, offset_value
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, _graph_point,
-                                _project_general, lift, project_footpoint, rbo_step,
+                                lift, project_footpoint, rbo_step,
                                 run_gd, run_rbo, run_sam, run_sgd)
 
 PARABOLA = quadratic(np.array([[2.0]]))  # f = theta^2
@@ -337,20 +337,33 @@ def capped_share(traj, cfg=ProjectionConfig()) -> float:
                and r.projection_residual > cfg.grad_tol for r in steps) / len(steps)
 
 
-@pytest.mark.parametrize("rho", [0.1, 1.0])
-@pytest.mark.parametrize("landscape", [PARABOLA, riemann(5)], ids=["theta^2", "riemann(5)"])
-def test_projection_converges_on_smooth_landscapes(landscape, rho):
-    traj = run_rbo(landscape, np.array([2.0]), rho=rho, eta=0.1 * rho, steps=500)
+def projected_run(landscape, rho, hessian):
+    # d = 2, so every step projects and takes at least one trial
+    if not hessian:  # the Gauss-Newton path
+        landscape = dataclasses.replace(landscape, hessian=None)
+    traj = run_rbo(landscape, np.array([1.5, 1.5]), rho=rho, eta=0.1, steps=300)
     assert traj.error is None
-    assert capped_share(traj) == 0.0
+    assert min(r.projection_iters for r in traj.records[1:]) >= 1
+    return traj
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+@pytest.mark.parametrize("hessian", [True, False], ids=["newton", "gauss-newton"])
+def test_projection_converges_on_smooth_landscapes(hessian, rho):
+    # measured: no capped step on either path at either radius
+    assert capped_share(projected_run(quadratic(np.diag([4.0, 0.5])), rho, hessian)) == 0.0
 
 
 @pytest.mark.parametrize("rho", [0.1, 1.0])
 def test_projection_rarely_capped_on_rough_landscape(rho):
-    traj = run_rbo(riemann(100), np.array([2.0]), rho=rho, eta=0.1 * rho, steps=500)
-    assert traj.error is None
-    assert capped_share(traj) <= 0.02
-    assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
+    # measured: Newton never capped; Gauss-Newton capped on 8 of 300 steps at
+    # rho = 1 and on none at 0.1, with 7.7 and 2.7 trials per step
+    bump = affine_plus_bump([0.3, 0.2], 0.0)
+    newton, gauss_newton = (projected_run(bump, rho, hessian) for hessian in (True, False))
+    assert capped_share(newton) == 0.0
+    assert capped_share(gauss_newton) <= 0.04
+    for traj in (newton, gauss_newton):
+        assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 10.0
 
 
 def counting_forward(landscape, calls):
@@ -418,8 +431,8 @@ def poisoned(oracle: str) -> Landscape:
 def test_both_loops_diverge_alike(oracle, iteration, norm):
     landscape = poisoned(oracle)
     with pytest.raises(ProjectionDivergence) as exc:
-        _project_general(landscape, np.array([2.0, 0.0]),
-                         _graph_point(landscape, np.array([0.0])), ProjectionConfig())
+        project_footpoint(landscape, np.array([2.0, 0.0]),
+                          _graph_point(landscape, np.array([0.0])))
     assert (exc.value.iteration, exc.value.norm) == (iteration, norm)
     assert f"non-finite {oracle}" in str(exc.value)
 
@@ -618,6 +631,7 @@ def test_every_center_of_a_riemann_roll_is_on_the_offset(rho, penetration):
     ls = riemann(100)
     traj = run_rbo(ls, np.array([2.0]), rho, rho / 10, 500)
     assert traj.error is None
+    assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
     centers = np.array([r.center for r in traj.records])
     gaps = [offset_value(ls, rho, float(x), rho / 100) - y for x, y in centers]
     assert max(gaps) <= 1e-12

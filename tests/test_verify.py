@@ -11,7 +11,7 @@ import pytest
 
 from rollball.landscape import quadratic, riemann, sinusoid
 from rollball.optimizer import run_rbo
-from rollball.serialize import check_report_to_dict, write_check_report_json
+from rollball.serialize import check_report_to_dict, write_json
 from rollball.verify import (CheckReport, Observation, available_checks,
                              check_gd_limit, check_linear_ironing,
                              check_open_unreachables, check_sharp_minima,
@@ -130,6 +130,12 @@ class TestSharpMinima:
             check_sharp_minima(margin=1.5)
         with pytest.raises(ValueError, match="positive"):
             check_sharp_minima(sigmas=(1.0,), rhos=(-0.5,))
+        # NaN passed both checks: a NaN sigma then failed as "A must be
+        # symmetric", a NaN margin as a NaN rho
+        with pytest.raises(ValueError, match="sigma values must be positive and finite"):
+            check_sharp_minima(sigmas=(math.nan,))
+        with pytest.raises(ValueError, match="margin must lie in"):
+            check_sharp_minima(margin=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +316,7 @@ class TestReportSerialization:
         assert d["observations"][0]["value"] is None
         assert d["observations"][1]["value"] == 1.5
         path = tmp_path / "report.json"
-        write_check_report_json(report, path)
+        write_json(d, path)
         loaded = json.loads(path.read_text())
         assert loaded["name"] == "demo"
         assert loaded["observations"][0]["value"] is None

@@ -13,6 +13,8 @@ through PYTHONPATH) and writes their outputs under DIR:
   unaligned at rho=100 with grid step 0.0137;
 - the offsets of README's quick start and Experiments section;
 - each optimizer's trajectory on each catalogue landscape, as CSV and JSON;
+- rbo trajectories of two d = 2 landscapes, whose steps project to a foot
+  point (every 1D rbo run rolls on the offset), as CSV and JSON;
 - a 4x4 radius/step-size sweep on riemann(100), as the ball1d benchmark runs it;
 - one-epoch learning curves of each optimizer on synthetic IDX digits,
   generated in process from a fixed seed;
@@ -70,6 +72,12 @@ def commands() -> dict[str, list[str]]:
                 out[f"trajectory/{opt}-{name}.{fmt}"] = [
                     "trajectory", "--landscape", name, "--optimizer", opt, "--theta0", "2.0",
                     "--steps", "100", "--seed", "0", "--format", fmt]
+    for name, param in (("quadratic", "a_diag=[4,0.5]"), ("affine_bump", "a=[0.3,0.2]")):
+        for fmt in ("csv", "json"):
+            out[f"trajectory/rbo-{name}-2d.{fmt}"] = [
+                "trajectory", "--landscape", name, "--param", param, "--optimizer", "rbo",
+                "--theta0", "1.5", "1.5", "--rho", "1", "--eta", "0.1", "--steps", "100",
+                "--seed", "0", "--format", fmt]
     # the benchmark's ball1d sweep, at one fixed start and seed
     out["sweep/riemann-4x4.csv"] = ["sweep", *riemann, "--theta0", "2.0", "--rho-count", "4",
                                     "--eta-count", "4", "--steps", "100", "--seed", "0"]
