@@ -318,6 +318,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
         theta0 = _resolve_theta0(cfg.theta0, landscape)
     cells = _sweep_grid(cfg)
+    lattices: dict = {}  # the roll lattice of the current rho: cells are rho-major
 
     def run_cell(cell: tuple[int, float, float]) -> tuple[float, float, float, str]:
         index, rho, eta = cell
@@ -328,7 +329,9 @@ def cmd_sweep(cfg: SweepConfig) -> int:
                 _, stats = neural.train_mlp(neural.MlpSpec(), train, val, "rbo", cfg.epochs,
                                             TrainConfig.batch_size, seed, **hyper)
                 return rho, eta, stats[-1].val_accuracy, ""
-            traj = run("rbo", landscape, theta0, cfg.steps, seed=seed, **hyper)
+            if rho not in lattices:
+                lattices.clear()
+            traj = run("rbo", landscape, theta0, cfg.steps, seed, lattices=lattices, **hyper)
             if traj.error is not None:
                 raise RuntimeError(traj.error)
             return rho, eta, traj.records[-1].loss, ""

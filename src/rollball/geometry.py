@@ -19,10 +19,20 @@ from .landscape import Array, Landscape, eval_batch, value_and_grad
 
 def normal_from_grad(g: Array) -> Array:
     """Upward unit normal of the graph from a gradient value:
-    (-grad f, 1) / sqrt(1 + |grad f|^2)."""
+    (-grad f, 1) / sqrt(1 + |grad f|^2), by _norm if that overflows."""
     g = np.asarray(g, dtype=float)
     nu = np.concatenate([-g, [1.0]])
-    return nu / math.sqrt(1.0 + float(g @ g))
+    norm = math.sqrt(1.0 + float(g @ g))
+    return nu / (norm if math.isfinite(norm) else _norm(nu))
+
+
+def _norm(v: Array) -> float:
+    """|v| as np.linalg.norm gives it, or over v's largest entry if only v @ v overflows."""
+    norm = math.sqrt(float(v @ v))
+    if math.isinf(norm) and np.isfinite(v).all():
+        top = float(np.abs(v).max())
+        norm = top * math.sqrt(float((v / top) @ (v / top)))
+    return norm
 
 
 def tangent_from_grad(g: Array) -> Array:
@@ -230,8 +240,7 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
     smax = rho * (1.0 - 1e-12)
     b = landscape.value_bound
     if b is not None and rho > 2.0 * b:
-        s_eff = math.sqrt(rho * rho - (rho - 2.0 * b) ** 2)
-        return min(smax, s_eff)
+        return min(smax, math.sqrt(rho * rho - (rho - 2.0 * b) ** 2))
     return smax
 
 
@@ -571,8 +580,6 @@ def count_local_minima(values: Array) -> int:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be 1D")
-    if v.size < 3:
-        return 0
     keep = np.ones(v.size, dtype=bool)
     keep[1:] = v[1:] != v[:-1]
     runs = v[keep]
@@ -645,12 +652,8 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     samples = np.column_stack([sx[keep], sy[keep]])
 
     clearance = rho - _max_nearest_distance(samples, np.column_stack([tg, fg]))
-    if clearance > slack:
-        verdict: Verdict = "unreachable"
-    elif clearance <= slack / 2.0:
-        verdict = "reachable"
-    else:
-        verdict = "indeterminate"
+    verdict: Verdict = ("unreachable" if clearance > slack else
+                        "reachable" if clearance <= slack / 2.0 else "indeterminate")
     return UnreachabilityReport(theta=theta, rho=rho, verdict=verdict,
                                 clearance=clearance, slack=slack,
                                 grid_step=h, n_sphere=n_sphere)
@@ -680,8 +683,7 @@ def sharpness(landscape: Landscape, theta: Array,
         return (value_and_grad(landscape, theta + eps * v)[1] -
                 value_and_grad(landscape, theta - eps * v)[1]) / (2.0 * eps)
 
-    v = np.ones(d) / math.sqrt(d)
-    lam = 0.0
+    v, lam = np.ones(d) / math.sqrt(d), 0.0
     for _ in range(max_iters):
         w = hvp(v)
         nw = float(np.linalg.norm(w))

@@ -158,10 +158,6 @@ def riemann(n_terms: int = 100) -> Landscape:
         phase = n2 * float(np.asarray(theta, dtype=float).reshape(()))
         return float(np.sin(phase) @ inv), lambda: np.array([np.cos(phase).sum()])
 
-    def hessian(theta: Array) -> Array:
-        t = float(np.asarray(theta, dtype=float).reshape(()))
-        return np.array([[-np.sum(n2 * np.sin(n2 * t))]])
-
     def f_batch(thetas: Array) -> Array:
         t = np.ascontiguousarray(thetas, dtype=float).reshape(-1)
         out = np.empty(t.shape[0])
@@ -169,9 +165,8 @@ def riemann(n_terms: int = 100) -> Landscape:
             out[a:a + _RIEMANN_BLOCK] = _riemann_block(t[a:a + _RIEMANN_BLOCK], inv)
         return out
 
-    return Landscape(dim=1, forward=forward, hessian=hessian, f_batch=f_batch,
-                     name=f"riemann({n_terms})", value_bound=bound,
-                     slope_bound=float(n_terms))
+    return Landscape(dim=1, forward=forward, f_batch=f_batch, name=f"riemann({n_terms})",
+                     value_bound=bound, slope_bound=float(n_terms))
 
 
 def sinusoid() -> Landscape:
@@ -181,10 +176,7 @@ def sinusoid() -> Landscape:
         t = float(np.asarray(theta, dtype=float).reshape(()))
         return float(np.sin(t)), lambda: np.array([np.cos(t)])
 
-    def hessian(theta: Array) -> Array:
-        return np.array([[-np.sin(float(np.asarray(theta).reshape(())))]])
-
-    return Landscape(dim=1, forward=forward, hessian=hessian,
+    return Landscape(dim=1, forward=forward,
                      f_batch=lambda t: np.sin(np.asarray(t, dtype=float).reshape(-1)),
                      name="sinusoid", value_bound=1.0, slope_bound=1.0, value_sup=1.0)
 

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .geometry import _check_offset_args, _circ, _Lattice, normal_from_grad, tangent_from_grad
+from .geometry import _check_offset_args, _circ, _Lattice, _norm, normal_from_grad, tangent_from_grad
 from .landscape import Array, Landscape, value_and_grad
 
 DIVERGENCE_LIMIT = 1e12
@@ -312,7 +312,7 @@ def _record(t: int, point: GraphPoint, center: Array | None = None, iters: int =
     (the convention for optimizers that do not carry a ball)."""
     return StepRecord(t=t, theta=point.theta, loss=point.y,
                       center=point.ambient if center is None else center,
-                      grad_norm=float(np.linalg.norm(point.grad)),
+                      grad_norm=_norm(point.grad),
                       projection_iters=iters, projection_residual=resid)
 
 
@@ -413,10 +413,12 @@ def _run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
     return Trajectory(header=header, records=records, error=error)
 
 
-def _roll(landscape: Landscape, rho: float, eta: float,
-          cfg: ProjectionConfig) -> tuple[Callable, Callable]:
+def _roll(landscape: Landscape, rho: float, eta: float, cfg: ProjectionConfig,
+          lattices: dict) -> tuple[Callable, Callable]:
     """start and step (see _run) of a deterministic 1D run: the center rolls
-    on the sampled upper offset phi_rho at h = rho / 100 (geometry._Lattice).
+    on the sampled upper offset phi_rho at h = rho / 100 (geometry._Lattice):
+    lattices[rho] if it is this landscape's, else a new one stored there;
+    each f(j h) depends on j alone, so sharing it changes no float.
     A ball (x, phi, t, f(t), g) is the center over x, its contact and the
     slope g = (t - x) / circ(t - x) of the winning arc, f'(t) at an exact
     interior contact. A step tries x - a g from a = eta, halving a until phi
@@ -441,7 +443,9 @@ def _roll(landscape: Landscape, rho: float, eta: float,
     def start(theta0: Array) -> tuple[tuple, StepRecord]:
         nonlocal lattice
         _check_offset_args(landscape, rho, h, theta0=float(theta0[0]))
-        lattice = _Lattice(landscape, rho, h)
+        lattice = lattices.get(rho)
+        if lattice is None or lattice.landscape is not landscape:
+            lattice = lattices[rho] = _Lattice(landscape, rho, h)
         b = ball(float(theta0[0]), checked=False)
         return b, record(0, b, 0)
 
@@ -473,17 +477,18 @@ def _roll(landscape: Landscape, rho: float, eta: float,
 
 def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
             steps: int, cfg: ProjectionConfig = ProjectionConfig(),
-            seed: int | None = None, keep_records: bool = True) -> Trajectory:
+            seed: int | None = None, keep_records: bool = True, *,
+            lattices: dict | None = None) -> Trajectory:
     """Roll the ball for `steps` updates (see _run for the records, the
     minibatches and aborts). On a deterministic 1D landscape the center
-    rolls on the offset (_roll), and the run ends at the step that settles
-    it. Otherwise each step is rbo_step, and a step's record costs no oracle
-    call, so a lean run lifts theta0 on the full data only if no step
-    completes."""
+    rolls on the offset (_roll, with the caller's lattices), and the run ends
+    at the step that settles it. Otherwise each step is rbo_step, and a
+    step's record costs no oracle call, so a lean run lifts theta0 on the
+    full data only if no step completes."""
     hyper = {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
              "grad_tol": cfg.grad_tol}
     if landscape.dim == 1 and not landscape.is_stochastic:
-        start, step = _roll(landscape, rho, eta, cfg)
+        start, step = _roll(landscape, rho, eta, cfg, {} if lattices is None else lattices)
         return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records,
                     start=start)
 
@@ -566,16 +571,16 @@ def hyperparameters(optimizer: str, **given: Any) -> dict[str, Any]:
 
 
 def run(optimizer: str, landscape: Landscape, theta0: Array, steps: int,
-        seed: int | None = None, keep_records: bool = True, **given: Any,
-        ) -> Trajectory:
+        seed: int | None = None, keep_records: bool = True, *,
+        lattices: dict | None = None, **given: Any) -> Trajectory:
     """`steps` updates of the optimizer with hyperparameters(optimizer,
-    **given); gd takes no seed. run_rbo and the others are looked up by name
-    at each call, so a rebound module attribute sees every run."""
+    **given); gd takes no seed, only rbo reads lattices. run_rbo and the others
+    are looked up by name at each call, so a rebound module attribute sees every run."""
     hyper = hyperparameters(optimizer, **given)
     if optimizer == "rbo":
         return run_rbo(landscape, theta0, hyper["rho"], hyper["eta"], steps,
                        ProjectionConfig(hyper["max_iters"], hyper["grad_tol"]),
-                       seed=seed, keep_records=keep_records)
+                       seed=seed, keep_records=keep_records, lattices=lattices)
     if optimizer == "gd":
         return run_gd(landscape, theta0, hyper["eta"], steps, keep_records=keep_records)
     if optimizer == "sgd":

@@ -32,9 +32,7 @@ def _num(x) -> str:
 
 
 def _finite_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
+    return None if x is None or not math.isfinite(x) else float(x)
 
 
 def _write_csv(path: str | Path, header: Sequence[str],

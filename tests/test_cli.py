@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from rollball import optimizer, verify
+from rollball import landscape, optimizer, verify
 from rollball.cli import (ConfigError, OffsetConfig, RunConfig, SweepConfig,
                           TrainConfig, build_parser, config_from_mapping, main)
 from rollball.neural import train_mlp
@@ -371,6 +371,23 @@ class TestSweep:
         assert metric == "nan"
         assert error != ""
         assert "1 failed" in capsys.readouterr().out
+
+    def test_the_cells_of_one_radius_share_its_lattice(self, sandbox, monkeypatch):
+        # the 4x4 riemann sweep of tools/outputs.py: 21 riemann blocks when
+        # each of the 16 cells builds its own lattice, 9 when they share
+        blocks, held, block, run_rbo = [], [], landscape._riemann_block, optimizer.run_rbo
+        monkeypatch.setattr(landscape, "_riemann_block",
+                            lambda t, inv: blocks.append(t.size) or block(t, inv))
+
+        def spy(*args, lattices, **kwargs):
+            held.append(len(lattices))
+            return run_rbo(*args, lattices=lattices, **kwargs)
+        monkeypatch.setattr(optimizer, "run_rbo", spy)
+        assert main(["sweep", "--landscape", "riemann", "--param", "n=100", "--theta0", "2.0",
+                     "--rho-count", "4", "--eta-count", "4", "--steps", "100", "--seed", "0",
+                     "--out", "sweep.csv"]) == 0
+        assert len(held) == 16 and max(held) <= 1  # one lattice at a time
+        assert len(blocks) <= 10
 
     @pytest.mark.parametrize("param", ["n=x", "n=2.5"])
     def test_bad_landscape_exits_2_before_any_cell(self, sandbox, capsys, param):

@@ -51,6 +51,15 @@ def test_normal_tangent_values():
     np.testing.assert_array_equal(tangent_from_grad(g), [0.0, 0.0])
 
 
+def test_normal_of_a_gradient_whose_square_overflows():
+    # |g|^2 = inf, but |(-g, 1)| = 1e200 is a float: the normal is unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = normal_from_grad(np.array([1e200, 1.0]))
+        infinite = normal_from_grad(np.array([np.inf]))
+    np.testing.assert_array_equal(nu, [-1.0, -1e-200, 1e-200])
+    np.testing.assert_array_equal(infinite, [np.nan, 0.0])  # as before: no rescaling
+
+
 def test_distance_to_graph_parabola():
     # nearest graph point of (0, 2) on f=theta^2 is (sqrt(1.5), 1.5)
     ls = quadratic(np.array([[2.0]]))

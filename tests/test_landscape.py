@@ -102,7 +102,6 @@ def test_sinusoid_oracles():
     ls = sinusoid()
     assert value(ls, [0.3]) == pytest.approx(np.sin(0.3), abs=1e-15)
     assert grad(ls, [0.3])[0] == pytest.approx(np.cos(0.3), abs=1e-15)
-    assert ls.hessian(np.array([0.3]))[0, 0] == pytest.approx(-np.sin(0.3), abs=1e-15)
     assert ls.value_sup == 1.0 and ls.value_bound == 1.0
 
 

@@ -624,17 +624,34 @@ def test_the_roll_settles_on_both_walls_of_a_sharp_parabola(a, theta0):
     assert abs(abs(last.theta[0]) - t) <= h
 
 
-@pytest.mark.parametrize("rho, penetration", [(0.1, 0.005), (1.0, 0.05)])
-def test_every_center_of_a_riemann_roll_is_on_the_offset(rho, penetration):
-    # each center against offset_value, which adds theta's own candidate to the
-    # lattice, and against the graph sampled 100 times finer than the lattice
-    ls = riemann(100)
+def with_own_candidate(ls, rho, x):
+    """offset_value at the roll's h: the lattice plus theta's own candidate."""
+    return offset_value(ls, rho, x, rho / 100)
+
+
+def lattice_only(ls, rho, x):
+    """The roll's own phi, by brute force over the lattice."""
+    return brute_offset(lambda t: ls.f_batch(t[:, None]), rho, x)[0]
+
+
+@pytest.mark.parametrize("ls, rho, penetration, offset", [
+    pytest.param(riemann(100), 0.1, 0.005, with_own_candidate, id="0.1-0.005"),
+    pytest.param(riemann(100), 1.0, 0.05, with_own_candidate, id="1.0-0.05"),
+    pytest.param(riemann(5), 0.1, 2e-5, with_own_candidate, id="riemann(5)-0.1"),
+    pytest.param(riemann(5), 1.0, 5e-4, with_own_candidate, id="riemann(5)-1.0"),
+    # theta's own candidate f(theta) + rho beats the lattice by up to 6.4e-7 here
+    pytest.param(PARABOLA, 0.1, 5e-5, lattice_only, id="theta^2-0.1"),
+])
+def test_every_center_of_a_riemann_roll_is_on_the_offset(ls, rho, penetration, offset):
+    # each center against the offset at the roll's h, and against the graph
+    # sampled 100 times finer than the lattice (measured penetration: 0.45
+    # and 0.79 of the bound on riemann(100), 0.24-0.37 on the others)
     traj = run_rbo(ls, np.array([2.0]), rho, rho / 10, 500)
     assert traj.error is None
     assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
     centers = np.array([r.center for r in traj.records])
-    gaps = [offset_value(ls, rho, float(x), rho / 100) - y for x, y in centers]
-    assert max(gaps) <= 1e-12
+    gaps = [offset(ls, rho, float(x)) - y for x, y in centers]
+    assert max(map(abs, gaps)) <= 1e-12
     grid = GridSpec((centers[:, 0].min() - 2 * rho,), (centers[:, 0].max() + 2 * rho,), 1e-4)
     assert rho - distances_to_graph(ls, centers, grid).min() <= penetration
     for r in traj.records:
@@ -653,6 +670,53 @@ def test_a_second_phi_near_the_first_reads_no_new_points():
         phi, t = brute_offset(lambda t: base.f_batch(t[:, None]), 1.0, x)
         assert lattice.phi(x)[:2] == (pytest.approx(phi, abs=1e-14), t)
     assert calls == [geometry._CACHE_BLOCK]
+
+
+def record_bytes(traj):
+    """Each record's fields as raw float bytes: equal only if bit for bit equal."""
+    return [b"".join(np.asarray(getattr(r, f.name), dtype=float).tobytes()
+                     for f in dataclasses.fields(r)) for r in traj.records]
+
+
+def test_rolls_sharing_a_lattice_record_what_fresh_rolls_record():
+    # a sweep's four step sizes at one rho, through one lattices dict
+    calls, base = [], riemann(100)
+
+    def f_batch(thetas):
+        calls.append(len(thetas))
+        return base.f_batch(thetas)
+    ls, etas = dataclasses.replace(base, f_batch=f_batch), (0.01, 0.1, 1.0, 10.0)
+    fresh = [run_rbo(ls, np.array([2.0]), 1.0, eta, 100) for eta in etas]
+    fresh_calls, lattices = len(calls), {}
+    shared = [run_rbo(ls, np.array([2.0]), 1.0, eta, 100, lattices=lattices) for eta in etas]
+    assert [t.error for t in fresh + shared] == [None] * 8
+    assert list(map(record_bytes, shared)) == list(map(record_bytes, fresh))
+    assert len(calls) - fresh_calls < fresh_calls
+    assert list(lattices) == [1.0] and lattices[1.0].landscape is ls
+    # an equal landscape is another landscape: its run builds its own lattice
+    other, before = riemann(100), len(calls)
+    traj = run_rbo(other, np.array([2.0]), 1.0, 0.1, 100, lattices=lattices)
+    assert record_bytes(traj) == record_bytes(fresh[1]) and len(calls) == before
+    assert lattices[1.0].landscape is other
+
+
+def test_a_huge_gradient_ends_the_run_at_its_step():
+    # |grad f|^2 overflows at record 0, but the ball still rests one radius
+    # from its contact; step 1's candidate lies beyond the divergence limit
+    with np.errstate(over="ignore"):
+        traj = run_rbo(quadratic(np.diag([1e200, 1.0])), np.array([1.0, 1.0]), 1.0, 0.1, 3)
+    assert len(traj.records) == 1
+    assert traj.error.startswith("step 1: foot-point projection diverged")
+    assert "candidate beyond the limit" in traj.error
+
+
+def test_a_finite_gradient_records_its_norm_where_its_square_overflows():
+    with np.errstate(over="ignore"):
+        traj = run_gd(quadratic(np.array([[1e300]])), np.array([1e5]), 1e-310, 2)
+    assert traj.error is None and len(traj.records) == 3
+    for r in traj.records:
+        assert r.grad_norm == pytest.approx(1e305, rel=1e-9)
+        assert r.grad_norm == abs(float(r.theta[0]) * 1e300)
 
 
 def test_a_roll_scans_one_window_per_phi_evaluation(monkeypatch):
