@@ -318,7 +318,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
         theta0 = _resolve_theta0(cfg.theta0, landscape)
     cells = _sweep_grid(cfg)
-    lattices: dict = {}  # the roll lattice of the current rho: cells are rho-major
+    lattices: dict = {}  # the rolls' offset lattice, shared by the cells of one rho
 
     def run_cell(cell: tuple[int, float, float]) -> tuple[float, float, float, str]:
         index, rho, eta = cell
@@ -329,8 +329,6 @@ def cmd_sweep(cfg: SweepConfig) -> int:
                 _, stats = neural.train_mlp(neural.MlpSpec(), train, val, "rbo", cfg.epochs,
                                             TrainConfig.batch_size, seed, **hyper)
                 return rho, eta, stats[-1].val_accuracy, ""
-            if rho not in lattices:
-                lattices.clear()
             traj = run("rbo", landscape, theta0, cfg.steps, seed, lattices=lattices, **hyper)
             if traj.error is not None:
                 raise RuntimeError(traj.error)

@@ -240,7 +240,8 @@ def _offset_window(landscape: Landscape, rho: float) -> float:
     smax = rho * (1.0 - 1e-12)
     b = landscape.value_bound
     if b is not None and rho > 2.0 * b:
-        return min(smax, math.sqrt(rho * rho - (rho - 2.0 * b) ** 2))
+        s_eff = math.sqrt(rho * rho - (rho - 2.0 * b) ** 2)
+        return min(smax, s_eff)
     return smax
 
 
@@ -652,8 +653,12 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     samples = np.column_stack([sx[keep], sy[keep]])
 
     clearance = rho - _max_nearest_distance(samples, np.column_stack([tg, fg]))
-    verdict: Verdict = ("unreachable" if clearance > slack else
-                        "reachable" if clearance <= slack / 2.0 else "indeterminate")
+    if clearance > slack:
+        verdict: Verdict = "unreachable"
+    elif clearance <= slack / 2.0:
+        verdict = "reachable"
+    else:
+        verdict = "indeterminate"
     return UnreachabilityReport(theta=theta, rho=rho, verdict=verdict,
                                 clearance=clearance, slack=slack,
                                 grid_step=h, n_sphere=n_sphere)
@@ -683,7 +688,8 @@ def sharpness(landscape: Landscape, theta: Array,
         return (value_and_grad(landscape, theta + eps * v)[1] -
                 value_and_grad(landscape, theta - eps * v)[1]) / (2.0 * eps)
 
-    v, lam = np.ones(d) / math.sqrt(d), 0.0
+    v = np.ones(d) / math.sqrt(d)
+    lam = 0.0
     for _ in range(max_iters):
         w = hvp(v)
         nw = float(np.linalg.norm(w))

@@ -417,7 +417,7 @@ def _roll(landscape: Landscape, rho: float, eta: float, cfg: ProjectionConfig,
           lattices: dict) -> tuple[Callable, Callable]:
     """start and step (see _run) of a deterministic 1D run: the center rolls
     on the sampled upper offset phi_rho at h = rho / 100 (geometry._Lattice):
-    lattices[rho] if it is this landscape's, else a new one stored there;
+    lattices[rho] if it is this landscape's, else a new one held alone there;
     each f(j h) depends on j alone, so sharing it changes no float.
     A ball (x, phi, t, f(t), g) is the center over x, its contact and the
     slope g = (t - x) / circ(t - x) of the winning arc, f'(t) at an exact
@@ -445,6 +445,7 @@ def _roll(landscape: Landscape, rho: float, eta: float, cfg: ProjectionConfig,
         _check_offset_args(landscape, rho, h, theta0=float(theta0[0]))
         lattice = lattices.get(rho)
         if lattice is None or lattice.landscape is not landscape:
+            lattices.clear()
             lattice = lattices[rho] = _Lattice(landscape, rho, h)
         b = ball(float(theta0[0]), checked=False)
         return b, record(0, b, 0)

@@ -32,7 +32,9 @@ def _num(x) -> str:
 
 
 def _finite_or_none(x: float | None) -> float | None:
-    return None if x is None or not math.isfinite(x) else float(x)
+    if x is None or not math.isfinite(x):
+        return None
+    return float(x)
 
 
 def _write_csv(path: str | Path, header: Sequence[str],

@@ -697,7 +697,10 @@ def test_rolls_sharing_a_lattice_record_what_fresh_rolls_record():
     other, before = riemann(100), len(calls)
     traj = run_rbo(other, np.array([2.0]), 1.0, 0.1, 100, lattices=lattices)
     assert record_bytes(traj) == record_bytes(fresh[1]) and len(calls) == before
-    assert lattices[1.0].landscape is other
+    assert list(lattices) == [1.0] and lattices[1.0].landscape is other
+    # a new radius replaces the held lattice: the dict holds one at a time
+    run_rbo(other, np.array([2.0]), 0.5, 0.1, 10, lattices=lattices)
+    assert list(lattices) == [0.5]
 
 
 def test_a_huge_gradient_ends_the_run_at_its_step():

@@ -1,13 +1,14 @@
 """A/B of the benchmark: two checkouts, one workload, alternating pairs of runs.
 
-    python tools/ab.py PARENT_DIR CHANGE_DIR WORKLOAD [--seconds S] [--seed N]
+    python tools/ab.py PARENT_DIR CHANGE_DIR WORKLOAD [--seed N]
 
 Each of PAIRS pairs runs `perfbench/run.py --workload WORKLOAD --seed SEED
 --seconds S` with this interpreter once in each checkout, with the seed
 N + i (N defaults to 101) for pair i, the parent first in even pairs and the
-change first in odd ones. --seconds defaults to BENCHMARK.json's run_seconds. Each checkout's own perfbench and
-src run; the metrics and their directions come from PARENT_DIR's
-BENCHMARK.json. For each end-to-end metric one Markdown table row follows:
+change first in odd ones. S is BENCHMARK.json's run_seconds, the run length
+the benchmark judges. Each checkout's own perfbench and src run; S, the
+metrics and their directions come from PARENT_DIR's BENCHMARK.json. For each
+end-to-end metric one Markdown table row follows:
 
     | workload | metric | parent median [q1, q3] | change median [q1, q3] | change better |
 
@@ -65,16 +66,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("workload")
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     pairs, failed = [], 0
     for i in range(PAIRS):
         seed, results = args.seed + i, {}
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            results[side] = run_once(getattr(args, side), args.workload, seed, seconds)
+            results[side] = run_once(getattr(args, side), args.workload, seed,
+                                     spec["run_seconds"])
             print(f"pair {i} seed {seed} {side}: {json.dumps(results[side])}", flush=True)
             failed += results[side]["failed"]
         pairs.append((results["parent"], results["change"]))
