@@ -99,10 +99,11 @@ class GridSpec:
         if len(axes) == 1:
             return axes[0][:, None]
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+        yy[1::2] = yy[1::2, ::-1]  # a block of _STRIDE spanning two columns stays short
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-# _nearest_sq bounds by every _STRIDE-th sorted cloud point, _PAIR_CHUNK pairs at a time.
+# _nearest_sq bounds by every _STRIDE-th sorted point and boxes, _PAIR_CHUNK pairs at a time.
 _STRIDE = 16
 _PAIR_CHUNK = 1 << 14
 
@@ -114,33 +115,58 @@ def _columns(points: Array, cloud: Array) -> tuple[Array, Array]:
         raise ValueError(f"points {points.shape} do not match cloud {cloud.shape}")
     if not (np.isfinite(points).all() and np.isfinite(cloud).all()):
         raise ValueError("points and cloud must be finite")
-    return points.T.copy(), cloud[np.argsort(cloud[:, 0], kind="stable")].T.copy()
+    if (cloud[1:, 0] < cloud[:-1, 0]).any():
+        cloud = cloud[np.argsort(cloud[:, 0], kind="stable")]
+    return np.ascontiguousarray(points.T), np.ascontiguousarray(cloud.T)
 
 
-def _nearest_sq(p: Array, c: Array) -> Array:
+def _pair_sq(p: Array, c: Array) -> Array:
+    """Squared distances of p's to c's columns, broadcast, summed in coordinate order."""
+    out = (c[0] - p[0]) ** 2
+    for m in range(1, len(p)):
+        d = c[m] - p[m]
+        out += np.square(d, out=d)  # in place: one new array per coordinate, not three
+    return out
+
+
+def _nearest_sq(p: Array, c: Array, upper: Array | None = None) -> Array:
     """Each point's squared distance to its nearest cloud point (p and c from
     _columns), summed in coordinate order: its root is cKDTree's float.
 
-    The distance to every _STRIDE-th sorted point, found the same way, bounds
-    it, and no distance is below its first coordinate's difference (in floats
-    sqrt(x * x) is |x|), so only cloud points whose first coordinate lies
-    within the bound are measured; the 1e-12 margin covers rounding.
+    A small pass without upper bounds measures every pair, a larger one bounds
+    by every _STRIDE-th point. No distance is below its first coordinates' gap
+    (1e-12 covers rounding) or its block's box gap summed in coordinate order
+    (rounding is monotone), so blocks with either gap beyond the bound are skipped.
     """
-    bound = (np.sqrt(_nearest_sq(p, c[:, ::_STRIDE].copy())) if c.shape[1] > _STRIDE
-             else np.full(p.shape[1], np.inf))
-    reach = bound + 1e-12 * (bound + np.abs(p[0]))
-    lo = np.searchsorted(c[0], p[0] - reach)
-    count = np.searchsorted(c[0], p[0] + reach, "right") - lo
-    first, total = np.cumsum(count) - count, int(count.sum())  # each point's first pair
+    n = c.shape[1]
+    if upper is None and (p.shape[1] * n <= _STRIDE * _PAIR_CHUNK or n <= _STRIDE):
+        rows = max(1, _PAIR_CHUNK // n)
+        return np.concatenate([_pair_sq(p[:, a:a + rows, None], c[:, None]).min(axis=1)
+                               for a in range(0, p.shape[1], rows)])
+    upper = _nearest_sq(p, c[:, ::_STRIDE].copy()) if upper is None else upper
+    reach = np.sqrt(upper) * (1.0 + 1e-12) + 1e-12 * np.abs(p[0])
+    lo = np.searchsorted(c[0], p[0] - reach) // _STRIDE
+    count = (np.searchsorted(c[0], p[0] + reach, "right") - 1) // _STRIDE + 1 - lo
+    first, total = np.cumsum(count) - count, int(count.sum())  # each point's first block
+    starts = np.arange(0, n, _STRIDE)  # boxes pay off where the pass meets blocks repeatedly
+    boxes = ((np.minimum.reduceat(c, starts, 1), np.maximum.reduceat(c, starts, 1))
+             if total > len(starts) else None)
     out = np.full(p.shape[1], np.inf)
     for a in range(0, total, _PAIR_CHUNK):
         b = min(a + _PAIR_CHUNK, total)
         i, j = np.searchsorted(first, a, "right") - 1, np.searchsorted(first, b)
-        seg = np.maximum(first[i:j] - a, 0)  # each point's first pair in the chunk
-        own = np.repeat(np.arange(i, j), np.diff(seg, append=b - a))
-        k = np.arange(a, b) + (lo - first)[own]
-        d2 = sum((c[m][k] - p[m][own]) ** 2 for m in range(p.shape[0]))
-        out[i:j] = np.minimum(out[i:j], np.minimum.reduceat(d2, seg))
+        own = np.repeat(np.arange(i, j), np.diff(np.maximum(first[i:j] - a, 0), append=b - a))
+        box = np.arange(a, b) + (lo - first)[own]
+        if boxes is not None:
+            q = p.take(own, 1)
+            gap = np.maximum(np.maximum(boxes[0].take(box, 1) - q, q - boxes[1].take(box, 1)), 0)
+            near = sum(gap ** 2) <= upper[own]
+            own, box = own[near], box[near]
+        for s in range(0, own.size, _PAIR_CHUNK // _STRIDE):
+            k = np.minimum(box[s:s + _PAIR_CHUNK // _STRIDE] * _STRIDE
+                           + np.arange(_STRIDE)[:, None], n - 1)
+            o = own[s:s + _PAIR_CHUNK // _STRIDE]
+            np.minimum.at(out, o, _pair_sq(p.take(o, 1), c.take(k, 1)).min(axis=0))
     return out
 
 
@@ -166,17 +192,21 @@ def _max_nearest_distance(points: Array, cloud: Array) -> float:
     The same float as _nearest_sq over every point, maximized, but only the
     points that can attain the maximum meet the whole cloud. Every s-th sorted
     cloud point (s = _STRIDE ** 2, then _STRIDE) bounds the live points'
-    distances from above by the same float formula. The point with the
-    largest bound attains its exact distance; points bounded below the
-    largest one found leave the live set (the 1e-12 margin is insurance only).
+    distances from above by the same float formula, within the last bounds.
+    The largest bound's point attains its exact distance; points bounded below
+    the largest distance found leave the live set (1e-12 margin: insurance).
     """
     p, c = _columns(points, cloud)
-    best = 0.0
+    best, upper = 0.0, None
     for s in (_STRIDE ** 2, _STRIDE):
-        upper = _nearest_sq(p, c[:, ::s].copy())
-        best = max(best, _nearest_sq(p[:, [int(np.argmax(upper))]], c)[0])
-        p = p[:, upper * (1.0 + 1e-12) >= best]
-    return float(np.sqrt(_nearest_sq(p, c).max()))
+        upper = _nearest_sq(p, c[:, ::s].copy(), upper)
+        top = [int(np.argmax(upper))]
+        best = max(best, _nearest_sq(p[:, top], c, upper[top])[0])
+        live = upper * (1.0 + 1e-12) >= best
+        p, upper = p[:, live], upper[live]
+        if upper.size <= _STRIDE:  # few enough to meet the whole cloud at once
+            break
+    return float(np.sqrt(_nearest_sq(p, c, upper).max()))
 
 
 def hausdorff_distance(a: Array, b: Array) -> float:
@@ -652,7 +682,7 @@ def is_unreachable(landscape: Landscape, theta: float, rho: float,
     keep = sy >= eval_batch(landscape, sx)  # closed epigraph only
     samples = np.column_stack([sx[keep], sy[keep]])
 
-    clearance = rho - _max_nearest_distance(samples, np.column_stack([tg, fg]))
+    clearance = rho - _max_nearest_distance(samples, np.array([tg, fg]).T)  # no copy in _columns
     if clearance > slack:
         verdict: Verdict = "unreachable"
     elif clearance <= slack / 2.0:

@@ -121,9 +121,9 @@ def test_distances_reject_points_of_the_wrong_width(name):
             _measure(name, points)
 
 
-def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
-    # 3-wide points against the graph of a d=2 quadratic on a 2-D grid, whose
-    # points share their first coordinate column by column
+def _points_about_a_2d_graph():
+    """The graph of a d=2 quadratic on a 2-D grid, whose points share their
+    first coordinate column by column, and 300 3-wide points, 20 of them on it."""
     ls = quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     grid = GridSpec(lo=(-1.0, -1.5), hi=(1.0, 1.5), step=0.02)
     g = grid.points()
@@ -131,6 +131,11 @@ def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
     rng = np.random.default_rng(3)
     points = np.column_stack([rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(-0.5, 3.0, 300)])
     points[:20] = graph[rng.choice(len(g), 20)]
+    return ls, grid, graph, points
+
+
+def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
+    ls, grid, graph, points = _points_about_a_2d_graph()
     exact = cKDTree(graph).query(points)[0]
     np.testing.assert_array_equal(geometry.distances_to_graph(ls, points, grid), exact)
     assert distance_to_graph(ls, points[25], grid) == exact[25]
@@ -808,12 +813,12 @@ def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
     passes, depth = [], [0]
     real = geometry._nearest_sq
 
-    def counting(p, c):  # (cloud size, rows) of each outermost pass
+    def counting(p, c, *bounds):  # (cloud size, rows) of each outermost pass
         if not depth[0]:
             passes.append((c.shape[1], p.shape[1]))
         depth[0] += 1
         try:
-            return real(p, c)
+            return real(p, c, *bounds)
         finally:
             depth[0] -= 1
     monkeypatch.setattr(geometry, "_nearest_sq", counting)
@@ -824,6 +829,69 @@ def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
     assert coarse == math.ceil(whole / geometry._STRIDE ** 2)
     assert coarse_rows > 1000
     assert sum(rows for size, rows in passes if size == whole) <= 0.01 * coarse_rows
+
+
+def _exact_pass_work(monkeypatch, run, *clouds):
+    """(measured, window): the pairs that run()'s passes against a whole
+    cloud (one of `clouds`' sizes) measure, not counting the coarse passes
+    they ask for bounds, and the pairs of the same points whose first
+    coordinates differ by at most the point's exact (cKDTree) distance, the
+    fewest that a pass pruning by first coordinates alone could measure."""
+    passes, depth = [], [0]
+    real_nearest, real_pair_sq = geometry._nearest_sq, geometry._pair_sq
+
+    def nearest(p, c, *bounds):
+        if not depth[0]:
+            passes.append([p, c, 0])
+        depth[0] += 1
+        try:
+            return real_nearest(p, c, *bounds)
+        finally:
+            depth[0] -= 1
+
+    def pair_sq(p, c):
+        d2 = real_pair_sq(p, c)
+        if depth[0] == 1:  # not a coarse pass that the outermost one asked for bounds
+            passes[-1][2] += d2.size
+        return d2
+    monkeypatch.setattr(geometry, "_nearest_sq", nearest)
+    monkeypatch.setattr(geometry, "_pair_sq", pair_sq)
+    run()
+    measured = window = 0
+    for p, c, pairs in passes:
+        if c.shape[1] in {len(cloud) for cloud in clouds}:
+            reach = cKDTree(c.T).query(p.T)[0]
+            window += int((np.searchsorted(c[0], p[0] + reach, "right")
+                           - np.searchsorted(c[0], p[0] - reach)).sum())
+            measured += pairs
+    return measured, window
+
+
+def test_hovering_points_measure_few_pairs_of_their_windows(monkeypatch):
+    # every hovering point's window along the first coordinate spans the
+    # whole segment, but the boxes of the segment's blocks are far below it
+    *_, (hover, segment) = _random_clouds()
+    measured, window = _exact_pass_work(
+        monkeypatch, lambda: hausdorff_distance(hover, segment), hover, segment)
+    assert 0 < measured <= 0.1 * window
+
+
+def test_distances_to_a_2d_graph_measure_few_pairs_of_their_windows(monkeypatch):
+    # a window spans dozens of the graph's columns, each box a short run of one
+    ls, grid, graph, points = _points_about_a_2d_graph()
+    measured, window = _exact_pass_work(
+        monkeypatch, lambda: geometry.distances_to_graph(ls, points, grid), graph)
+    assert 0 < measured <= 0.1 * window
+
+
+def test_hausdorff_distance_of_two_large_clouds_is_the_kd_tree_float():
+    # live sets of thousands of points take the coarse-to-fine passes
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(size=(20000, 2)), rng.uniform(size=(20000, 2))
+    ab, ba = cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()
+    assert geometry._max_nearest_distance(a, b) == float(ab)
+    assert geometry._max_nearest_distance(b, a) == float(ba)
+    assert hausdorff_distance(a, b) == float(max(ab, ba))
 
 
 def test_unreachable_affine_always_reachable():
