@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -190,11 +190,11 @@ def _max_nearest_distance(points: Array, cloud: Array) -> float:
     """Largest distance from any of the points to its nearest cloud point.
 
     The same float as _nearest_sq over every point, maximized, but only the
-    points that can attain the maximum meet the whole cloud. Every s-th sorted
-    cloud point (s = _STRIDE ** 2, then _STRIDE) bounds the live points'
-    distances from above by the same float formula, within the last bounds.
-    The largest bound's point attains its exact distance; points bounded below
-    the largest distance found leave the live set (1e-12 margin: insurance).
+    points that can attain the maximum meet the whole cloud, each once. Every
+    s-th sorted cloud point (s = _STRIDE ** 2, then _STRIDE) bounds the live
+    points' distances from above by the same float formula, within the last
+    bounds. The largest bound's point is measured and leaves the live set, as
+    do points bounded below the largest distance found (1e-12 margin: insurance).
     """
     p, c = _columns(points, cloud)
     best, upper = 0.0, None
@@ -203,10 +203,11 @@ def _max_nearest_distance(points: Array, cloud: Array) -> float:
         top = [int(np.argmax(upper))]
         best = max(best, _nearest_sq(p[:, top], c, upper[top])[0])
         live = upper * (1.0 + 1e-12) >= best
+        live[top] = False  # measured: best holds its exact distance
         p, upper = p[:, live], upper[live]
         if upper.size <= _STRIDE:  # few enough to meet the whole cloud at once
             break
-    return float(np.sqrt(_nearest_sq(p, c, upper).max()))
+    return float(np.sqrt(max(best, _nearest_sq(p, c, upper).max()) if upper.size else best))
 
 
 def hausdorff_distance(a: Array, b: Array) -> float:
@@ -298,6 +299,32 @@ def _bounded_batch(landscape: Landscape, thetas: Array) -> Array:
     if b is not None and not -b * (1.0 + 1e-12) <= fv.min() <= fv.max() <= b * (1.0 + 1e-12):
         raise ValueError(f"landscape {landscape.name!r} breaks its value_bound {b!r}")
     return fv
+
+
+def _lattice_view(landscape: Landscape, h: float) -> Landscape:
+    """landscape whose f_batch reads f once per lattice point j h (theta == j * h), other
+    thetas as they come: exact where f_batch values ignore their batch (riemann, see Landscape)."""
+    keys, vals = np.array([np.iinfo(np.int64).max]), np.array([np.nan])  # a NaN's bits: no j h
+
+    def f_batch(thetas: Array) -> Array:
+        nonlocal keys, vals
+        t = np.asarray(thetas, dtype=float).reshape(-1)
+        on = np.rint(t / h) * h == t
+        k = t[on].view(np.int64)
+        miss = keys[np.searchsorted(keys, k)] != k
+        new, first = np.unique(k[miss], return_index=True)  # sorts: faster than hashing
+        as_asked = new.size == k.size  # no hit, no duplicate: f read as asked, without copies
+        fv = eval_batch(landscape, thetas if as_asked else np.r_[new.view(float), t[~on]])
+        at = np.searchsorted(keys, new)
+        keys, vals = np.insert(keys, at, new), np.insert(
+            vals, at, fv[on][first] if as_asked else fv[:new.size])
+        if as_asked:
+            return fv
+        out = np.empty(t.size)
+        out[on], out[~on] = vals[np.searchsorted(keys, k)], fv[new.size:]
+        return out
+
+    return replace(landscape, f_batch=f_batch)
 
 
 def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | float:

@@ -676,6 +676,28 @@ def test_offsets_do_not_depend_on_the_scan_chunk(case, chunk, monkeypatch):
             assert a.tobytes() == b.tobytes()
 
 
+def test_lattice_view_reads_each_lattice_point_once():
+    # repeats across requests and duplicates within one come from the memo;
+    # off-lattice thetas (and -0.0, whose bits differ from 0.0's) are read as
+    # asked, and a request with neither repeats nor duplicates goes through as it is
+    ls, h, seen = riemann(100), 1e-3, []
+    base = replace(ls, f_batch=lambda t: seen.append(t) or ls.f_batch(t))
+    view = geometry._lattice_view(base, h)
+    requests = [np.arange(10, 30) * h,
+                np.r_[np.arange(20, 40) * h, np.arange(35, 25, -1) * h, 0.0123456, -0.0, 0.0],
+                np.r_[np.arange(30, 40) * h, 0.0],
+                np.r_[50, 51, 50] * h,
+                np.arange(5) * h + h / 3]
+    for t in requests:
+        got = eval_batch(view, t)
+        assert got.tobytes() == ls.f_batch(t[:, None]).tobytes()
+    assert np.shares_memory(seen[0], requests[0]) and np.shares_memory(seen[-1], requests[-1])
+    read = np.concatenate([s.reshape(-1) for s in seen[:-1]])
+    on = read[np.rint(read / h) * h == read]
+    assert on.size == np.unique(on.view(np.int64)).size == 34  # 10 h to 39 h, 50 h, 51 h, +-0.0
+    assert read.size - on.size == 1  # 0.0123456
+
+
 def test_count_local_minima_conventions():
     assert count_local_minima(np.array([3.0, 1.0, 2.0, 0.5, 4.0])) == 2
     assert count_local_minima(np.array([1.0, 2.0, 3.0])) == 0  # monotone
@@ -807,13 +829,13 @@ def test_near_tie_keeps_the_maximiser_live():
     assert hausdorff_distance(points, cloud) == exact
 
 
-def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
-    # at the vertex of sigma*theta^2/2 with rho = 1.2/sigma every admissible
-    # sample's coarse bound sits below the largest exact distance, but one
+def _vertex_passes(monkeypatch):
+    """is_unreachable at the vertex of theta^2 with rho 1.2 and grid step 1e-4,
+    and the (cloud size, rows) of each outermost _nearest_sq pass it makes."""
     passes, depth = [], [0]
     real = geometry._nearest_sq
 
-    def counting(p, c, *bounds):  # (cloud size, rows) of each outermost pass
+    def counting(p, c, *bounds):
         if not depth[0]:
             passes.append((c.shape[1], p.shape[1]))
         depth[0] += 1
@@ -822,13 +844,30 @@ def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
         finally:
             depth[0] -= 1
     monkeypatch.setattr(geometry, "_nearest_sq", counting)
-    rep = is_unreachable(quadratic(np.array([[2.0]])), 0.0, rho=1.2, grid_step=1e-4)
+    return is_unreachable(quadratic(np.array([[2.0]])), 0.0, rho=1.2, grid_step=1e-4), passes
+
+
+def test_unreachable_measures_few_samples_against_the_whole_graph(monkeypatch):
+    # at the vertex of sigma*theta^2/2 with rho = 1.2/sigma every admissible
+    # sample's coarse bound sits below the largest exact distance, but one
+    rep, passes = _vertex_passes(monkeypatch)
     assert rep.verdict == "unreachable"
     (coarse, coarse_rows), *_ = passes
     whole = max(size for size, _ in passes)
     assert coarse == math.ceil(whole / geometry._STRIDE ** 2)
     assert coarse_rows > 1000
     assert sum(rows for size, rows in passes if size == whole) <= 0.01 * coarse_rows
+
+
+def test_unreachable_measures_the_lone_live_sample_once(monkeypatch):
+    # the coarse pass leaves one sample live; its exact pass is the last one,
+    # and the clearance is still the KD-tree's float
+    rep, passes = _vertex_passes(monkeypatch)
+    samples, graph = _sphere_and_graph(quadratic(np.array([[2.0]])), 0.0, 1.2, 1e-4,
+                                       rep.n_sphere)
+    assert [rows for size, rows in passes if size == len(graph)] == [1]
+    assert len(graph) == 48021 and passes[0] == (188, len(samples))
+    assert rep.clearance == 1.2 - float(cKDTree(graph).query(samples)[0].max())
 
 
 def _exact_pass_work(monkeypatch, run, *clouds):

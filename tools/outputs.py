@@ -7,7 +7,8 @@
 `rollball` package on the import path (an installed one, or a tree's `src`
 through PYTHONPATH) and writes their outputs under DIR:
 
-- the six `verify` reports;
+- the six `verify` reports, and `smoothing`'s on the lattice that
+  SMOOTHING_CONFIG sets, h = 5e-4;
 - offset dumps of riemann(100): aligned at rho=1e3 (two intervals, as the
   geometry benchmark draws them), rho=1e4, one theta at rho=1e5, and
   unaligned at rho=100 with grid step 0.0137;
@@ -45,6 +46,7 @@ TWO_PI = repr(2 * math.pi)
 SEED = 20251019
 OPTIMIZERS = ("gd", "rbo", "sam", "sgd")
 LANDSCAPES = ("affine_bump", "quadratic", "riemann", "sinusoid")
+SMOOTHING_CONFIG = {"smoothing": {"rhos": [0.1, 1, 10], "h": 5e-4}}
 
 
 def commands() -> dict[str, list[str]]:
@@ -64,7 +66,8 @@ def commands() -> dict[str, list[str]]:
         "offset/readme-quickstart.csv": ["--rho", "1.0", "--interval", "0:6.2832"],
         **{f"offset/readme-rho{rho}.csv": ["--rho", rho] for rho in ("0.01", "0.1", "1", "10")},
     }
-    out = {"verify": ["verify"]}
+    out = {"verify": ["verify"],
+           "verify-smoothing-h": ["verify", "smoothing", "--config", "smoothing-h.json"]}
     out.update({path: ["offset", *riemann, *args] for path, args in dumps.items()})
     for opt in OPTIMIZERS:
         for name in LANDSCAPES:
@@ -112,6 +115,7 @@ def write(root: Path) -> int:
     os.chdir(root)  # every path in the commands is relative to the corpus
     try:
         write_digits(Path("digits"))
+        Path("smoothing-h.json").write_text(json.dumps(SMOOTHING_CONFIG) + "\n")
         exits = {}
         for path, argv in commands().items():
             Path(path).parent.mkdir(parents=True, exist_ok=True)
