@@ -1,7 +1,7 @@
 """Rolling-ball optimization and landscape geometry toolkit."""
 from .geometry import (GridSpec, OffsetSamples, UnreachabilityReport,
                        count_local_minima, distance_to_graph,
-                       hausdorff_distance, is_unreachable,
+                       hausdorff_distance, is_unreachable, memo_view,
                        normal_from_grad, offset_profile, offset_value,
                        sharpness, tangent_from_grad)
 from .landscape import (Landscape, affine_plus_bump, catalogue_names,
@@ -33,9 +33,9 @@ __all__ = [
     "count_local_minima", "distance_to_graph", "eval_batch", "evaluate",
     "find_mnist", "hausdorff_distance", "hyperparameters", "init_params",
     "is_unreachable", "lift", "load_idx", "load_mnist", "loss_and_grad",
-    "make_landscape", "normal_from_grad", "offset_profile", "offset_value",
-    "param_count", "project_footpoint", "quadratic", "rbo_step", "riemann",
-    "run", "run_check", "run_gd", "run_rbo", "run_sam", "run_sgd", "sharpness",
-    "sinusoid", "tangent_from_grad", "train_mlp",
+    "make_landscape", "memo_view", "normal_from_grad", "offset_profile",
+    "offset_value", "param_count", "project_footpoint", "quadratic", "rbo_step",
+    "riemann", "run", "run_check", "run_gd", "run_rbo", "run_sam", "run_sgd",
+    "sharpness", "sinusoid", "tangent_from_grad", "train_mlp",
     "value_and_grad",
 ]

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import types
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -27,7 +28,7 @@ from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import neural, serialize, verify
-from .geometry import offset_profile
+from .geometry import memo_view, offset_profile
 from .landscape import Landscape, catalogue_names, make_landscape
 from .optimizer import OPTIMIZERS, RULES, hyperparameters, run
 
@@ -318,7 +319,6 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         landscape = _build_landscape(cfg.landscape, cfg.landscape_params)
         theta0 = _resolve_theta0(cfg.theta0, landscape)
     cells = _sweep_grid(cfg)
-    lattices: dict = {}  # the rolls' offset lattice, shared by the cells of one rho
 
     def run_cell(cell: tuple[int, float, float]) -> tuple[float, float, float, str]:
         index, rho, eta = cell
@@ -329,14 +329,16 @@ def cmd_sweep(cfg: SweepConfig) -> int:
                 _, stats = neural.train_mlp(neural.MlpSpec(), train, val, "rbo", cfg.epochs,
                                             TrainConfig.batch_size, seed, **hyper)
                 return rho, eta, stats[-1].val_accuracy, ""
-            traj = run("rbo", landscape, theta0, cfg.steps, seed, lattices=lattices, **hyper)
+            traj = run("rbo", landscape, theta0, cfg.steps, seed, **hyper)
             if traj.error is not None:
                 raise RuntimeError(traj.error)
             return rho, eta, traj.records[-1].loss, ""
         except Exception as exc:  # cell failures stay in the grid as NaN
             return rho, eta, math.nan, str(exc)
 
-    results = [run_cell(c) for c in cells]
+    # one view for all the cells: their rolls read each value of f once
+    with nullcontext() if cfg.task == "mlp" else memo_view(landscape) as landscape:
+        results = [run_cell(c) for c in cells]
     serialize.write_sweep_csv(results, cfg.out)
     failures = sum(1 for r in results if r[3])
     print(f"sweep: {len(results)} cells ({failures} failed) -> {cfg.out}")
@@ -476,27 +478,29 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with the config flags of all or, given `command`, of it alone."""
     parser = argparse.ArgumentParser(
         prog="rollball",
         description="Rolling-ball optimization and landscape geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (cls, reads_file, _, text) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=text)
+    for name, (cls, reads_file, _, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
         if reads_file:
             p.add_argument("--config", help="JSON config file; flags override its fields")
-        if cls is not None:
+        if cls is None:
+            p.add_argument("--out", help="report directory")
+            p.add_argument("checks", nargs="*",
+                           help=f"subset of: {', '.join(verify.available_checks())} "
+                                "(default: all)")
+        elif command in (None, name):
             _add_config_flags(p, cls)
-            continue
-        p.add_argument("--out", help="report directory")
-        p.add_argument("checks", nargs="*",
-                       help=f"subset of: {', '.join(verify.available_checks())} "
-                            "(default: all)")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)  # flags cost a config's type hints
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports bad flags itself

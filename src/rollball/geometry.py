@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -301,30 +302,39 @@ def _bounded_batch(landscape: Landscape, thetas: Array) -> Array:
     return fv
 
 
-def _lattice_view(landscape: Landscape, h: float) -> Landscape:
-    """landscape whose f_batch reads f once per lattice point j h (theta == j * h), other
-    thetas as they come: exact where f_batch values ignore their batch (riemann, see Landscape)."""
-    keys, vals = np.array([np.iinfo(np.int64).max]), np.array([np.nan])  # a NaN's bits: no j h
+@contextmanager
+def memo_view(landscape: Landscape) -> Iterator[Landscape]:
+    """For the with block, a view of the 1D landscape (any other comes as it is) whose
+    f_batch reads f once per theta and answers repeats from a memo that every roll and
+    profile on the view shares; the memo goes with the block, as a run's record may keep
+    the view. Exact where a point's f_batch value ignores its batch (riemann, see Landscape)."""
+    memo = []  # (increasing keys, values) of each request's misses
 
     def f_batch(thetas: Array) -> Array:
-        nonlocal keys, vals
         t = np.asarray(thetas, dtype=float).reshape(-1)
-        on = np.rint(t / h) * h == t
-        k = t[on].view(np.int64)
-        miss = keys[np.searchsorted(keys, k)] != k
-        new, first = np.unique(k[miss], return_index=True)  # sorts: faster than hashing
-        as_asked = new.size == k.size  # no hit, no duplicate: f read as asked, without copies
-        fv = eval_batch(landscape, thetas if as_asked else np.r_[new.view(float), t[~on]])
-        at = np.searchsorted(keys, new)
-        keys, vals = np.insert(keys, at, new), np.insert(
-            vals, at, fv[on][first] if as_asked else fv[:new.size])
-        if as_asked:
+        k = t.view(np.int64) >> 63 & np.iinfo(np.int64).max  # keys: the bits in the
+        k ^= t.view(np.int64)  # floats' order, -0.0 below 0.0
+        out, miss = np.empty(t.size), np.ones(t.size, bool)
+        for keys, vals in memo:
+            at = np.minimum(np.searchsorted(keys, k), keys.size - 1)
+            hit = keys[at] == k
+            out[hit], miss[hit] = vals[at[hit]], False
+        if not miss.any():
+            return out
+        if miss.all() and (k[1:] > k[:-1]).all():  # no repeat: f read as asked, and its
+            fv = eval_batch(landscape, thetas)  # values, read-only, are the memo's own
+            fv.flags.writeable = False
+            memo.append((k, fv))
             return fv
-        out = np.empty(t.size)
-        out[on], out[~on] = vals[np.searchsorted(keys, k)], fv[new.size:]
+        new, first, back = np.unique(k[miss], return_index=True, return_inverse=True)
+        memo.append((new, eval_batch(landscape, t[miss][first])))
+        out[miss] = memo[-1][1][back]
         return out
 
-    return replace(landscape, f_batch=f_batch)
+    try:
+        yield replace(landscape, f_batch=f_batch) if landscape.dim == 1 else landscape
+    finally:
+        memo.clear()
 
 
 def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | float:
@@ -333,13 +343,14 @@ def _circ(s: Array | float, rho: float, out: Array | None = None) -> Array | flo
 
     s is an array, or one float for the edge searches of the pruned scan.
     Both run the same IEEE operations, so they give the same float at the
-    same s; the float path takes under a microsecond, np.clip alone several.
+    same s; the float path takes under a microsecond, an array clamp over one.
     """
     smax = rho * (1.0 - 1e-12)
     if isinstance(s, float):
         s = min(max(s, -smax), smax)
         return math.sqrt(max(rho * rho - s * s, 0.0))
-    s = np.clip(s, -smax, smax, out=out)  # the one new array: the rest works in place
+    s = np.maximum(s, -smax, out=out)  # the one new array: the rest works in place
+    np.minimum(s, smax, out=s)
     np.multiply(s, s, out=s)
     np.subtract(rho * rho, s, out=s)
     return np.sqrt(np.maximum(s, 0.0, out=s), out=s)

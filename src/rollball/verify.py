@@ -17,8 +17,8 @@ from typing import Any, Callable, Mapping, Union, get_args, get_origin
 
 import numpy as np
 
-from .geometry import (_grid_slack, _lattice, _lattice_view, _offset_window,
-                       count_local_minima, hausdorff_distance, is_unreachable, offset_profile)
+from .geometry import (_grid_slack, _lattice, _offset_window, count_local_minima,
+                       hausdorff_distance, is_unreachable, memo_view, offset_profile)
 from .landscape import Landscape, affine_plus_bump, eval_batch, make_landscape, \
     quadratic, riemann, sinusoid
 from .optimizer import run_gd, run_rbo
@@ -301,16 +301,16 @@ def check_smoothing(n_terms: int = 100,
     Counts strict local minima of the sampled offset of the n_terms-term
     oscillatory test landscape for each radius; passes iff the counts are
     non-increasing along the (strictly increasing) radii. The raw landscape's
-    count on the same grid is reported for scale; f is read once per lattice point.
+    count on the same grid is reported for scale; f is read once per point.
     """
     if any(r2 <= r1 for r1, r2 in zip(rhos, rhos[1:])) or len(rhos) < 1:
         raise ValueError("rhos must be strictly increasing")
-    landscape = _lattice_view(riemann(n_terms), theta_step if h is None else h)
     counts = []
-    for rho in rhos:
-        samples = offset_profile(landscape, rho, lo, hi, theta_step, h=h)
-        counts.append(float(count_local_minima(samples.values)))
-    raw_count = count_local_minima(eval_batch(landscape, samples.thetas))
+    with memo_view(riemann(n_terms)) as landscape:
+        for rho in rhos:
+            samples = offset_profile(landscape, rho, lo, hi, theta_step, h=h)
+            counts.append(float(count_local_minima(samples.values)))
+        raw_count = count_local_minima(eval_batch(landscape, samples.thetas))
 
     observations = [_obs(f"minima(rho={rho:g})", c, None)
                     for rho, c in zip(rhos, counts)]

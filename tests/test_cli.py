@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from rollball import landscape, optimizer, verify
+from rollball import cli, landscape, optimizer, verify
 from rollball.cli import (ConfigError, OffsetConfig, RunConfig, SweepConfig,
                           TrainConfig, build_parser, config_from_mapping, main)
 from rollball.neural import train_mlp
@@ -374,20 +374,16 @@ class TestSweep:
 
     def test_the_cells_of_one_radius_share_its_lattice(self, sandbox, monkeypatch):
         # the 4x4 riemann sweep of tools/outputs.py: 21 riemann blocks when
-        # each of the 16 cells builds its own lattice, 9 when they share
-        blocks, held, block, run_rbo = [], [], landscape._riemann_block, optimizer.run_rbo
+        # each of the 16 cells reads its own lattice, 9 through the sweep's
+        # memo view, which reads no point twice
+        blocks, block = [], landscape._riemann_block
         monkeypatch.setattr(landscape, "_riemann_block",
-                            lambda t, inv: blocks.append(t.size) or block(t, inv))
-
-        def spy(*args, lattices, **kwargs):
-            held.append(len(lattices))
-            return run_rbo(*args, lattices=lattices, **kwargs)
-        monkeypatch.setattr(optimizer, "run_rbo", spy)
+                            lambda t, inv: blocks.append(t.copy()) or block(t, inv))
         assert main(["sweep", "--landscape", "riemann", "--param", "n=100", "--theta0", "2.0",
                      "--rho-count", "4", "--eta-count", "4", "--steps", "100", "--seed", "0",
                      "--out", "sweep.csv"]) == 0
-        assert len(held) == 16 and max(held) <= 1  # one lattice at a time
-        assert len(blocks) <= 10
+        read = np.concatenate(blocks).view(np.int64)
+        assert len(blocks) <= 9 and np.unique(read).size == read.size
 
     @pytest.mark.parametrize("param", ["n=x", "n=2.5"])
     def test_bad_landscape_exits_2_before_any_cell(self, sandbox, capsys, param):
@@ -692,6 +688,22 @@ class TestOffset:
 class TestParser:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_main_adds_only_the_flags_of_the_subcommand_it_runs(self, sandbox, monkeypatch,
+                                                                capsys):
+        added, add = [], cli._add_config_flags
+        monkeypatch.setattr(cli, "_add_config_flags",
+                            lambda parser, cls: added.append(cls) or add(parser, cls))
+        assert main(["offset", "--landscape", "sinusoid", "--rho", "1", "--interval", "0:1",
+                     "--grid-step", "0.25", "--out", "offset.csv"]) == 0
+        assert added == [OffsetConfig]
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        listed = capsys.readouterr().out
+        assert all(command in listed for command in ("trajectory", "sweep", "verify",
+                                                     "train", "offset"))
+        assert main(["sweep", "--help"]) == 0
+        assert "--rho-count" in capsys.readouterr().out
 
     def test_missing_subcommand_is_config_error(self):
         assert main([]) == 2

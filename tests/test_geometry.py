@@ -676,26 +676,45 @@ def test_offsets_do_not_depend_on_the_scan_chunk(case, chunk, monkeypatch):
             assert a.tobytes() == b.tobytes()
 
 
-def test_lattice_view_reads_each_lattice_point_once():
-    # repeats across requests and duplicates within one come from the memo;
-    # off-lattice thetas (and -0.0, whose bits differ from 0.0's) are read as
-    # asked, and a request with neither repeats nor duplicates goes through as it is
+def test_memo_view_reads_each_point_once():
+    # repeats across requests and duplicates within one come from the memo, for
+    # off-lattice thetas and -0.0 (whose bits differ from 0.0's) too; an increasing
+    # request with neither goes through as it is (the last one crosses 0), and one
+    # of repeats alone, or of nothing, makes no call
     ls, h, seen = riemann(100), 1e-3, []
     base = replace(ls, f_batch=lambda t: seen.append(t) or ls.f_batch(t))
-    view = geometry._lattice_view(base, h)
     requests = [np.arange(10, 30) * h,
                 np.r_[np.arange(20, 40) * h, np.arange(35, 25, -1) * h, 0.0123456, -0.0, 0.0],
-                np.r_[np.arange(30, 40) * h, 0.0],
-                np.r_[50, 51, 50] * h,
-                np.arange(5) * h + h / 3]
-    for t in requests:
-        got = eval_batch(view, t)
-        assert got.tobytes() == ls.f_batch(t[:, None]).tobytes()
+                np.r_[np.arange(39, 29, -1) * h, 0.0, 0.0123456, -0.0],
+                np.r_[50, 51, 50] * h, np.empty(0),
+                np.arange(-5, 5) * h + h / 3]
+    with geometry.memo_view(base) as view:
+        for t in requests:
+            got = eval_batch(view, t)
+            assert got.tobytes() == ls.f_batch(t[:, None]).tobytes()
+    assert got.flags.writeable is False  # passed through: the memo's own values
+    assert len(seen) == 4
     assert np.shares_memory(seen[0], requests[0]) and np.shares_memory(seen[-1], requests[-1])
-    read = np.concatenate([s.reshape(-1) for s in seen[:-1]])
-    on = read[np.rint(read / h) * h == read]
-    assert on.size == np.unique(on.view(np.int64)).size == 34  # 10 h to 39 h, 50 h, 51 h, +-0.0
-    assert read.size - on.size == 1  # 0.0123456
+    read = np.concatenate([s.reshape(-1) for s in seen]).view(np.int64)
+    assert read.size == np.unique(read).size == 20 + 13 + 2 + 10
+    # the memo goes with the block: the view kept past it reads f afresh
+    eval_batch(view, requests[0])
+    assert len(seen) == 5 and np.shares_memory(seen[-1], requests[0])
+    plane = quadratic(np.eye(2))
+    with geometry.memo_view(plane) as view:
+        assert view is plane
+
+
+def test_circ_float_and_array_paths_agree():
+    # inside the radius, at it, beyond it and at NaN, the float path (the
+    # scan's edge searches) gives the array path's float, bit for bit
+    rho = 0.7
+    s = np.array([0.0, -0.0, 0.3, -0.45, np.nextafter(rho, 0.0), rho, -rho, 0.7000001, -2.0,
+                  np.inf, -np.inf, np.nan])
+    want = geometry._circ(s, rho)
+    assert np.array([geometry._circ(float(x), rho) for x in s]).tobytes() == want.tobytes()
+    out = np.empty_like(s)
+    assert geometry._circ(s, rho, out=out) is out and out.tobytes() == want.tobytes()
 
 
 def test_count_local_minima_conventions():

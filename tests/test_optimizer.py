@@ -678,29 +678,39 @@ def record_bytes(traj):
                      for f in dataclasses.fields(r)) for r in traj.records]
 
 
-def test_rolls_sharing_a_lattice_record_what_fresh_rolls_record():
-    # a sweep's four step sizes at one rho, through one lattices dict
-    calls, base = [], riemann(100)
+def counted_riemann():
+    """riemann(100) whose f_batch keeps each batch it is asked for, and that list."""
+    asked, base = [], riemann(100)
+    return dataclasses.replace(base, f_batch=lambda t: asked.append(np.array(t).reshape(-1))
+                               or base.f_batch(t)), asked
 
-    def f_batch(thetas):
-        calls.append(len(thetas))
-        return base.f_batch(thetas)
-    ls, etas = dataclasses.replace(base, f_batch=f_batch), (0.01, 0.1, 1.0, 10.0)
+
+def test_rolls_sharing_a_lattice_record_what_fresh_rolls_record():
+    # a sweep's four step sizes at one rho, through one memo view
+    ls, asked = counted_riemann()
+    etas = (0.01, 0.1, 1.0, 10.0)
     fresh = [run_rbo(ls, np.array([2.0]), 1.0, eta, 100) for eta in etas]
-    fresh_calls, lattices = len(calls), {}
-    shared = [run_rbo(ls, np.array([2.0]), 1.0, eta, 100, lattices=lattices) for eta in etas]
+    fresh_calls = len(asked)
+    with geometry.memo_view(ls) as view:
+        shared = [run_rbo(view, np.array([2.0]), 1.0, eta, 100) for eta in etas]
+        # another radius on the same view: the first lattice's values change nothing
+        other = run_rbo(view, np.array([2.0]), 0.5, 0.1, 10)
     assert [t.error for t in fresh + shared] == [None] * 8
     assert list(map(record_bytes, shared)) == list(map(record_bytes, fresh))
-    assert len(calls) - fresh_calls < fresh_calls
-    assert list(lattices) == [1.0] and lattices[1.0].landscape is ls
-    # an equal landscape is another landscape: its run builds its own lattice
-    other, before = riemann(100), len(calls)
-    traj = run_rbo(other, np.array([2.0]), 1.0, 0.1, 100, lattices=lattices)
-    assert record_bytes(traj) == record_bytes(fresh[1]) and len(calls) == before
-    assert list(lattices) == [1.0] and lattices[1.0].landscape is other
-    # a new radius replaces the held lattice: the dict holds one at a time
-    run_rbo(other, np.array([2.0]), 0.5, 0.1, 10, lattices=lattices)
-    assert list(lattices) == [0.5]
+    assert len(asked) - fresh_calls < fresh_calls
+    assert record_bytes(other) == record_bytes(run_rbo(ls, np.array([2.0]), 0.5, 0.1, 10))
+
+
+def test_rolls_through_one_view_read_each_lattice_point_once():
+    # three rolls at one rho, the third back where the first rolled: a lattice
+    # re-centred on each start reads 8,192 points, the view each of 6,144 once
+    ls, asked = counted_riemann()
+    with geometry.memo_view(ls) as view:
+        trajs = [run_rbo(view, np.array([x]), 0.01, 0.001, 100) for x in (0.5, 3.5, 0.5)]
+    assert [t.error for t in trajs] == [None] * 3
+    assert record_bytes(trajs[2]) == record_bytes(trajs[0])
+    read = np.concatenate(asked).view(np.int64)
+    assert read.size == np.unique(read).size == 3 * geometry._CACHE_BLOCK
 
 
 def test_a_huge_gradient_ends_the_run_at_its_step():
