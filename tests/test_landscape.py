@@ -51,15 +51,20 @@ def test_riemann_batch_matches_pointwise():
 
 
 def test_riemann_batch_value_ignores_its_batch():
-    # a point's value is the same float alone, in a block cut one to eight
-    # points short of or past the kernel's block size, and in shifted slices
+    # a point's value is the same float alone, in every batch of 1 to 40
+    # points at offsets 0 to 16 (short batches are where numpy's SIMD loops
+    # take their scalar tails), in a block cut one to eight points short of
+    # or past the kernel's block size, and in shifted slices
     block = landscape_module._RIEMANN_BLOCK
     ls = riemann(100)
     ts = np.random.default_rng(8).uniform(-50.0, 50.0, 2 * block + 16)
     full = ls.f_batch(ts[:, None])
-    alone = np.array([ls.f_batch(ts[i:i + 1, None])[0]
-                      for i in [*range(40), *range(block - 8, block + 8)]])
-    np.testing.assert_array_equal(alone, full[[*range(40), *range(block - 8, block + 8)]])
+    for size in range(1, 41):
+        for a in range(17):
+            np.testing.assert_array_equal(ls.f_batch(ts[a:a + size, None]),
+                                          full[a:a + size], err_msg=f"{size} from {a}")
+    alone = np.array([ls.f_batch(ts[i:i + 1, None])[0] for i in range(block - 8, block + 8)])
+    np.testing.assert_array_equal(alone, full[block - 8:block + 8])
     for d in range(1, 9):
         for size in (block - d, block + d):
             np.testing.assert_array_equal(ls.f_batch(ts[:size, None]), full[:size])

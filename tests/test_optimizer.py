@@ -634,19 +634,30 @@ def lattice_only(ls, rho, x):
     return brute_offset(lambda t: ls.f_batch(t[:, None]), rho, x)[0]
 
 
-@pytest.mark.parametrize("ls, rho, penetration, offset", [
-    pytest.param(riemann(100), 0.1, 0.005, with_own_candidate, id="0.1-0.005"),
-    pytest.param(riemann(100), 1.0, 0.05, with_own_candidate, id="1.0-0.05"),
-    pytest.param(riemann(5), 0.1, 2e-5, with_own_candidate, id="riemann(5)-0.1"),
-    pytest.param(riemann(5), 1.0, 5e-4, with_own_candidate, id="riemann(5)-1.0"),
+# the sweep's rho 2.1544 / eta 21.544 cell (rho_count 4, eta_count 4)
+SWEEP_RHO, SWEEP_ETA = 2.1544346900318834, 21.544346900318835
+
+
+@pytest.mark.parametrize("ls, rho, eta, steps, penetration, offset", [
+    pytest.param(riemann(100), 0.1, 0.01, 500, 0.005, with_own_candidate, id="0.1-0.005"),
+    pytest.param(riemann(100), 1.0, 0.1, 500, 0.05, with_own_candidate, id="1.0-0.05"),
+    # long steps, whose end moves with the last bits of f: the CLI's default
+    # eta, and the sweep cell above
+    pytest.param(riemann(100), 1.0, 6.0, 100, 0.05, with_own_candidate, id="1.0-eta6"),
+    pytest.param(riemann(100), SWEEP_RHO, SWEEP_ETA, 100, 0.1, with_own_candidate,
+                 id="2.1544-eta21.544"),
+    pytest.param(riemann(5), 0.1, 0.01, 500, 2e-5, with_own_candidate, id="riemann(5)-0.1"),
+    pytest.param(riemann(5), 1.0, 0.1, 500, 5e-4, with_own_candidate, id="riemann(5)-1.0"),
     # theta's own candidate f(theta) + rho beats the lattice by up to 6.4e-7 here
-    pytest.param(PARABOLA, 0.1, 5e-5, lattice_only, id="theta^2-0.1"),
+    pytest.param(PARABOLA, 0.1, 0.01, 500, 5e-5, lattice_only, id="theta^2-0.1"),
 ])
-def test_every_center_of_a_riemann_roll_is_on_the_offset(ls, rho, penetration, offset):
+def test_every_center_of_a_riemann_roll_is_on_the_offset(ls, rho, eta, steps, penetration,
+                                                         offset):
     # each center against the offset at the roll's h, and against the graph
     # sampled 100 times finer than the lattice (measured penetration: 0.45
-    # and 0.79 of the bound on riemann(100), 0.24-0.37 on the others)
-    traj = run_rbo(ls, np.array([2.0]), rho, rho / 10, 500)
+    # and 0.79 of the bound on riemann(100) at eta = rho / 10, 0.79 and 0.65
+    # at the CLI default and the sweep cell, 0.24-0.37 on the others)
+    traj = run_rbo(ls, np.array([2.0]), rho, eta, steps)
     assert traj.error is None
     assert np.mean([r.projection_iters for r in traj.records[1:]]) <= 20.0
     centers = np.array([r.center for r in traj.records])

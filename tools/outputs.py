@@ -23,9 +23,11 @@ through PYTHONPATH) and writes their outputs under DIR:
 
 To check that a change leaves every output byte-identical, write one corpus
 with each tree's `src` on PYTHONPATH and diff the two. --diff prints, per
-file, "identical", or the largest absolute difference of the cells that
-differ and the columns (CSV) or key paths (JSON) they sit in, and exits 1
-if any file differs.
+file, "identical", or the largest absolute and the largest relative
+difference |a - b| / max(|a|, |b|) of the cells that differ and the columns
+(CSV) or key paths (JSON) they sit in, and exits 1 if any file differs. A
+last-bit move reads about 1e-16 relative; a changed value reads far more,
+and a changed text, such as a path, reads inf.
 """
 from __future__ import annotations
 
@@ -149,13 +151,19 @@ def _cells(path: Path) -> dict[tuple, str]:
     return leaves
 
 
-def _gap(a, b) -> float:
-    """|a - b| for two numbers (or numeric texts), inf for anything else that differs."""
+def _gap(a, b) -> tuple[float, float]:
+    """|a - b| and |a - b| / max(|a|, |b|) for two numbers (or numeric texts),
+    both inf for anything else that differs."""
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
-        return math.inf
-    return 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+        return math.inf, math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0, 0.0
+    gap = abs(x - y)
+    if not math.isfinite(gap):  # an inf, or a NaN on one side
+        return math.inf, math.inf
+    return gap, gap / max(abs(x), abs(y))
 
 
 def diff(a: Path, b: Path) -> int:
@@ -173,8 +181,9 @@ def diff(a: Path, b: Path) -> int:
             ca, cb = _cells(pa), _cells(pb)
             gaps = {key: _gap(ca.get(key), cb.get(key)) for key in ca.keys() | cb.keys()
                     if ca.get(key) != cb.get(key)}
-            cols = sorted({str(key[-1]) for key, g in gaps.items() if g > 0})
-            line = (f"max |diff| {max(gaps.values(), default=0.0):.3g} in {', '.join(cols)}"
+            cols = sorted({str(key[-1]) for key, (g, _) in gaps.items() if g > 0})
+            line = (f"max |diff| {max(g for g, _ in gaps.values()):.3g}, "
+                    f"relative {max(r for _, r in gaps.values()):.3g} in {', '.join(cols)}"
                     if cols else "same values, different text")
         moved_files += line != "identical"
         print(f"{name}: {line}")
