@@ -3,7 +3,7 @@
 Everything here is an oracle: grids, sampled spheres, exhaustive
 minimization and exact nearest distances (no KD-tree), with explicit slack
 accounting instead of silent guesses. Dimensions 1 and 2 only for the grid
-searches; the formulas for normals and tangents are dimension-free.
+searches; the normal's formula is dimension-free.
 """
 from __future__ import annotations
 
@@ -34,16 +34,6 @@ def _norm(v: Array) -> float:
         top = float(np.abs(v).max())
         norm = top * math.sqrt(float((v / top) @ (v / top)))
     return norm
-
-
-def tangent_from_grad(g: Array) -> Array:
-    """Steepest-ascent tangent lift from a gradient value: (grad f, |grad f|^2).
-
-    Orthogonal to the normal by construction; vanishes exactly at
-    stationary points.
-    """
-    g = np.asarray(g, dtype=float)
-    return np.concatenate([g, [float(g @ g)]])
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +166,6 @@ def distances_to_graph(landscape: Landscape, points: Array, grid: GridSpec) -> A
     grid_pts = grid.points()
     gp = np.column_stack([grid_pts, eval_batch(landscape, grid_pts)])
     return np.sqrt(_nearest_sq(*_columns(np.asarray(points, dtype=float), gp)))
-
-
-def distance_to_graph(landscape: Landscape, point: Array, grid: GridSpec) -> float:
-    """Min over the grid of |(theta, f(theta)) - point|.
-
-    Accuracy is O(step * (1 + local Lipschitz)); the returned value never
-    underestimates the true distance to the sampled set.
-    """
-    return float(distances_to_graph(landscape, np.asarray(point, dtype=float), grid)[0])
 
 
 def _max_nearest_distance(points: Array, cloud: Array) -> float:

@@ -93,19 +93,6 @@ def unflatten(spec: MlpSpec, params: Array) -> list[tuple[Array, Array]]:
     return layers
 
 
-def flatten(spec: MlpSpec, layers: list[tuple[Array, Array]]) -> Array:
-    sizes = spec.layer_sizes
-    if len(layers) != len(sizes) - 1:
-        raise ValueError(f"expected {len(sizes) - 1} layers, got {len(layers)}")
-    chunks = []
-    for (w, b), fan_in, fan_out in zip(layers, sizes, sizes[1:]):
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError(f"layer shape mismatch: {w.shape}, {b.shape}")
-        chunks.append(np.asarray(w).ravel())
-        chunks.append(np.asarray(b).ravel())
-    return np.concatenate(chunks)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------

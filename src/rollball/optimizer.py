@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .geometry import _check_offset_args, _circ, _Lattice, _norm, normal_from_grad, tangent_from_grad
+from .geometry import _check_offset_args, _circ, _Lattice, _norm, normal_from_grad
 from .landscape import Array, Landscape, value_and_grad
 
 DIVERGENCE_LIMIT = 1e12
@@ -119,7 +119,8 @@ class BallState:
     """Rigid sphere resting on the graph: contact point plus lifted center.
 
     The center must sit exactly one radius from the contact; construction
-    rejects states violating |center - contact| = rho beyond 1e-9 relative.
+    rejects states violating |center - contact| = rho beyond 1e-9 rho plus
+    the rounding of contact + rho * normal, 4 eps |contact|.
     """
 
     contact: GraphPoint
@@ -128,7 +129,8 @@ class BallState:
 
     def __post_init__(self):
         gap = abs(float(np.linalg.norm(self.center - self.contact.ambient)) - self.rho)
-        if gap > 1e-9 * self.rho:
+        tol = 1e-9 * self.rho + 4.0 * np.finfo(float).eps * _norm(self.contact.ambient)
+        if gap > tol:  # a NaN gap passes: the projection ends that run
             raise ValueError(
                 f"ball state violates contact distance: |center-contact| deviates "
                 f"from rho={self.rho} by {gap:.3e}")
@@ -178,12 +180,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # core geometry steps
 # ---------------------------------------------------------------------------
-
-def lift(landscape: Landscape, theta: Array, rho: float) -> BallState:
-    """Rest the sphere on the graph at theta: center = contact + rho * normal."""
-    check_hyperparameters(rho=rho)
-    return _rest(_graph_point(landscape, theta), rho)
-
 
 def _rest(contact: GraphPoint, rho: float) -> BallState:
     return BallState(contact=contact,
@@ -316,21 +312,16 @@ def _record(t: int, point: GraphPoint, center: Array | None = None, iters: int =
                       projection_iters=iters, projection_residual=resid)
 
 
-def rbo_step(landscape: Landscape, state: BallState, eta: float,
-             cfg: ProjectionConfig = ProjectionConfig(), t: int = 0,
-             ) -> tuple[BallState, StepRecord]:
-    """One rolling-ball update: displace the center against the lifted
-    tangent, project to a new foot point, re-lift the center.
-
-    The tangent and the projection, which starts from the contact, reuse the
-    gradient the contact carries, and the re-lift reuses the one the
-    projection returns. t is the step index stamped into the returned record.
-    """
-    contact = _with_grad(landscape, state.contact)
-    candidate = state.center - eta * tangent_from_grad(contact.grad)
-    foot, iters, resid = project_footpoint(landscape, candidate, contact, cfg)
-    new_state = _rest(foot, state.rho)
-    return new_state, _record(t, foot, new_state.center, iters, resid)
+def rbo_step(landscape: Landscape, point: GraphPoint, t: int, rho: float, eta: float,
+             cfg: ProjectionConfig) -> tuple[GraphPoint, StepRecord]:
+    """Rolling-ball update t from the carried contact point: displace the
+    resting center against the lifted tangent (g, g.g), project to a new foot
+    point and re-lift there. The tangent and the projection's start reuse the
+    contact's gradient, and the re-lift the one the projection returns."""
+    g = point.grad
+    candidate = _rest(point, rho).center - eta * np.concatenate([g, [float(g @ g)]])
+    foot, iters, resid = project_footpoint(landscape, candidate, point, cfg)
+    return foot, _record(t, foot, _rest(foot, rho).center, iters, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +469,9 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
     """Roll the ball for `steps` updates (see _run for the records, the
     minibatches and aborts). On a deterministic 1D landscape the center
     rolls on the offset (_roll), and the run ends at the step that settles
-    it. Otherwise each step is rbo_step, and a step's record costs no oracle
-    call, so a lean run lifts theta0 on the full data only if no step
-    completes."""
+    it. Otherwise each projection step is rbo_step, and a step's record costs
+    no oracle call, so a lean run lifts theta0 on the full data only if no
+    step completes."""
     hyper = {"rho": rho, "eta": eta, "steps": steps, "max_iters": cfg.max_iters,
              "grad_tol": cfg.grad_tol}
     if landscape.dim == 1 and not landscape.is_stochastic:
@@ -488,11 +479,10 @@ def run_rbo(landscape: Landscape, theta0: Array, rho: float, eta: float,
         return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records,
                     start=start)
 
-    def step(view: Landscape, point: GraphPoint, t: int):
-        ball, rec = rbo_step(view, _rest(point, rho), eta, cfg, t=t)
-        return ball.contact, rec
-
-    return _run("rbo", landscape, theta0, steps, hyper, step, seed, keep_records, rho=rho)
+    # looked up by name at each step: the benchmark's tracer rebinds rbo_step (ROADMAP item 8)
+    return _run("rbo", landscape, theta0, steps, hyper,
+                lambda view, point, t: rbo_step(view, point, t, rho, eta, cfg),
+                seed, keep_records, rho=rho)
 
 
 def _descent_step(eta: float, sam_rho: float | None = None) -> Callable:

@@ -251,6 +251,13 @@ class TestTrajectory:
         assert lines[0] == TRAJ_HEADER
         assert 2 < len(lines) < 202  # partial: stopped at the divergence step
 
+    def test_a_ball_small_next_to_its_contact_runs_to_the_end(self, sandbox):
+        # |center - contact| rounds away from rho by up to eps |contact|, beyond 1e-9 rho
+        assert main(["trajectory", "--landscape", "quadratic", "--param", "a_diag=[1,1]",
+                     "--theta0", "1000", "1000", "--rho", "1e-6", "--eta", "0.1",
+                     "--steps", "3", "--out", "run.csv"]) == 0
+        assert len((sandbox / "run.csv").read_text().splitlines()) == 5
+
     @pytest.mark.parametrize("argv, header", [
         (["--landscape", "quadratic", "--param", "a=[[2.0, 0.5], [0.5, 1.0]]",
           "--optimizer", "sam", "--theta0", "1.0", "-2.0", "--steps", "6"],
@@ -759,11 +766,12 @@ def test_every_hyperparameter_has_a_rule_and_a_trajectory_flag():
 
 def test_every_entry_point_reaches_the_module_run_functions(sandbox, monkeypatch):
     """optimizer.run looks run_rbo and run_sgd up by name when it is called,
-    so a rebound module attribute (the benchmark's run probe) sees the runs
-    of train_mlp, trajectory and sweep; a table holding the function objects
-    would hide them."""
+    and run_rbo looks up rbo_step at each projection step, so a rebound
+    module attribute (the benchmark's run probe and tracer) sees the runs of
+    train_mlp, trajectory and sweep, and each step of the rbo epoch; a table
+    or closure holding the function objects would hide them."""
     calls = []
-    for name in ("run_rbo", "run_sgd"):
+    for name in ("run_rbo", "run_sgd", "rbo_step"):
         def counted(*args, _run=getattr(optimizer, name), _name=name, **kwargs):
             calls.append(_name)
             return _run(*args, **kwargs)
@@ -774,4 +782,6 @@ def test_every_entry_point_reaches_the_module_run_functions(sandbox, monkeypatch
     assert main(["trajectory", "--steps", "2"]) == 0
     assert main(["trajectory", "--optimizer", "sgd", "--steps", "2"]) == 0
     assert main(SWEEP_ARGS) == 0
-    assert calls == ["run_rbo", "run_sgd", "run_rbo", "run_sgd"] + ["run_rbo"] * 6
+    # the epoch is 16 // 8 = 2 projection steps; the CLI's 1D runs roll on the offset
+    assert calls == ["run_rbo", "rbo_step", "rbo_step", "run_sgd", "run_rbo", "run_sgd"] \
+        + ["run_rbo"] * 6

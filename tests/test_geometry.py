@@ -14,10 +14,9 @@ from scipy.spatial import cKDTree
 
 from rollball import geometry
 from rollball.geometry import (GridSpec, _offset_window, count_local_minima,
-                               distance_to_graph, hausdorff_distance,
+                               distances_to_graph, hausdorff_distance,
                                is_unreachable, normal_from_grad,
-                               offset_profile, offset_value, sharpness,
-                               tangent_from_grad)
+                               offset_profile, offset_value, sharpness)
 from rollball.landscape import (Landscape, affine_plus_bump, eval_batch, quadratic,
                                 riemann, sinusoid, value_and_grad)
 from reference import full_window_profile
@@ -32,23 +31,22 @@ grad_vectors = st.lists(
 def test_normal_is_unit_and_orthogonal_to_tangent(g):
     g = np.array(g)
     nu = normal_from_grad(g)
-    tau = tangent_from_grad(g)
+    tau = np.append(g, g @ g)  # the lifted steepest-ascent tangent rbo_step moves against
     assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-12)
     assert abs(nu @ tau) <= 1e-9 * max(1.0, np.linalg.norm(tau))
     assert nu[-1] > 0  # upward component
 
 
 def test_normal_tangent_values():
-    # f = theta^2 at theta=1: grad=2, nu=(-2,1)/sqrt5, tau=(2,4)
+    # f = theta^2 at theta=1: grad=2, nu=(-2,1)/sqrt5 (the tangent's values:
+    # test_optimizer's test_rbo_step_displaces_the_center_against_the_lifted_tangent)
     ls = quadratic(np.array([[2.0]]))
     g = value_and_grad(ls, np.array([1.0]))[1]
     np.testing.assert_allclose(normal_from_grad(g),
                                np.array([-2.0, 1.0]) / np.sqrt(5.0), atol=1e-15)
-    np.testing.assert_allclose(tangent_from_grad(g), [2.0, 4.0], atol=1e-15)
-    # flat point: normal straight up, tangent zero
+    # flat point: normal straight up
     g = value_and_grad(ls, np.zeros(1))[1]
     np.testing.assert_array_equal(normal_from_grad(g), [0.0, 1.0])
-    np.testing.assert_array_equal(tangent_from_grad(g), [0.0, 0.0])
 
 
 def test_normal_of_a_gradient_whose_square_overflows():
@@ -64,7 +62,7 @@ def test_distance_to_graph_parabola():
     # nearest graph point of (0, 2) on f=theta^2 is (sqrt(1.5), 1.5)
     ls = quadratic(np.array([[2.0]]))
     grid = GridSpec(lo=(-3.0,), hi=(3.0,), step=1e-4)
-    d = distance_to_graph(ls, np.array([0.0, 2.0]), grid)
+    d = distances_to_graph(ls, np.array([0.0, 2.0]), grid)[0]
     exact = math.hypot(math.sqrt(1.5), 0.5)
     assert d == pytest.approx(exact, abs=1e-4)
 
@@ -90,7 +88,7 @@ def test_hausdorff_distance_hand_case_and_symmetry():
 
 
 def _measure(name, points, nan_graph=False):
-    """One of the three distance functions: points against the graph of
+    """One of the two distance functions: points against the graph of
     theta^2 on a grid of [-1, 1], with f = NaN at its first point if asked."""
     ls, grid = quadratic(np.array([[2.0]])), GridSpec(lo=(-1.0,), hi=(1.0,), step=0.1)
     if nan_graph:
@@ -98,10 +96,10 @@ def _measure(name, points, nan_graph=False):
     if name == "hausdorff_distance":
         g = grid.points()
         return hausdorff_distance(points, np.column_stack([g, eval_batch(ls, g)]))
-    return getattr(geometry, name)(ls, points, grid)
+    return distances_to_graph(ls, points, grid)
 
 
-DISTANCES = ["hausdorff_distance", "distances_to_graph", "distance_to_graph"]
+DISTANCES = ["hausdorff_distance", "distances_to_graph"]
 
 
 @pytest.mark.parametrize("name", DISTANCES)
@@ -137,8 +135,8 @@ def _points_about_a_2d_graph():
 def test_distances_to_a_2d_graph_are_the_kd_tree_floats():
     ls, grid, graph, points = _points_about_a_2d_graph()
     exact = cKDTree(graph).query(points)[0]
-    np.testing.assert_array_equal(geometry.distances_to_graph(ls, points, grid), exact)
-    assert distance_to_graph(ls, points[25], grid) == exact[25]
+    np.testing.assert_array_equal(distances_to_graph(ls, points, grid), exact)
+    assert distances_to_graph(ls, points[25], grid)[0] == exact[25]
 
 
 def test_offset_value_elementary_bounds():

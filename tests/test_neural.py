@@ -7,15 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rollball import neural
 from rollball.landscape import value_and_grad
 from rollball.neural import (Dataset, EpochStats,
                              IdxCountMismatchError, IdxMagicError,
                              IdxTruncatedError, MlpSpec, as_landscape,
-                             evaluate, find_mnist, flatten, init_params,
+                             evaluate, find_mnist, init_params,
                              load_idx, load_mnist, loss_and_grad, param_count,
                              train_mlp, unflatten)
 from rollball.optimizer import StepRecord, run_rbo
@@ -63,12 +61,6 @@ class TestSpec:
             assert np.all(np.abs(w) <= scale)
             assert np.all(b == 0.0)
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_flatten_round_trip(self, seed):
-        params = np.random.default_rng(seed).standard_normal(param_count(TINY))
-        assert np.array_equal(flatten(TINY, unflatten(TINY, params)), params)
-
     def test_unflatten_views_not_copies(self):
         params = np.zeros(param_count(TINY))
         w, _ = unflatten(TINY, params)[0]
@@ -78,14 +70,6 @@ class TestSpec:
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 53 parameters"):
             unflatten(TINY, np.zeros(54))
-
-    def test_flatten_rejects_wrong_shapes(self):
-        layers = unflatten(TINY, np.zeros(param_count(TINY)))
-        with pytest.raises(ValueError, match="layers"):
-            flatten(TINY, layers[:1])
-        bad = [(np.zeros((6, 4)), np.zeros(4))] + layers[1:]
-        with pytest.raises(ValueError, match="shape mismatch"):
-            flatten(TINY, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +112,7 @@ class TestLossAndGrad:
     @pytest.mark.parametrize("hidden", [(5,), (5, 4)])
     def test_flat_gradient_matches_per_layer_products(self, hidden):
         # the gradient written in place into one flat vector equals the
-        # per-layer products joined by flatten
+        # per-layer products joined in unflatten's layout
         spec = MlpSpec(inputs=6, hidden=hidden, outputs=3)
         rng = np.random.default_rng(4)
         params = init_params(spec, seed=4) + 0.1 * rng.standard_normal(param_count(spec))
@@ -151,7 +135,7 @@ class TestLossAndGrad:
                 delta = delta @ layers[k][0].T
                 delta = delta * (a > 0.0)
         _, grad = loss_and_grad(spec, params, data.images, data.labels)
-        assert np.array_equal(grad, flatten(spec, grads))
+        assert np.array_equal(grad, np.concatenate([a.ravel() for layer in grads for a in layer]))
 
     def test_evaluate_ties_pick_lowest_class(self):
         # zero params leave all logits equal, so argmax resolves to class 0

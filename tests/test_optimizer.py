@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollball.landscape import Landscape, affine_plus_bump, quadratic, riemann
-from rollball import geometry
-from rollball.geometry import GridSpec, distances_to_graph, offset_value
+from rollball import geometry, optimizer
+from rollball.geometry import GridSpec, distances_to_graph, normal_from_grad, offset_value
 from rollball.optimizer import (BallState, GraphPoint, ProjectionConfig,
                                 ProjectionDivergence, StepRecord, _graph_point,
-                                lift, project_footpoint, rbo_step,
+                                project_footpoint, rbo_step,
                                 run_gd, run_rbo, run_sam, run_sgd)
 
 PARABOLA = quadratic(np.array([[2.0]]))  # f = theta^2
 HALF_SQ = quadratic(np.array([[1.0]]))   # f = theta^2 / 2
+BOWL = quadratic(np.diag([2.0, 1.0]))     # f = theta_0^2 + theta_1^2 / 2
 
 
 def test_projection_config_validation():
@@ -39,21 +40,33 @@ def test_graph_point_ambient():
 
 
 def test_lift_flat_and_sloped_points():
-    st0 = lift(PARABOLA, np.array([0.0]), rho=1.0)
-    np.testing.assert_allclose(st0.center, [0.0, 1.0], atol=1e-15)
-    st1 = lift(PARABOLA, np.array([-1.0]), rho=2.0)
-    np.testing.assert_allclose(st1.contact.ambient, [-1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(
-        st1.center, [-1.0 + 4.0 / np.sqrt(5.0), 1.0 + 2.0 / np.sqrt(5.0)],
-        atol=1e-12)
+    # record 0 of a d = 2 run rests the ball on theta0: contact + rho * normal
+    flat = run_rbo(BOWL, np.zeros(2), rho=1.0, eta=0.1, steps=0).records[0]
+    np.testing.assert_allclose(flat.center, [0.0, 0.0, 1.0], atol=1e-15)
+    sloped = run_rbo(BOWL, np.array([-1.0, 0.0]), rho=2.0, eta=0.1, steps=0).records[0]
+    np.testing.assert_array_equal(sloped.theta, [-1.0, 0.0])
+    assert sloped.loss == 1.0
+    lifted = np.array([-1.0, 0.0, 1.0]) + 2.0 * np.array([2.0, 0.0, 1.0]) / np.sqrt(5.0)
+    np.testing.assert_allclose(sloped.center, lifted, atol=1e-12)
     with pytest.raises(ValueError):
-        lift(PARABOLA, np.array([0.0]), rho=0.0)
+        run_rbo(BOWL, np.zeros(2), rho=0.0, eta=0.1, steps=0)
 
 
 def test_lift_idempotent_on_contact():
-    a = lift(PARABOLA, np.array([0.7]), rho=0.5)
-    b = lift(PARABOLA, a.contact.theta, rho=0.5)
-    np.testing.assert_allclose(a.center, b.center, atol=1e-12)
+    # every record's center is the lift of a fresh evaluation at its contact
+    traj = run_rbo(BOWL, np.array([0.7, -0.4]), rho=0.5, eta=0.3, steps=5)
+    assert traj.error is None
+    for r in traj.records:
+        g = _graph_point(BOWL, r.theta).grad
+        np.testing.assert_array_equal(
+            r.center, np.append(r.theta, r.loss) + 0.5 * normal_from_grad(g))
+
+
+@pytest.mark.parametrize("theta0, rho", [(100.0, 1e-6), (1e4, 1e-4)])
+def test_a_ball_small_next_to_its_contact_rests_on_it(theta0, rho):
+    # |center - contact| rounds away from rho by up to eps |contact|, beyond 1e-9 rho
+    traj = run_rbo(quadratic(np.diag([2.0, 0.25])), np.full(2, theta0), rho, 0.1, 50)
+    assert traj.error is None and len(traj.records) == 51
 
 
 def test_footpoint_converges_to_closest_point():
@@ -115,27 +128,52 @@ def test_footpoint_validates_candidate_shape():
 
 
 def test_rbo_step_returns_state_and_record():
-    state = lift(PARABOLA, np.array([1.0]), rho=0.5)
-    new_state, rec = rbo_step(PARABOLA, state, eta=0.1,
-                              cfg=ProjectionConfig(), t=3)
-    assert isinstance(new_state, BallState) and isinstance(rec, StepRecord)
+    point = _graph_point(PARABOLA, np.array([1.0]))
+    foot, rec = rbo_step(PARABOLA, point, 3, 0.5, 0.1, ProjectionConfig())
+    assert isinstance(foot, GraphPoint) and isinstance(rec, StepRecord)
+    assert foot.grad is not None  # carried into the next step
     assert rec.t == 3
-    assert rec.loss == new_state.contact.y
-    np.testing.assert_array_equal(rec.theta, new_state.contact.theta)
-    np.testing.assert_array_equal(rec.center, new_state.center)
+    assert rec.loss == foot.y
+    np.testing.assert_array_equal(rec.theta, foot.theta)
+    np.testing.assert_array_equal(rec.center, foot.ambient + 0.5 * normal_from_grad(foot.grad))
     # radius preserved exactly by the re-lift
-    drift = abs(np.linalg.norm(new_state.center - new_state.contact.ambient) - 0.5)
+    drift = abs(np.linalg.norm(rec.center - foot.ambient) - 0.5)
     assert drift <= 1e-9 * 0.5
     assert rec.projection_iters >= 1
-    assert 0.0 < float(new_state.contact.theta[0]) < 1.0  # moved downhill
+    assert 0.0 < float(foot.theta[0]) < 1.0  # moved downhill
 
 
 def test_rbo_step_fixed_at_critical_point():
-    state = lift(PARABOLA, np.array([0.0]), rho=1.0)
-    new_state, rec = rbo_step(PARABOLA, state, eta=0.5, cfg=ProjectionConfig())
+    point = _graph_point(PARABOLA, np.array([0.0]))
+    foot, rec = rbo_step(PARABOLA, point, 1, 1.0, 0.5, ProjectionConfig())
     # zero gradient: tangent vanishes, candidate = center, contact stays put
-    np.testing.assert_allclose(new_state.contact.theta, [0.0], atol=1e-12)
+    np.testing.assert_allclose(foot.theta, [0.0], atol=1e-12)
     assert rec.projection_residual <= 1e-8
+
+
+@pytest.mark.parametrize("theta, tangent", [(1.0, [2.0, 4.0]), (0.0, [0.0, 0.0])])
+def test_rbo_step_displaces_the_center_against_the_lifted_tangent(monkeypatch, theta, tangent):
+    # f = theta^2: grad 2 theta, so the tangent (g, g.g) is (2, 4) at 1 and 0 at the minimum
+    candidates = []
+    project = optimizer.project_footpoint
+    monkeypatch.setattr(optimizer, "project_footpoint",
+                        lambda ls, c, *rest: candidates.append(c) or project(ls, c, *rest))
+    point = _graph_point(PARABOLA, np.array([theta]))
+    rbo_step(PARABOLA, point, 1, 1.0, 0.5, ProjectionConfig())
+    center = point.ambient + normal_from_grad(point.grad)
+    np.testing.assert_array_equal(candidates, [center - 0.5 * np.array(tangent)])
+
+
+def test_rbo_step_is_run_rbos_step():
+    # a deterministic d = 2 run chains rbo_step from the graph point at theta0
+    cfg = ProjectionConfig()
+    traj = run_rbo(BOWL, np.array([1.0, -2.0]), 0.5, 0.4, 6, cfg)
+    point = _graph_point(BOWL, np.array([1.0, -2.0]))
+    assert traj.error is None and len(traj.records) == 7
+    for t, rec in enumerate(traj.records[1:], start=1):
+        point, expected = rbo_step(BOWL, point, t, 0.5, 0.4, cfg)
+        for a, b in zip(dataclasses.astuple(rec), dataclasses.astuple(expected)):
+            np.testing.assert_array_equal(a, b)
 
 
 @given(st.floats(min_value=0.05, max_value=2.0))
